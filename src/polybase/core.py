@@ -1,15 +1,16 @@
 """Integer submodular functions on small ground sets.
 
 Subsets of the ground set are bitmasks: bit i corresponds to element i in
-the fixed ground order.  A function is a lazy expression tree; every node
-memoizes its values, so deeply composed constructions (duals of reductions
-of scalings, ...) stay cheap at desk scale.  All values are integers and
-f(empty) = 0 by construction.
+the fixed ground order.  Every function node holds ``values``, the tuple of
+its 2^n integer values indexed by mask, computed once in its constructor
+from its inner node's table: dual, shift, scale and block restriction take
+one O(2^n) pass, reduction an O(n 2^n) dynamic program.  Evaluating a mask
+is an index into the table, so evaluation never recurses through composed
+constructions (duals of reductions of scalings, ...).  All values are
+integers and f(empty) = 0 by construction.
 
-Instances are immutable after construction except for the per-node value
-cache.  An instance may be shared read-only across threads only if access
-to it is externally synchronized; otherwise treat instances as owned by a
-single thread (they transfer freely).
+Instances never change after construction; they may be shared freely,
+across threads too.
 """
 
 from __future__ import annotations
@@ -122,35 +123,38 @@ def vector_sum(x, mask: int) -> int:
     return sum(x[i] for i in bits(mask))
 
 
+def subset_sums(x) -> list:
+    """sums[mask] = x(mask) for every mask over len(x) coordinates at once."""
+    sums = [0] * (1 << len(x))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # function nodes
 # ---------------------------------------------------------------------------
 
 class SubmodularFn:
-    """Base class for evaluable integer set functions.
+    """Base class for integer set functions held as value tables.
 
-    Calling an instance with a subset mask returns the integer value.
-    Construction helpers (dual, shift, reduce, ...) build new lazy nodes;
-    nothing is materialized unless ``materialize`` is called.
+    ``values[mask]`` is the value on the subset mask; calling an instance
+    with a mask returns it after a range check.  Construction helpers
+    (dual, shift, reduce, ...) build new nodes, each of which computes its
+    own table once from this node's table.
     """
 
-    def __init__(self, ground: GroundSet):
+    def __init__(self, ground: GroundSet, values):
         self.ground = ground
-        self._cache: dict[int, int] = {}
+        self.values: tuple[int, ...] = tuple(values)
 
     def __call__(self, mask: int) -> int:
-        if not 0 <= mask <= self.ground.full_mask:
+        if not 0 <= mask < len(self.values):
             raise UsageError(
                 f"mask {mask:#x} out of range for ground set of size {self.ground.n}"
             )
-        got = self._cache.get(mask)
-        if got is None:
-            got = self._value(mask)
-            self._cache[mask] = got
-        return got
-
-    def _value(self, mask: int) -> int:
-        raise NotImplementedError
+        return self.values[mask]
 
     # -- constructions ------------------------------------------------
 
@@ -182,7 +186,6 @@ class TableFn(SubmodularFn):
     """Explicit table of all 2^n values."""
 
     def __init__(self, ground: GroundSet, values):
-        super().__init__(ground)
         values = tuple(values)
         if len(values) != 1 << ground.n:
             raise UsageError(
@@ -193,10 +196,7 @@ class TableFn(SubmodularFn):
                 raise UsageError(f"table values must be integers, got {v!r}")
         if values[0] != 0:
             raise UsageError(f"table value on the empty set must be 0, got {values[0]}")
-        self.values = values
-
-    def _value(self, mask: int) -> int:
-        return self.values[mask]
+        super().__init__(ground, values)
 
     def to_node_dict(self) -> dict:
         vals = {}
@@ -210,13 +210,10 @@ class UniformRank(SubmodularFn):
     """Rank function of the uniform matroid: min(|U|, r)."""
 
     def __init__(self, ground: GroundSet, rank: int):
-        super().__init__(ground)
         if not isinstance(rank, int) or rank < 0:
             raise UsageError(f"uniform rank must be a nonnegative integer, got {rank!r}")
+        super().__init__(ground, [min(m.bit_count(), rank) for m in ground.subsets()])
         self.rank = rank
-
-    def _value(self, mask: int) -> int:
-        return min(popcount(mask), self.rank)
 
     def to_node_dict(self) -> dict:
         return {"type": "uniform", "rank": self.rank}
@@ -226,7 +223,6 @@ class PartitionRank(SubmodularFn):
     """Rank function of a partition matroid: sum of per-block capped counts."""
 
     def __init__(self, ground: GroundSet, blocks, caps):
-        super().__init__(ground)
         blocks = tuple(blocks)
         caps = tuple(caps)
         if len(blocks) != len(caps):
@@ -241,13 +237,12 @@ class PartitionRank(SubmodularFn):
         for c in caps:
             if not isinstance(c, int) or c < 0:
                 raise UsageError(f"partition caps must be nonnegative integers, got {c!r}")
+        values = [0] * (1 << ground.n)
+        for b, c in zip(blocks, caps):
+            values = [v + min((m & b).bit_count(), c) for m, v in enumerate(values)]
+        super().__init__(ground, values)
         self.blocks = blocks
         self.caps = caps
-
-    def _value(self, mask: int) -> int:
-        return sum(
-            min(popcount(mask & b), c) for b, c in zip(self.blocks, self.caps)
-        )
 
     def to_node_dict(self) -> dict:
         return {
@@ -265,8 +260,7 @@ class GraphicRank(SubmodularFn):
     """
 
     def __init__(self, ground: GroundSet, vertices: int, edges):
-        super().__init__(ground)
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        edges = tuple(tuple(e) for e in edges)
         if len(edges) != ground.n:
             raise UsageError(
                 f"got {len(edges)} edges for a ground set of {ground.n} elements"
@@ -274,28 +268,13 @@ class GraphicRank(SubmodularFn):
         if vertices < 1:
             raise UsageError("graphic matroid needs at least one vertex")
         for u, v in edges:
+            if not all(isinstance(p, int) and not isinstance(p, bool) for p in (u, v)):
+                raise UsageError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
             if not (0 <= u < vertices and 0 <= v < vertices):
                 raise UsageError(f"edge ({u},{v}) outside vertex range 0..{vertices - 1}")
+        super().__init__(ground, _forest_sizes(ground.n, edges))
         self.vertices = vertices
         self.edges = edges
-
-    def _value(self, mask: int) -> int:
-        parent = list(range(self.vertices))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        rank = 0
-        for i in bits(mask):
-            u, v = self.edges[i]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                rank += 1
-        return rank
 
     def to_node_dict(self) -> dict:
         return {
@@ -305,16 +284,48 @@ class GraphicRank(SubmodularFn):
         }
 
 
+def _forest_sizes(n: int, edges) -> list[int]:
+    """Rank of every edge subset: the edges union-find keeps as a forest.
+
+    One depth-first pass decides edge 0, 1, ... in turn, adding an edge
+    to the union-find on the way down and undoing it on the way back, so
+    every subset costs one union-find step.  Only roots are absent from
+    ``parent``, so the work never depends on the number of vertices.
+    """
+    values = [0] * (1 << n)
+    parent = {}
+
+    def find(v):
+        while v in parent:
+            v = parent[v]
+        return v
+
+    def visit(i, mask, rank):
+        if i == n:
+            values[mask] = rank
+            return
+        visit(i + 1, mask, rank)
+        u, v = edges[i]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            visit(i + 1, mask | 1 << i, rank)
+        else:
+            parent[ru] = rv
+            visit(i + 1, mask | 1 << i, rank + 1)
+            del parent[ru]
+
+    visit(0, 0, 0)
+    return values
+
+
 class DualFn(SubmodularFn):
     """f*(U) = f(E - U) - f(E); reflects the base polytope through 0."""
 
     def __init__(self, inner: SubmodularFn):
-        super().__init__(inner.ground)
+        fe = inner.values[-1]
+        # E - U = full - U, so f(E - U) runs through the table backwards
+        super().__init__(inner.ground, (v - fe for v in reversed(inner.values)))
         self.inner = inner
-
-    def _value(self, mask: int) -> int:
-        full = self.ground.full_mask
-        return self.inner(full ^ mask) - self.inner(full)
 
     def to_node_dict(self) -> dict:
         return {"type": "dual", "inner": self.inner.to_node_dict()}
@@ -324,12 +335,11 @@ class ShiftFn(SubmodularFn):
     """(f + a)(U) = f(U) + a(U) for an integer vector a."""
 
     def __init__(self, inner: SubmodularFn, a):
-        super().__init__(inner.ground)
+        a = _check_int_vector(a, inner.ground.n, "shift vector")
+        sums = subset_sums(a)
+        super().__init__(inner.ground, (v + s for v, s in zip(inner.values, sums)))
         self.inner = inner
-        self.a = _check_int_vector(a, inner.ground.n, "shift vector")
-
-    def _value(self, mask: int) -> int:
-        return self.inner(mask) + vector_sum(self.a, mask)
+        self.a = a
 
     def to_node_dict(self) -> dict:
         return {"type": "shift", "a": list(self.a), "inner": self.inner.to_node_dict()}
@@ -338,31 +348,23 @@ class ShiftFn(SubmodularFn):
 class ReduceFn(SubmodularFn):
     """(f | a)(U) = min over T subset of U of f(T) + a(U - T).
 
-    Clips the extended polymatroid by the box x <= a.  Evaluated by
-    exhaustive minimization over T; the inner function's cache keeps the
-    recursion polynomial in practice at desk scale.
+    Clips the extended polymatroid by the box x <= a.  Computed by the
+    dynamic program h(U) = min(f(U), min over i in U of h(U - i) + a_i),
+    which is exact for any f because a is modular: an optimal T either is
+    U or misses some i in U, and then it is also feasible for U - i.
     """
 
     def __init__(self, inner: SubmodularFn, a):
-        super().__init__(inner.ground)
+        a = _check_int_vector(a, inner.ground.n, "reduction vector")
+        h = list(inner.values)
+        for mask in range(1, len(h)):
+            for i in bits(mask):
+                cand = h[mask ^ (1 << i)] + a[i]
+                if cand < h[mask]:
+                    h[mask] = cand
+        super().__init__(inner.ground, h)
         self.inner = inner
-        self.a = _check_int_vector(a, inner.ground.n, "reduction vector")
-
-    def _value(self, mask: int) -> int:
-        inner = self.inner
-        a = self.a
-        a_mask = vector_sum(a, mask)
-        best = inner(mask)  # T = U
-        # iterate proper subsets T of mask
-        t = (mask - 1) & mask
-        while t != mask:
-            cand = inner(t) + a_mask - vector_sum(a, t)
-            if cand < best:
-                best = cand
-            if t == 0:
-                break
-            t = (t - 1) & mask
-        return best
+        self.a = a
 
     def to_node_dict(self) -> dict:
         return {"type": "reduce", "a": list(self.a), "inner": self.inner.to_node_dict()}
@@ -375,7 +377,7 @@ class ReduceAtFn(ReduceFn):
         if not isinstance(cap, int) or isinstance(cap, bool):
             raise UsageError(f"cap must be an integer, got {cap!r}")
         pos = inner.ground.index(element)
-        a = [inner(1 << i) for i in range(inner.ground.n)]
+        a = [inner.values[1 << i] for i in range(inner.ground.n)]
         a[pos] = cap
         super().__init__(inner, a)
         self.element = element
@@ -394,14 +396,11 @@ class ScaleFn(SubmodularFn):
     """(r f)(U) = r * f(U) for a positive integer r."""
 
     def __init__(self, r: int, inner: SubmodularFn):
-        super().__init__(inner.ground)
         if not isinstance(r, int) or isinstance(r, bool) or r < 1:
             raise UsageError(f"scale factor must be a positive integer, got {r!r}")
+        super().__init__(inner.ground, (r * v for v in inner.values))
         self.r = r
         self.inner = inner
-
-    def _value(self, mask: int) -> int:
-        return self.r * self.inner(mask)
 
     def to_node_dict(self) -> dict:
         return {"type": "scale", "r": self.r, "inner": self.inner.to_node_dict()}
@@ -424,20 +423,15 @@ class BlockRestrictFn(SubmodularFn):
             raise UsageError("block restriction masks out of range")
         positions = tuple(bits(block))
         ground = GroundSet(tuple(inner.ground.elements[i] for i in positions))
-        super().__init__(ground)
+        # the parent mask of a block mask is the sum of its elements' bits
+        parent_masks = subset_sums([1 << p for p in positions])
+        base = inner.values[a_prev]
+        super().__init__(
+            ground, (inner.values[a_prev | m] - base for m in parent_masks)
+        )
         self.inner = inner
         self.a_prev = a_prev
         self.block = block
-        self._positions = positions
-
-    def _parent_mask(self, mask: int) -> int:
-        m = 0
-        for j in bits(mask):
-            m |= 1 << self._positions[j]
-        return m
-
-    def _value(self, mask: int) -> int:
-        return self.inner(self.a_prev | self._parent_mask(mask)) - self.inner(self.a_prev)
 
     def to_node_dict(self) -> dict:
         parent = self.inner.ground
@@ -454,18 +448,24 @@ class BlockRestrictFn(SubmodularFn):
 # ---------------------------------------------------------------------------
 
 def is_submodular(f: SubmodularFn):
-    """Exhaustive submodularity check.
+    """Exhaustive submodularity check by the local test.
 
-    Returns (True, None) or (False, (A, B)) with the first violating pair
-    in canonical order: f(A) + f(B) < f(A | B) + f(A & B).
+    f is submodular iff f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and
+    every pair i < j outside S.  Scans S in canonical order, then i, then j,
+    in O(n^2 2^n).  Returns (True, None) or (False, (S+i, S+j)) for the
+    first failure, a pair with f(A) + f(B) < f(A | B) + f(A & B).
     """
-    total = 1 << f.ground.n
-    vals = [f(m) for m in range(total)]
-    for a in range(total):
-        va = vals[a]
-        for b in range(a + 1, total):
-            if va + vals[b] < vals[a | b] + vals[a & b]:
-                return False, (a, b)
+    v = f.values
+    n = f.ground.n
+    for s, vs in enumerate(v):
+        free = [1 << i for i in range(n) if not s >> i & 1]
+        for x, bi in enumerate(free):
+            a = s | bi
+            va = v[a]
+            for bj in free[x + 1:]:
+                b = s | bj
+                if va + v[b] < v[a | b] + vs:
+                    return False, (a, b)
     return True, None
 
 
@@ -475,17 +475,17 @@ def is_matroid_rank(f: SubmodularFn) -> bool:
     Assumes f is submodular (not re-checked); under that assumption the
     three conditions characterize matroid rank functions.
     """
+    v = f.values
     n = f.ground.n
-    for mask in f.ground.subsets():
-        v = f(mask)
-        if v < 0 or v > popcount(mask):
+    for mask, val in enumerate(v):
+        if val < 0 or val > popcount(mask):
             return False
         for i in range(n):
-            if not mask & (1 << i) and f(mask | (1 << i)) < v:
+            if not mask & (1 << i) and v[mask | (1 << i)] < val:
                 return False
     return True
 
 
 def materialize(f: SubmodularFn) -> TableFn:
-    """Evaluate every subset and freeze the result into an explicit table."""
-    return TableFn(f.ground, [f(m) for m in f.ground.subsets()])
+    """Freeze a node's value table into an explicit table node."""
+    return TableFn(f.ground, f.values)

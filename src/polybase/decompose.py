@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .core import SubmodularFn, vector_sum
+from .core import SubmodularFn, is_submodular, vector_sum
 from .errors import InvariantViolation, UsageError
 from .lp import assert_integral, build_intersection_system, find_vertex
 from .polytope import (
@@ -100,7 +100,10 @@ def _normalize_terms(terms) -> Terms:
 
 @dataclass
 class DecompositionTrace:
-    """One node of the recursion tree; replaying it rebuilds the result."""
+    """One node of the recursion tree; replaying it rebuilds the result.
+
+    The function fields hold the node objects; ``to_dict`` serializes them.
+    """
 
     case: str
     ground: tuple[str, ...]
@@ -111,9 +114,9 @@ class DecompositionTrace:
     e: str | None = None
     q: int | None = None
     r: int | None = None
-    fn_left: dict | None = None
-    fn_right: dict | None = None
-    fn_reduced: dict | None = None
+    fn_left: SubmodularFn | None = None
+    fn_right: SubmodularFn | None = None
+    fn_reduced: SubmodularFn | None = None
     x1: tuple[int, ...] | None = None
     x2: tuple[int, ...] | None = None
 
@@ -133,7 +136,7 @@ class DecompositionTrace:
         for key in ("fn_left", "fn_right", "fn_reduced"):
             val = getattr(self, key)
             if val is not None:
-                out[key] = val
+                out[key] = val.to_node_dict()
         if self.x1 is not None:
             out["x1"] = list(self.x1)
         if self.x2 is not None:
@@ -254,6 +257,13 @@ def _require_membership(f: SubmodularFn, x, k: int) -> None:
     for v in x:
         if not isinstance(v, int) or isinstance(v, bool):
             raise UsageError(f"vector entries must be integers, got {v!r}")
+    ok, pair = is_submodular(f)
+    if not ok:
+        a, b = (",".join(f.ground.names_of(m)) for m in pair)
+        raise UsageError(
+            f"f is not submodular: f(A) + f(B) < f(A | B) + f(A & B)"
+            f" for A = {{{a}}}, B = {{{b}}}"
+        )
     scaled = f.scale(k) if k > 1 else f
     full = f.ground.full_mask
     if vector_sum(x, full) != scaled(full):
@@ -315,7 +325,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
             k=k,
             e=e_name,
             q=q,
-            fn_reduced=capped.to_node_dict(),
+            fn_reduced=capped,
             chain=_chain_names(ground, face),
             children=children,
         )
@@ -353,8 +363,8 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
         e=e_name,
         q=q,
         r=r,
-        fn_left=fn_left.to_node_dict(),
-        fn_right=fn_right.to_node_dict(),
+        fn_left=fn_left,
+        fn_right=fn_right,
         x1=x1,
         x2=x2,
         children=[left_trace, right_trace],

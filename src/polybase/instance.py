@@ -61,6 +61,11 @@ def parse_fn(ground: GroundSet, node) -> SubmodularFn:
             return UniformRank(ground, _int(_need(node, "rank", "uniform"), "rank"))
         if kind == "partition":
             blocks_names = _need(node, "blocks", "partition")
+            if not isinstance(blocks_names, list) or not all(
+                isinstance(b, list) and all(isinstance(s, str) for s in b)
+                for b in blocks_names
+            ):
+                raise ParseError("partition blocks must be arrays of element names")
             caps = _int_list(_need(node, "caps", "partition"), "caps")
             blocks = [ground.mask_of(names) for names in blocks_names]
             return PartitionRank(ground, blocks, caps)
@@ -71,7 +76,8 @@ def parse_fn(ground: GroundSet, node) -> SubmodularFn:
                 isinstance(e, list) and len(e) == 2 for e in edges
             ):
                 raise ParseError("graphic edges must be an array of [u, v] pairs")
-            return GraphicRank(ground, vertices, [(int(u), int(v)) for u, v in edges])
+            pairs = [tuple(_int_list(e, "edge endpoint")) for e in edges]
+            return GraphicRank(ground, vertices, pairs)
         if kind == "dual":
             return parse_fn(ground, _need(node, "inner", "dual")).dual()
         if kind == "shift":
@@ -135,8 +141,10 @@ def load_instance(path) -> InstanceFile:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
+        return parse_instance(doc)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_instance(doc)
+    except RecursionError:
+        raise ParseError(f"{path} nests too deeply to parse") from None

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SubmodularFn, bits
+from .core import SubmodularFn, bits, subset_sums
 from .errors import InvariantViolation, UsageError
 
 RationalPoint = tuple[Fraction, ...]
@@ -72,12 +72,9 @@ def build_intersection_system(f: SubmodularFn, g: SubmodularFn) -> ConstraintSys
     if f.ground != g.ground:
         raise UsageError("intersection requires a common ground set")
     full = f.ground.full_mask
-    ineqs = [(m, f(m)) for m in f.ground.subsets()]
-    ineqs += [(m, g(m)) for m in g.ground.subsets()]
-    eqs = [(full, f(full)), (full, g(full))]
-    return ConstraintSystem(
-        names=f.ground.elements, ineqs=tuple(ineqs), eqs=tuple(eqs)
-    )
+    ineqs = tuple(enumerate(f.values)) + tuple(enumerate(g.values))
+    eqs = ((full, f.values[full]), (full, g.values[full]))
+    return ConstraintSystem(names=f.ground.elements, ineqs=ineqs, eqs=eqs)
 
 
 def dump_system(system: ConstraintSystem) -> str:
@@ -210,16 +207,9 @@ def find_vertex(system: ConstraintSystem, debug: bool = False):
         v[n] = Fraction(-1)
         return v
 
-    def all_sums(vec):
-        sums = [Fraction(0)] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + vec[low.bit_length() - 1]
-        return sums
-
     x = [Fraction(0)] * n
     t = max(Fraction(0), max(-b for _, _, b in rows))
-    sums_x = all_sums(x)
+    sums_x = subset_sums(x)
 
     def slack(row):
         sign, mask, rhs = row
@@ -227,7 +217,7 @@ def find_vertex(system: ConstraintSystem, debug: bool = False):
 
     def ratio_step(d):
         """Largest feasible step along d; returns (alpha, blocking row index)."""
-        sums_d = all_sums(d[:n])
+        sums_d = subset_sums(d[:n])
         dt = d[n]
         best = None
         enter = None
@@ -246,7 +236,7 @@ def find_vertex(system: ConstraintSystem, debug: bool = False):
         if alpha != 0:
             x = [v + alpha * dv for v, dv in zip(x, d[:n])]
             t = t + alpha * d[n]
-            sums_x = all_sums(x)
+            sums_x = subset_sums(x)
 
     def lex_sign(vec):
         for v in vec:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GroundSet, SubmodularFn, bits, vector_sum
+from .core import GroundSet, SubmodularFn, bits, subset_sums, vector_sum
 from .errors import UsageError
 
 
@@ -25,9 +25,8 @@ def in_extended_polymatroid(f: SubmodularFn, x):
     x = tuple(x)
     if len(x) != f.ground.n:
         raise UsageError(f"vector length {len(x)} != ground size {f.ground.n}")
-    sums = _subset_sums(x, f.ground.n)
-    for mask in f.ground.subsets():
-        if sums[mask] > f(mask):
+    for mask, (s, v) in enumerate(zip(subset_sums(x), f.values)):
+        if s > v:
             return False, mask
     return True, None
 
@@ -81,9 +80,10 @@ def tight_sets(f: SubmodularFn) -> list[int]:
     U qualifies iff f(U) + f(E-U) = f(E).  The family contains the empty
     set and E and is closed under union and intersection.
     """
-    full = f.ground.full_mask
-    fe = f(full)
-    return [m for m in f.ground.subsets() if f(m) + f(full ^ m) == fe]
+    v = f.values
+    fe = v[-1]
+    # E - U is full - U as a mask, so f(E - U) reads the table backwards
+    return [m for m, (a, b) in enumerate(zip(v, reversed(v))) if a + b == fe]
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,14 @@ class FaceStructure:
     """A face factored as a direct sum of block base polytopes.
 
     chain is the maximal tight chain (masks, starting at 0 and ending at
-    the full mask); blocks are the consecutive differences; block_fns[i]
-    is the induced function on blocks[i]; dim = n - (number of blocks).
+    the full mask); blocks are the consecutive differences; block i is
+    the base polytope of f.block_restrict(chain[i], blocks[i]);
+    dim = n - (number of blocks).
     """
 
     ground: GroundSet
     chain: tuple[int, ...]
     blocks: tuple[int, ...]
-    block_fns: tuple[SubmodularFn, ...]
     dim: int
 
     @property
@@ -143,17 +143,11 @@ def _maximal_chain(tight: list[int], full: int) -> tuple[int, ...]:
 
 
 def _structure_from_chain(f: SubmodularFn, chain) -> FaceStructure:
-    blocks = []
-    fns = []
-    for prev, cur in zip(chain, chain[1:]):
-        block = cur ^ prev
-        blocks.append(block)
-        fns.append(f.block_restrict(prev, block))
+    blocks = tuple(cur ^ prev for prev, cur in zip(chain, chain[1:]))
     return FaceStructure(
         ground=f.ground,
         chain=tuple(chain),
-        blocks=tuple(blocks),
-        block_fns=tuple(fns),
+        blocks=blocks,
         dim=f.ground.n - len(blocks),
     )
 
@@ -172,8 +166,11 @@ def dimension(f: SubmodularFn) -> int:
 
 def point_tight_family(f: SubmodularFn, x) -> list[int]:
     """All U with x(U) = f(U), in canonical order (x must lie in B_f)."""
-    sums = _subset_sums(tuple(x), f.ground.n)
-    return [m for m in f.ground.subsets() if sums[m] == f(m)]
+    x = tuple(x)
+    if len(x) != f.ground.n:
+        raise UsageError(f"vector length {len(x)} != ground size {f.ground.n}")
+    sums = subset_sums(x)
+    return [m for m, (s, v) in enumerate(zip(sums, f.values)) if s == v]
 
 
 def minimal_face_of_point(f: SubmodularFn, x) -> FaceStructure:
@@ -189,12 +186,3 @@ def minimal_face_of_point(f: SubmodularFn, x) -> FaceStructure:
         raise UsageError(f"point {x} is not in the base polytope")
     chain = _maximal_chain(point_tight_family(f, x), f.ground.full_mask)
     return _structure_from_chain(f, chain)
-
-
-def _subset_sums(x, n: int) -> list:
-    """sums[mask] = sum of x over the mask, for every mask at once."""
-    sums = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
-    return sums

@@ -250,3 +250,8 @@ def sample_target(f: SubmodularFn, k: int, rng: random.Random) -> tuple[int, ...
         v = greedy_vertex(f, order)
         w = tuple(a + b for a, b in zip(w, v))
     return w
+
+
+def block_fns(f: SubmodularFn, fs) -> list[SubmodularFn]:
+    """The function of each block of the face structure fs of f."""
+    return [f.block_restrict(prev, block) for prev, block in zip(fs.chain, fs.blocks)]

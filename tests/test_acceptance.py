@@ -14,6 +14,7 @@ import polybase.lp as lp
 from corpus import (
     acceptance_corpus,
     attaining_tiny,
+    block_fns,
     flat_corpus,
     sample_target,
     tiny_instances,
@@ -133,7 +134,7 @@ def test_criterion_5_face_factorization():
         fs = face_structure(f)
         assert fs.dim < n - 1, label
         whole = set(enumerate_base_points(f))
-        block_points = [enumerate_base_points(fn) for fn in fs.block_fns]
+        block_points = [enumerate_base_points(fn) for fn in block_fns(f, fs)]
         combined = {
             fs.scatter(combo) for combo in itertools.product(*block_points)
         }

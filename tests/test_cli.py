@@ -142,6 +142,46 @@ class TestDecompose:
         assert ok, failures
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("f", [
+        {"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, "x"]]},
+        {"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, 1.7]]},
+        {"type": "partition", "blocks": ["ab"], "caps": [1]},
+    ])
+    def test_malformed_node_exits_two(self, write, capsys, f):
+        doc = {"ground": ["a", "b"], "w": [1, 0], "k": 1, "f": f}
+        assert main(["decompose", write(doc)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_submodular_exits_one_naming_pair(self, write, capsys):
+        doc = dict(BAD_TABLE_DOC, w=[1, 0], k=1)
+        assert main(["decompose", write(doc)]) == 1
+        err = capsys.readouterr().err
+        assert "not submodular" in err and "A = {a}, B = {b}" in err
+
+    def test_deep_nesting_exits_two(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(_scale_chain(3000))
+        assert main(["decompose", str(path)]) == 2
+
+    def test_deep_scale_chain_decomposes(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(_scale_chain(600))
+        assert main(["decompose", str(path), "--verify"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["dim"] == 2 and doc["bound_ok"] is True
+
+
+def _scale_chain(depth: int) -> str:
+    """K3_DOC with its graphic node wrapped in depth scale-by-1 nodes.
+
+    Built as text, since json.dumps itself recurses once per level.
+    """
+    leaf = json.dumps(K3_DOC["f"])
+    f = '{"type": "scale", "r": 1, "inner": ' * depth + leaf + "}" * depth
+    return f'{{"ground": ["a", "b", "c"], "w": [2, 2, 2], "k": 3, "f": {f}}}'
+
+
 class TestOracle:
     def test_u12_report(self, write, capsys):
         doc = {"ground": ["a", "b"], "f": {"type": "uniform", "rank": 1}}

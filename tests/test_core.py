@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from corpus import coverage_table, ground, k3, random_table, tiny_instances, u12, u23
 from polybase import (
+    BlockRestrictFn,
+    DualFn,
     GraphicRank,
     GroundSet,
     PartitionRank,
+    ReduceAtFn,
+    ReduceFn,
+    ScaleFn,
+    ShiftFn,
     TableFn,
     UniformRank,
     UsageError,
@@ -23,12 +29,15 @@ from polybase import (
 
 
 def brute_reduce(f, a, mask):
-    """Independent evaluation of (f | a)(U): plain min over split subsets."""
+    """Independent evaluation of (f | a)(U): plain min over split subsets.
+
+    f is any callable on masks; a has one entry per ground element.
+    """
     best = None
     sub = mask
     while True:
         rest = mask ^ sub
-        val = f(sub) + sum(a[i] for i in range(f.ground.n) if rest >> i & 1)
+        val = f(sub) + sum(a[i] for i in range(len(a)) if rest >> i & 1)
         if best is None or val < best:
             best = val
         if sub == 0:
@@ -176,6 +185,18 @@ class TestConstructions:
         assert f(0b0111) == 2
 
 
+    def test_graphic_rank_ignores_untouched_vertices(self):
+        g = GroundSet(("e1", "e2", "e3", "e4"))
+        far = 10**6 - 1
+        sparse = GraphicRank(g, 10**6, [(0, far), (far, 5), (5, 0), (0, far)])
+        dense = GraphicRank(g, 3, [(0, 1), (1, 2), (2, 0), (0, 1)])
+        assert sparse.values == dense.values
+
+    def test_graphic_rank_rejects_non_integer_endpoints(self):
+        with pytest.raises(UsageError, match="integers"):
+            GraphicRank(ground(2), 2, [(0, 1), (0, 1.7)])
+
+
 class TestGroundSet:
     def test_duplicate_names_rejected(self):
         with pytest.raises(UsageError):
@@ -235,3 +256,162 @@ def test_reduction_clips_extended_polymatroid(seed):
         )
         in_red = in_extended_polymatroid(red, p)[0]
         assert in_f == in_red
+
+
+# ---------------------------------------------------------------------------
+# differential tests: value tables against one-mask-at-a-time definitions
+# ---------------------------------------------------------------------------
+
+def naive_table(fn):
+    """fn's values by each node's definition, one mask at a time.
+
+    Recurses through the inner nodes with a memo keyed by (node, mask), the
+    way lazy evaluation did; it never reads a derived node's table.
+    """
+    memo = {}
+
+    def ev(node, mask):
+        key = (id(node), mask)
+        if key not in memo:
+            memo[key] = _naive_value(node, mask, ev)
+        return memo[key]
+
+    return [ev(fn, m) for m in fn.ground.subsets()]
+
+
+def _naive_value(node, mask, ev):
+    n = node.ground.n
+    if isinstance(node, TableFn):
+        return node.values[mask]
+    if isinstance(node, UniformRank):
+        return min(bin(mask).count("1"), node.rank)
+    if isinstance(node, PartitionRank):
+        return sum(
+            min(bin(mask & b).count("1"), c) for b, c in zip(node.blocks, node.caps)
+        )
+    if isinstance(node, GraphicRank):
+        # rank = vertices - connected components of the chosen edges
+        label = list(range(node.vertices))
+        for i in range(n):
+            if mask >> i & 1:
+                lu, lv = (label[v] for v in node.edges[i])
+                label = [lu if lab == lv else lab for lab in label]
+        return node.vertices - len(set(label))
+    inner = node.inner
+    if isinstance(node, DualFn):
+        full = (1 << n) - 1
+        return ev(inner, full ^ mask) - ev(inner, full)
+    if isinstance(node, ShiftFn):
+        return ev(inner, mask) + sum(node.a[i] for i in range(n) if mask >> i & 1)
+    if isinstance(node, ReduceAtFn):
+        a = [ev(inner, 1 << i) for i in range(n)]
+        a[inner.ground.index(node.element)] = node.cap
+        return brute_reduce(lambda t: ev(inner, t), a, mask)
+    if isinstance(node, ReduceFn):
+        return brute_reduce(lambda t: ev(inner, t), node.a, mask)
+    if isinstance(node, ScaleFn):
+        return node.r * ev(inner, mask)
+    if isinstance(node, BlockRestrictFn):
+        positions = [i for i in range(inner.ground.n) if node.block >> i & 1]
+        parent = node.a_prev
+        for j, p in enumerate(positions):
+            if mask >> j & 1:
+                parent |= 1 << p
+        return ev(inner, parent) - ev(inner, node.a_prev)
+    raise TypeError(f"no reference definition for {type(node).__name__}")
+
+
+def pair_scan_is_submodular(f):
+    """Reference check over all pairs (A, B), O(4^n)."""
+    total = 1 << f.ground.n
+    vals = [f(m) for m in range(total)]
+    for a in range(total):
+        for b in range(a + 1, total):
+            if vals[a] + vals[b] < vals[a | b] + vals[a & b]:
+                return False, (a, b)
+    return True, None
+
+
+@st.composite
+def leaves(draw, n):
+    """A base node on n elements: an arbitrary table or a matroid rank."""
+    g = ground(n)
+    kind = draw(st.sampled_from(("table", "submodular", "uniform", "partition", "graphic")))
+    if kind == "table":
+        rest = draw(st.lists(st.integers(-9, 9), min_size=2**n - 1, max_size=2**n - 1))
+        return TableFn(g, [0] + rest)
+    if kind == "submodular":
+        return random_table(g, random.Random(draw(st.integers(0, 10**9))))
+    if kind == "uniform":
+        return UniformRank(g, draw(st.integers(0, n + 1)))
+    if kind == "partition":
+        cut = draw(st.integers(1, n))
+        low = (1 << cut) - 1
+        blocks = (low, g.full_mask ^ low) if cut < n else (low,)
+        return PartitionRank(g, blocks, [draw(st.integers(0, 3)) for _ in blocks])
+    vertices = draw(st.integers(1, 4))
+    edge = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+    return GraphicRank(g, vertices, draw(st.lists(edge, min_size=n, max_size=n)))
+
+
+@st.composite
+def chains(draw):
+    """A leaf wrapped in 1..4 random constructions, vectors with negatives."""
+    f = draw(leaves(draw(st.integers(2, 6))))
+    for _ in range(draw(st.integers(1, 4))):
+        m = f.ground.n
+        vector = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
+        op = draw(st.sampled_from(("dual", "shift", "reduce", "reduce_at", "scale", "block")))
+        if op == "dual":
+            f = f.dual()
+        elif op == "shift":
+            f = f.shift(draw(vector))
+        elif op == "reduce":
+            f = f.reduce(draw(vector))
+        elif op == "reduce_at":
+            f = f.reduce_at(draw(st.sampled_from(f.ground.elements)), draw(st.integers(-3, 5)))
+        elif op == "scale":
+            f = f.scale(draw(st.integers(1, 4)))
+        else:
+            block = draw(st.integers(1, f.ground.full_mask))
+            f = f.block_restrict(draw(st.integers(0, f.ground.full_mask)) & ~block, block)
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=chains())
+def test_tables_match_one_mask_definitions(f):
+    assert list(f.values) == naive_table(f)
+    assert [f(m) for m in f.ground.subsets()] == list(f.values)
+
+
+def test_nested_chain_matches_definitions():
+    rng = random.Random(77)
+    f = random_table(ground(5), rng)
+    chain = f.shift((2, -3, 0, 1, -1)).scale(3).reduce_at("c", -2).dual()
+    assert list(chain.values) == naive_table(chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 6), data=st.data())
+def test_reduce_dp_matches_min_over_subsets(n, data):
+    f = data.draw(leaves(n))
+    a = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    red = f.reduce(a)
+    for mask in f.ground.subsets():
+        assert red(mask) == brute_reduce(f, a, mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.one_of(chains(), st.integers(2, 6).flatmap(leaves)), bump=st.integers(-1, 1))
+def test_local_submodularity_test_matches_pair_scan(f, bump):
+    if bump and f.ground.n > 1:
+        # nudge one value so near-submodular functions get tested too
+        values = list(f.values)
+        values[f.ground.full_mask ^ 1] += bump
+        f = TableFn(f.ground, values)
+    ok, pair = is_submodular(f)
+    assert ok == pair_scan_is_submodular(f)[0]
+    if not ok:
+        a, b = pair
+        assert f(a) + f(b) < f(a | b) + f(a & b)

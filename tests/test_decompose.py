@@ -19,6 +19,7 @@ from corpus import (
 )
 from polybase import (
     InvariantViolation,
+    TableFn,
     UniformRank,
     UsageError,
     WeightedDecomposition,
@@ -75,6 +76,15 @@ class TestSplitIntoKBases:
     def test_membership_precondition(self):
         with pytest.raises(UsageError):
             split_into_k_bases(u23(), (4, 0, 0), 2)
+
+    def test_submodularity_precondition(self):
+        with pytest.raises(UsageError, match="not submodular"):
+            split_into_k_bases(supermodular(), (2, 2, 2), 2)
+
+
+def supermodular():
+    """f(ab) = 3 > f(a) + f(b) = 2; every other pair is fine."""
+    return TableFn(ground(3), [0, 1, 1, 3, 2, 3, 3, 3])
 
 
 def wd(terms, k):
@@ -170,6 +180,12 @@ class TestDecompose:
             assert ok, failures
             assert dec.distinct_count <= dimension(f) + 1
             assert replay(trace) == dec
+
+    def test_non_submodular_rejected_with_pair(self):
+        with pytest.raises(UsageError) as err:
+            decompose(supermodular(), (1, 1, 1), 1)
+        assert "not submodular" in str(err.value)
+        assert "A = {a}, B = {b}" in str(err.value)
 
     def test_membership_error_names_constraint(self):
         with pytest.raises(UsageError) as err:

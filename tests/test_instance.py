@@ -3,7 +3,7 @@
 import pytest
 
 from corpus import ground, k3
-from polybase import ParseError, materialize, parse_fn, parse_instance
+from polybase import ParseError, load_instance, materialize, parse_fn, parse_instance
 
 
 def table_doc():
@@ -121,8 +121,34 @@ class TestNodeKinds:
         assert f(0b11) == 1
         assert g(0b01) == 0
 
+    @pytest.mark.parametrize("endpoint", ["x", 1.7, True])
+    def test_graphic_endpoint_must_be_integer(self, endpoint):
+        node = {"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, endpoint]]}
+        with pytest.raises(ParseError, match="integer"):
+            parse_fn(ground(2), node)
+
+    @pytest.mark.parametrize("blocks", [["ab"], "ab", [["a"], "b"], [["a", 1]]])
+    def test_partition_blocks_must_be_name_arrays(self, blocks):
+        node = {"type": "partition", "blocks": blocks, "caps": [1] * len(blocks)}
+        with pytest.raises(ParseError, match="blocks"):
+            parse_fn(ground(2), node)
+
     def test_round_trip_through_node_dict(self):
         f = materialize(k3().dual().shift((1, 1, 1)))
         doc = f.to_node_dict()
         again = parse_fn(ground(3), doc)
         assert all(again(m) == f(m) for m in range(8))
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    depth = 3000
+    path.write_text(
+        '{"ground": ["a"], "f": '
+        + '{"type": "scale", "r": 1, "inner": ' * depth
+        + '{"type": "uniform", "rank": 1}'
+        + "}" * depth
+        + "}"
+    )
+    with pytest.raises(ParseError, match="nests too deeply"):
+        load_instance(str(path))

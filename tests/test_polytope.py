@@ -6,7 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import ground, k3, part11, random_table, tiny_instances, u12, u23, u24
+from corpus import (
+    block_fns,
+    ground,
+    k3,
+    part11,
+    random_table,
+    tiny_instances,
+    u12,
+    u23,
+    u24,
+)
 from polybase import (
     UniformRank,
     UsageError,
@@ -142,14 +152,14 @@ class TestFaceStructure:
         fs = face_structure(part11())
         assert fs.chain == (0, 0b0011, 0b1111)
         assert fs.blocks == (0b0011, 0b1100)
-        for block_fn in fs.block_fns:
+        for block_fn in block_fns(part11(), fs):
             # each block behaves like a rank-1 uniform matroid on 2 points
             assert [block_fn(m) for m in block_fn.ground.subsets()] == [0, 1, 1, 1]
 
     def test_full_dimensional_single_block(self):
         fs = face_structure(u23())
         assert fs.t == 1
-        assert [fs.block_fns[0](m) for m in range(8)] == [u23()(m) for m in range(8)]
+        assert [block_fns(u23(), fs)[0](m) for m in range(8)] == [u23()(m) for m in range(8)]
 
     def test_direct_sum_reconstruction(self):
         for _, f in tiny_instances():
@@ -157,7 +167,7 @@ class TestFaceStructure:
                 continue
             fs = face_structure(f)
             whole = set(enumerate_base_points(f))
-            block_points = [enumerate_base_points(fn) for fn in fs.block_fns]
+            block_points = [enumerate_base_points(fn) for fn in block_fns(f, fs)]
             combined = {
                 fs.scatter(combo)
                 for combo in itertools.product(*block_points)
@@ -181,7 +191,7 @@ class TestMinimalFace:
         fs = minimal_face_of_point(f, x)
         assert fs.dim >= 1
         # x restricted to each block lies in that block's base polytope
-        for i, fn in enumerate(fs.block_fns):
+        for i, fn in enumerate(block_fns(f, fs)):
             assert in_base_polytope(fn, fs.restrict_vector(x, i))
 
     def test_precondition_enforced(self):
