@@ -13,7 +13,6 @@ sorted keys and certificate terms are sorted by point.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -77,8 +76,10 @@ def _parse_w(text: str) -> tuple[int, ...]:
         raise UsageError(f"--w must be comma-separated integers, got {text!r}")
 
 
-def certificate_dict(fn, w, k, dec, trace=None) -> dict:
-    dim = dimension(fn)
+def certificate_dict(fn, w, k, dec, trace=None, dim=None) -> dict:
+    """The certificate document; dim B_f is computed unless given."""
+    if dim is None:
+        dim = dimension(fn)
     doc = {
         "k": k,
         "w": list(w),
@@ -130,7 +131,8 @@ def cmd_decompose(args) -> int:
             raise InvariantViolation(
                 "certificate failed verification: " + "; ".join(failures)
             )
-    print(to_json(certificate_dict(inst.fn, w, k, dec, trace if args.trace else None)))
+    shown = trace if args.trace else None
+    print(to_json(certificate_dict(inst.fn, w, k, dec, shown, dim=trace.dim)))
     return EXIT_OK
 
 
@@ -208,6 +210,9 @@ def _run_directory(args, argv_base: list[str]) -> int:
         return EXIT_INPUT
     jobs = [(argv_base + [p], args.limit_n) for p in paths]
     if args.jobs > 1:
+        # imported here so serial runs skip it and the logging it pulls in
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_worker, jobs))
     else:

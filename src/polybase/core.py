@@ -16,7 +16,6 @@ across threads too.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import UsageError
 
@@ -59,26 +58,65 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class Frozen:
+    """Immutable value object whose fields are the names in ``__slots__``.
+
+    ``__init__`` stores the fields once through ``_freeze``; assigning or
+    deleting one afterwards raises AttributeError.  Equality (same class,
+    equal fields), hashing and repr go by the fields in slot order, as for
+    a frozen dataclass.  ``dataclasses`` is avoided because its import,
+    which pulls in ``inspect`` and ``ast``, slows the start of every CLI
+    run.
+    """
+
+    __slots__ = ()
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class GroundSet(Frozen):
     """An ordered finite set of named elements.
 
     The construction order is canonical: it fixes bit positions, subset
     iteration order and every tie-break in the package.
     """
 
-    elements: tuple[str, ...]
+    __slots__ = ("elements",)
 
-    def __post_init__(self):
-        if not isinstance(self.elements, tuple):
-            object.__setattr__(self, "elements", tuple(self.elements))
-        if len(set(self.elements)) != len(self.elements):
-            raise UsageError(f"ground elements are not distinct: {self.elements}")
+    def __init__(self, elements):
+        elements = tuple(elements)
+        if len(set(elements)) != len(elements):
+            raise UsageError(f"ground elements are not distinct: {elements}")
         limit = ground_limit()
-        if not 1 <= len(self.elements) <= limit:
-            raise UsageError(
-                f"ground set size {len(self.elements)} outside [1, {limit}]"
-            )
+        if not 1 <= len(elements) <= limit:
+            raise UsageError(f"ground set size {len(elements)} outside [1, {limit}]")
+        self._freeze(elements)
 
     @property
     def n(self) -> int:

@@ -32,9 +32,8 @@ decomposition from scratch, independent of the trace.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
-from .core import SubmodularFn, is_submodular, vector_sum
+from .core import Frozen, SubmodularFn, is_submodular, vector_sum
 from .errors import InvariantViolation, UsageError
 from .lp import assert_integral, build_intersection_system, find_vertex
 from .polytope import (
@@ -49,8 +48,7 @@ from .polytope import (
 Terms = list[tuple[int, tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
-class WeightedDecomposition:
+class WeightedDecomposition(Frozen):
     """Normalized multiset of weighted integer points summing to a target.
 
     Points are distinct and lex-sorted, weights are positive, the weights
@@ -59,9 +57,15 @@ class WeightedDecomposition:
     ``verify`` checks it against a declared function.
     """
 
-    terms: tuple[tuple[int, tuple[int, ...]], ...]
-    target: tuple[int, ...]
-    multiplicity: int
+    __slots__ = ("terms", "target", "multiplicity")
+
+    def __init__(
+        self,
+        terms: tuple[tuple[int, tuple[int, ...]], ...],
+        target: tuple[int, ...],
+        multiplicity: int,
+    ):
+        self._freeze(terms, target, multiplicity)
 
     @classmethod
     def from_terms(cls, terms, target, multiplicity: int) -> "WeightedDecomposition":
@@ -98,27 +102,53 @@ def _normalize_terms(terms) -> Terms:
     return [(wt, point) for point, wt in sorted(acc.items(), key=lambda kv: kv[0])]
 
 
-@dataclass
 class DecompositionTrace:
     """One node of the recursion tree; replaying it rebuilds the result.
 
     The function fields hold the node objects; ``to_dict`` serializes them.
+    The node has at most ``dim`` + 1 distinct terms: ``dim`` is dim B_f in
+    every case but ``point_face``, where it is the dimension of the minimal
+    face holding the node's point.  ``to_dict`` leaves it out.
     """
 
-    case: str
-    ground: tuple[str, ...]
-    w: tuple[int, ...]
-    k: int
-    children: list["DecompositionTrace"] = field(default_factory=list)
-    chain: tuple[tuple[str, ...], ...] | None = None
-    e: str | None = None
-    q: int | None = None
-    r: int | None = None
-    fn_left: SubmodularFn | None = None
-    fn_right: SubmodularFn | None = None
-    fn_reduced: SubmodularFn | None = None
-    x1: tuple[int, ...] | None = None
-    x2: tuple[int, ...] | None = None
+    __slots__ = (
+        "case", "ground", "w", "k", "children", "chain", "e", "q", "r",
+        "fn_left", "fn_right", "fn_reduced", "x1", "x2", "dim",
+    )
+
+    def __init__(
+        self,
+        case: str,
+        ground: tuple[str, ...],
+        w: tuple[int, ...],
+        k: int,
+        children: list[DecompositionTrace] | None = None,
+        chain: tuple[tuple[str, ...], ...] | None = None,
+        e: str | None = None,
+        q: int | None = None,
+        r: int | None = None,
+        fn_left: SubmodularFn | None = None,
+        fn_right: SubmodularFn | None = None,
+        fn_reduced: SubmodularFn | None = None,
+        x1: tuple[int, ...] | None = None,
+        x2: tuple[int, ...] | None = None,
+        dim: int | None = None,
+    ):
+        self.case = case
+        self.ground = ground
+        self.w = w
+        self.k = k
+        self.children = [] if children is None else children
+        self.chain = chain
+        self.e = e
+        self.q = q
+        self.r = r
+        self.fn_left = fn_left
+        self.fn_right = fn_right
+        self.fn_reduced = fn_reduced
+        self.x1 = x1
+        self.x2 = x2
+        self.dim = dim
 
     def to_dict(self) -> dict:
         out = {
@@ -239,7 +269,8 @@ def merge_direct_sum(parts: list[WeightedDecomposition]) -> WeightedDecompositio
 def decompose(f: SubmodularFn, w, k: int):
     """Decompose w in k B_f into at most dim B_f + 1 integer bases.
 
-    Returns (WeightedDecomposition, DecompositionTrace).  Raises
+    Returns (WeightedDecomposition, DecompositionTrace); the trace's root
+    ``dim`` is dim B_f.  Raises
     UsageError naming a violated constraint when w is not in k B_f, and
     InvariantViolation (with diagnostics) if an internal guarantee fails.
     """
@@ -287,7 +318,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
         value = f(full)
         _check(w[0] == k * value, "leaf target is not k times the level")
         _check_measure(1, parent_measure)
-        trace = DecompositionTrace(case="leaf", ground=ground.elements, w=w, k=k)
+        trace = DecompositionTrace(case="leaf", ground=ground.elements, w=w, k=k, dim=0)
         return [(k, (value,))], trace
 
     fs = face_structure(f)
@@ -303,6 +334,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
             k=k,
             chain=_chain_names(ground, fs),
             children=children,
+            dim=fs.dim,
         )
         return _bounded(terms, fs.dim), trace
 
@@ -328,6 +360,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
             fn_reduced=capped,
             chain=_chain_names(ground, face),
             children=children,
+            dim=fs.dim,
         )
         return _bounded(terms, fs.dim), trace
 
@@ -349,11 +382,9 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     _check(x1[0] == r * (q + 1), "x'(e) != r (q+1)")
     _check(x2[0] == (k - r) * q, "x''(e) != (k-r) q")
 
-    left_terms, left_trace, left_dim = _decompose_point_face(upper, x1, r, measure)
-    right_terms, right_trace, right_dim = _decompose_point_face(
-        lower, x2, k - r, measure
-    )
-    _check(left_dim + right_dim <= n - 2, "split faces are not complementary")
+    left_terms, left_trace = _decompose_point_face(upper, x1, r, measure)
+    right_terms, right_trace = _decompose_point_face(lower, x2, k - r, measure)
+    _check(left_trace.dim + right_trace.dim <= n - 2, "split faces are not complementary")
 
     trace = DecompositionTrace(
         case="split",
@@ -368,6 +399,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
         x1=x1,
         x2=x2,
         children=[left_trace, right_trace],
+        dim=fs.dim,
     )
     return _bounded(_normalize_terms(left_terms + right_terms), fs.dim), trace
 
@@ -393,8 +425,9 @@ def _decompose_point_face(f_base: SubmodularFn, x, mult: int, parent_measure):
         k=mult,
         chain=_chain_names(f_base.ground, face),
         children=children,
+        dim=face.dim,
     )
-    return terms, trace, face.dim
+    return terms, trace
 
 
 def _recurse_blocks(f_base: SubmodularFn, face: FaceStructure, w, k: int, measure):

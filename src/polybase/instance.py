@@ -11,9 +11,9 @@ be omitted (it is zero), every other subset key is required.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .core import (
+    Frozen,
     GraphicRank,
     GroundSet,
     PartitionRank,
@@ -24,12 +24,17 @@ from .core import (
 from .errors import ParseError, UsageError
 
 
-@dataclass(frozen=True)
-class InstanceFile:
-    ground: GroundSet
-    fn: SubmodularFn
-    w: tuple[int, ...] | None
-    k: int | None
+class InstanceFile(Frozen):
+    __slots__ = ("ground", "fn", "w", "k")
+
+    def __init__(
+        self,
+        ground: GroundSet,
+        fn: SubmodularFn,
+        w: tuple[int, ...] | None,
+        k: int | None,
+    ):
+        self._freeze(ground, fn, w, k)
 
 
 def _need(node: dict, key: str, kind: str):

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SubmodularFn, bits, subset_sums
+from .core import Frozen, SubmodularFn, bits, subset_sums
 from .errors import InvariantViolation, UsageError
 
 RationalPoint = tuple[Fraction, ...]
@@ -46,16 +45,21 @@ def reset_stats() -> None:
 _PIVOT_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(Frozen):
     """x(U) <= rhs inequalities and x(U) = rhs equalities over one ground.
 
     Coefficient vectors are subset masks; right-hand sides are integers.
     """
 
-    names: tuple[str, ...]
-    ineqs: tuple[tuple[int, int], ...]
-    eqs: tuple[tuple[int, int], ...]
+    __slots__ = ("names", "ineqs", "eqs")
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        ineqs: tuple[tuple[int, int], ...],
+        eqs: tuple[tuple[int, int], ...],
+    ):
+        self._freeze(names, ineqs, eqs)
 
     @property
     def n(self) -> int:

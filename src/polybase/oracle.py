@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .core import SubmodularFn
+from .core import Frozen, SubmodularFn
 from .errors import BudgetExceeded, UsageError
 from .polytope import bounding_box, greedy_vertex, in_base_polytope
 
@@ -22,12 +21,13 @@ MIN_DEC_MAX_POINTS = 20
 MIN_DEC_MAX_K = 6
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Frozen):
     """Deduplicated integer points in canonical lexicographic order."""
 
-    points: tuple[tuple[int, ...], ...]
-    provenance: str
+    __slots__ = ("points", "provenance")
+
+    def __init__(self, points: tuple[tuple[int, ...], ...], provenance: str):
+        self._freeze(points, provenance)
 
     def __contains__(self, p) -> bool:
         return tuple(p) in set(self.points)

@@ -10,9 +10,7 @@ E-U first.  The test suite validates this against vertex enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import GroundSet, SubmodularFn, bits, subset_sums, vector_sum
+from .core import Frozen, GroundSet, SubmodularFn, bits, subset_sums, vector_sum
 from .errors import UsageError
 
 
@@ -86,8 +84,7 @@ def tight_sets(f: SubmodularFn) -> list[int]:
     return [m for m, (a, b) in enumerate(zip(v, reversed(v))) if a + b == fe]
 
 
-@dataclass(frozen=True)
-class FaceStructure:
+class FaceStructure(Frozen):
     """A face factored as a direct sum of block base polytopes.
 
     chain is the maximal tight chain (masks, starting at 0 and ending at
@@ -96,10 +93,16 @@ class FaceStructure:
     dim = n - (number of blocks).
     """
 
-    ground: GroundSet
-    chain: tuple[int, ...]
-    blocks: tuple[int, ...]
-    dim: int
+    __slots__ = ("ground", "chain", "blocks", "dim")
+
+    def __init__(
+        self,
+        ground: GroundSet,
+        chain: tuple[int, ...],
+        blocks: tuple[int, ...],
+        dim: int,
+    ):
+        self._freeze(ground, chain, blocks, dim)
 
     @property
     def t(self) -> int:

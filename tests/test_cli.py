@@ -1,6 +1,10 @@
-"""End-to-end CLI tests: verbs, exit codes, byte determinism."""
+"""End-to-end CLI tests: verbs, exit codes, byte determinism, start-up."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,16 @@ class TestDecompose:
         main(["decompose", path, "--trace"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_certificate_dim_comes_from_the_decomposition(self, write, capsys, monkeypatch):
+        import polybase.cli as cli
+
+        def boom(fn):
+            raise AssertionError("dimension recomputed for the certificate")
+
+        monkeypatch.setattr(cli, "dimension", boom)
+        assert main(["decompose", write(K3_DOC)]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 2
 
     def test_invariant_violation_exits_three(self, write, capsys, monkeypatch):
         import polybase.cli as cli
@@ -249,6 +263,24 @@ class TestDirectoryMode:
 
     def test_empty_directory_is_input_error(self, tmp_path):
         assert main(["check", str(tmp_path)]) == 1
+
+
+class TestStartup:
+    def test_import_skips_modules_a_run_does_not_use(self):
+        # every CLI run pays for what importing polybase.cli pulls in;
+        # --jobs imports concurrent.futures where it needs it
+        src = Path(__file__).resolve().parent.parent / "src"
+        unused = ["dataclasses", "inspect", "concurrent.futures", "typing"]
+        code = f"import sys, polybase.cli; print([m for m in {unused!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestLimitFlag:

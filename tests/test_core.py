@@ -1,6 +1,8 @@
 """Unit tests for the submodular function algebra."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -220,6 +222,22 @@ class TestGroundSet:
         g = ground(4)
         assert g.mask_of(("b", "d")) == 0b1010
         assert g.names_of(0b1010) == ("b", "d")
+
+    def test_frozen_value_semantics(self):
+        from polybase import PointSet
+
+        g = GroundSet(["a", "b"])
+        assert g.elements == ("a", "b")
+        assert g == GroundSet(("a", "b")) and hash(g) == hash(GroundSet(("a", "b")))
+        assert g != GroundSet(("b", "a"))
+        assert repr(g) == "GroundSet(elements=('a', 'b'))"
+        assert copy.deepcopy(g) == g and pickle.loads(pickle.dumps(g)) == g
+        with pytest.raises(AttributeError):
+            g.elements = ("c",)
+        with pytest.raises(AttributeError):
+            del g.elements
+        assert g != ("a", "b")
+        assert PointSet(((1,),), "x") != PointSet(((1,),), "y")
 
 
 @settings(max_examples=40, deadline=None)

@@ -179,6 +179,7 @@ class TestDecompose:
             ok, failures = verify(f, dec)
             assert ok, failures
             assert dec.distinct_count <= dimension(f) + 1
+            assert trace.dim == dimension(f)
             assert replay(trace) == dec
 
     def test_non_submodular_rejected_with_pair(self):

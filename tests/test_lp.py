@@ -7,9 +7,21 @@ from fractions import Fraction
 import pytest
 
 import polybase.lp as lp
-from corpus import ground, k3, tiny_instances, u12, u23
+from corpus import (
+    ground,
+    k3,
+    random_graphic,
+    random_instance,
+    random_partition,
+    random_table,
+    sample_target,
+    tiny_instances,
+    u12,
+    u23,
+)
 from polybase import (
     InvariantViolation,
+    UniformRank,
     UsageError,
     affine_rank,
     assert_integral,
@@ -166,7 +178,99 @@ def _solve_or_none(rows, rhs):
     return tuple(aug[r][n] for r in range(n))
 
 
+def edmonds_lex_max(f, g):
+    """Oracle: lex-max point of B_f intersected with B_g, by Edmonds' theorem.
+
+    The intersection is nonempty iff f(E) = g(E) and f(U) + g(E - U) >= f(E)
+    for every U (Edmonds 1970; Fujishige, Submodular Functions and
+    Optimization, ch. 3).  Then the largest x(e) on it is the minimum over
+    U containing e of f(U) + g((E - U) + e) - f(E), and fixing x(e) at that
+    value leaves the intersection for U -> min(f(U), f(U + e) - x(e)) and
+    the same for g, both on E - e.  Coordinates are fixed in ground order.
+    No linear programming: the kernel-free reference for ``find_vertex``.
+    """
+    fv, gv = list(f.values), list(g.values)
+    rest = f.ground.full_mask
+    level = fv[rest]
+    if gv[rest] != level or any(fv[u] + gv[rest ^ u] < level for u in range(rest + 1)):
+        return None
+    point = []
+    for i in range(f.ground.n):
+        bit = 1 << i
+        subsets = [u for u in range(rest + 1) if u & rest == u]
+        c = min(fv[u] + gv[rest ^ u | bit] for u in subsets if u & bit) - fv[rest]
+        for u in subsets:
+            if not u & bit:
+                fv[u] = min(fv[u], fv[u | bit] - c)
+                gv[u] = min(gv[u], gv[u | bit] - c)
+        rest ^= bit
+        point.append(c)
+    return tuple(point)
+
+
+def intersection_pairs(count, seed):
+    """(kind, f, g) pairs on n = 2..6, cycling through five kinds.
+
+    ``tables``: two random tables, g shifted to f's level; ``matroids``:
+    two random rank functions (uniform, partition, graphic), of equal rank
+    when one turns up in 20 draws; ``split``: the mirror
+    f.dual().scale(j).shift(x) for x in (j + 1) B_f, always feasible;
+    ``level``: g = f shifted by a unit vector, so f(E) != g(E); ``cut``:
+    the mirror of an x with the right level outside 2 B_f, so some U has
+    f(U) + g(E - U) < f(E).
+    """
+
+    def random_rank(g, rng):
+        kind = rng.randrange(3)
+        if kind == 0:
+            return UniformRank(g, rng.randint(0, g.n))
+        return (random_partition if kind == 1 else random_graphic)(g, rng)
+
+    rng = random.Random(seed)
+    kinds = ("tables", "matroids", "split", "level", "cut")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        n = 2 + i // len(kinds) % 5
+        g = ground(n)
+        if kind == "tables":
+            f, h = random_table(g, rng), random_table(g, rng)
+            gap = f(g.full_mask) - h(g.full_mask)
+            yield kind, f, h.shift((gap,) + (0,) * (n - 1))
+        elif kind == "matroids":
+            f = random_rank(g, rng)
+            for _ in range(20):
+                h = random_rank(g, rng)
+                if h(g.full_mask) == f(g.full_mask):
+                    break
+            yield kind, f, h
+        else:
+            f = random_instance(n, rng)[1]
+            if kind == "split":
+                j = rng.randint(1, 3)
+                yield kind, f, f.dual().scale(j).shift(sample_target(f, j + 1, rng))
+            elif kind == "level":
+                yield kind, f, f.shift((0,) * (n - 1) + (1,))
+            else:
+                x = list(sample_target(f, 2, rng))
+                a, b = rng.sample(range(n), 2)
+                step = 2 * f(1 << a) - x[a] + 1
+                x[a] += step
+                x[b] -= step
+                yield kind, f, f.dual().shift(x)
+
+
 class TestLexMaxOracle:
+    def test_kernel_matches_edmonds_intersection_oracle(self):
+        outcomes = {}
+        for kind, f, g in intersection_pairs(320, 8128):
+            expected = edmonds_lex_max(f, g)
+            got = find_vertex(build_intersection_system(f, g))
+            assert got == expected, (kind, f.values, g.values)
+            outcomes.setdefault(kind, set()).add(expected is None)
+        assert outcomes["split"] == {False}
+        assert outcomes["level"] == outcomes["cut"] == {True}
+        assert outcomes["tables"] == outcomes["matroids"] == {False, True}
+
     def test_kernel_matches_brute_force_enumeration(self):
         from corpus import random_table, sample_target
 
