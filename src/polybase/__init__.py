@@ -44,13 +44,6 @@ from .lp import (
     dump_system,
     find_vertex,
 )
-from .oracle import (
-    PointSet,
-    cr_exact,
-    enumerate_base_points,
-    enumerate_vertices,
-    min_decomposition_size,
-)
 from .polytope import (
     FaceStructure,
     bounding_box,
@@ -63,6 +56,25 @@ from .polytope import (
     point_tight_family,
     tight_sets,
 )
+
+# The exhaustive oracles load on first use, so that a CLI run that does not
+# ask for them skips importing (and compiling) polybase.oracle.
+_ORACLE_NAMES = frozenset(
+    ("PointSet", "cr_exact", "enumerate_base_points", "enumerate_vertices", "min_decomposition_size")
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)
+
 
 __all__ = [
     "DEFAULT_GROUND_LIMIT",

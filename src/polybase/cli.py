@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import core, oracle
+from . import core
 from .decompose import decompose as run_decompose
 from .decompose import verify as run_verify
 from .errors import BudgetExceeded, InvariantViolation, ParseError, UsageError
@@ -137,6 +137,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     inst = load_instance(args.path)
     bound = oracle.cr_exact(inst.fn, args.k_max)
     dim = dimension(inst.fn)
@@ -151,6 +153,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import oracle
+
     inst = load_instance(args.path)
     if args.vertices:
         points = oracle.enumerate_vertices(inst.fn)

@@ -1,8 +1,8 @@
-"""Exact rational LP over materialized base-polytope constraint systems.
+"""Exact LP over materialized base-polytope constraint systems.
 
 Systems live in R^E with one 0/1 incidence inequality per subset plus the
 two x(E) equalities; everything is explicit (no separation oracle) and
-every number in the decision path is a Fraction.
+every number in the decision path is an integer.
 
 ``find_vertex`` returns the lexicographically maximal vertex: maximize
 x(e1), fix it, then x(e2), and so on in ground order.  The kernel is a
@@ -14,18 +14,25 @@ remaining objectives pin the unique lex-max vertex, so one pivot rule
 serves both phases.  Anti-cycling is Bland's rule on constraint indices
 (the lexicographic objective is an ordinary linear objective over the
 field Q(eps), where Bland's termination argument applies unchanged).
+
+The arithmetic is fraction-free.  The point (x, t) is held as integer
+numerators over one positive common denominator, reduced by their gcd
+after every step, and each row's slack as that denominator times the
+slack.  Working sets, null directions and simplex multipliers come from
+integer row elimination (Bareiss 1968 for the square solves); ratio tests
+compare by cross-multiplication.  Every direction is a positive multiple
+of its rational counterpart, so the kernel takes the steps of the
+rational simplex, with the same working sets, entering and leaving rows.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
+from math import gcd, lcm
 
 from .core import Frozen, SubmodularFn, bits, subset_sums
 from .errors import InvariantViolation, UsageError
-
-RationalPoint = tuple[Fraction, ...]
 
 # Running tallies for integrality auditing; single-threaded use only.
 stats = {
@@ -92,79 +99,109 @@ def dump_system(system: ConstraintSystem) -> str:
 
 
 # ---------------------------------------------------------------------------
-# dense exact linear algebra (tiny matrices)
+# fraction-free linear algebra (tiny integer matrices)
 # ---------------------------------------------------------------------------
 
-def _solve_square(m_rows, b_cols):
-    """Solve M X = B exactly; M is k x k nonsingular, B is k x c.
+def _reduce_row(vec, pivots, ech):
+    """Eliminate vec against echelon rows; returns (pivot column or None, row).
 
-    Plain Gaussian elimination, first-nonzero pivoting (deterministic).
+    Each elimination replaces v by p * v - v[c] * row, where p is the
+    echelon row's entry in its pivot column c: a nonzero multiple of the
+    rational step v - (v[c] / p) * row, so zero patterns and pivot columns
+    are those of rational elimination.  The result is divided by its
+    content to keep entries small.
     """
-    k = len(m_rows)
-    aug = [list(m_rows[i]) + list(b_cols[i]) for i in range(k)]
-    width = len(aug[0])
+    v = vec
+    for pcol, prow in zip(pivots, ech):
+        a = v[pcol]
+        if a:
+            p = prow[pcol]
+            v = [p * x - a * y for x, y in zip(v, prow)]
+    piv = next((i for i, a in enumerate(v) if a), None)
+    if piv is None:
+        return None, v
+    return piv, _primitive(v)
+
+
+def _primitive(v):
+    """The nonzero integer vector v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return v if g == 1 else [a // g for a in v]
+
+
+def _adjugate(rows):
+    """(det, det * inverse) of a nonsingular square integer matrix.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every division
+    is exact, and elimination ends with det on the diagonal.  Pivots are
+    the first nonzero entry at or below the diagonal (deterministic).
+    """
+    k = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    prev = 1
     for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
         if piv is None:
             raise InvariantViolation("singular working-set matrix")
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        prow = aug[col]
+        p = prow[col]
         for r in range(k):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                row_c = aug[col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], row_c)]
-    return [row[k:width] for row in aug]
+            if r != col:
+                row = aug[r]
+                a = row[col]
+                aug[r] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+        prev = p
+    return prev, [row[k:] for row in aug]
 
 
-def _echelon(rows):
-    """Row-reduce; returns (pivot columns, echelon rows)."""
-    ech = []
-    pivots = []
-    for vec in rows:
-        v = list(vec)
-        for pcol, prow in zip(pivots, ech):
-            if v[pcol] != 0:
-                factor = v[pcol]
-                v = [a - factor * b for a, b in zip(v, prow)]
-        piv = next((i for i, a in enumerate(v) if a != 0), None)
-        if piv is None:
-            continue
-        inv = Fraction(1, 1) / v[piv]
-        v = [a * inv for a in v]
-        ech.append(v)
-        pivots.append(piv)
-    return pivots, ech
+def _null_direction(pivots, ech, dim: int):
+    """A nonzero integer vector orthogonal to the echelon rows (fewer than dim).
 
-
-def _rank_of_rows(rows) -> int:
-    pivots, _ = _echelon(rows)
-    return len(pivots)
-
-
-def _null_direction(rows, dim: int):
-    """A nonzero vector orthogonal to all rows (rank < dim required)."""
-    pivots, ech = _echelon(rows)
+    A positive or negative multiple of the rational back-substitution that
+    sets the first free column to 1 and the other free columns to 0.
+    """
     free = next(c for c in range(dim) if c not in pivots)
-    d = [Fraction(0)] * dim
-    d[free] = Fraction(1)
+    d = [0] * dim
+    d[free] = 1
     # each echelon row is zero before its pivot, so solving in decreasing
     # pivot-column order only ever reads already-known coordinates
     for pcol, prow in sorted(zip(pivots, ech), key=lambda pr: -pr[0]):
-        d[pcol] = -sum((prow[c] * d[c] for c in range(pcol + 1, dim)), Fraction(0))
-    return d
+        s = sum(prow[c] * d[c] for c in range(pcol + 1, dim))
+        if s:
+            g = gcd(prow[pcol], s)
+            scale = prow[pcol] // g
+            if scale != 1:
+                d = [scale * v for v in d]
+            d[pcol] = -s // g
+    return _primitive(d)
+
+
+def _lex_sign(vec) -> int:
+    for v in vec:
+        if v:
+            return 1 if v > 0 else -1
+    return 0
 
 
 def affine_rank(points) -> int:
     """Rank of the difference vectors of a nonempty point list."""
-    pts = [tuple(Fraction(v) for v in p) for p in points]
-    if not pts:
+    ratios = [[v.as_integer_ratio() for v in p] for p in points]
+    if not ratios:
         raise UsageError("affine_rank needs at least one point")
+    # one common denominator turns the points into integer vectors
+    den = lcm(*(d for p in ratios for _, d in p))
+    pts = [[a * (den // d) for a, d in p] for p in ratios]
     base = pts[0]
-    rows = [[v - w for v, w in zip(p, base)] for p in pts[1:]]
-    return _rank_of_rows(rows)
+    pivots: list[int] = []
+    ech: list[list[int]] = []
+    for p in pts[1:]:
+        piv, v = _reduce_row([a - b for a, b in zip(p, base)], pivots, ech)
+        if piv is not None:
+            pivots.append(piv)
+            ech.append(v)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +211,8 @@ def affine_rank(points) -> int:
 def find_vertex(system: ConstraintSystem, debug: bool = False):
     """Lex-max vertex of the system, or None when infeasible.
 
-    Deterministic: identical systems give identical vertices.  Raises
+    Deterministic: identical systems give identical vertices.  Coordinates
+    are ints, or Fractions when the vertex is not integral.  Raises
     InvariantViolation if the feasible set is unbounded (cannot happen for
     systems built from two base polytopes, which carry all singleton
     bounds and the level equalities).
@@ -196,127 +234,110 @@ def find_vertex(system: ConstraintSystem, debug: bool = False):
     dim = n + 1  # coordinates (x_0 .. x_{n-1}, t)
 
     # Every row reads sign * x(mask) - t <= rhs; the last row is t >= 0.
-    rows: list[tuple[int, int, Fraction]] = []
-    rows += [(1, m, Fraction(b)) for m, b in system.ineqs]
+    rows = [(1, m, b) for m, b in system.ineqs]
     for m, b in system.eqs:
-        rows.append((1, m, Fraction(b)))
-        rows.append((-1, m, Fraction(-b)))
-    rows.append((1, 0, Fraction(0)))
+        rows.append((1, m, b))
+        rows.append((-1, m, -b))
+    rows.append((1, 0, 0))
 
-    def normal(row):
-        sign, mask, _ = row
-        v = [Fraction(0)] * dim
+    def normal(j):
+        sign, mask, _ = rows[j]
+        v = [0] * dim
         for i in bits(mask):
-            v[i] = Fraction(sign)
-        v[n] = Fraction(-1)
+            v[i] = sign
+        v[n] = -1
         return v
 
-    x = [Fraction(0)] * n
-    t = max(Fraction(0), max(-b for _, _, b in rows))
-    sums_x = subset_sums(x)
-
-    def slack(row):
-        sign, mask, rhs = row
-        return rhs - (sums_x[mask] if sign > 0 else -sums_x[mask]) + t
+    # The point (x, t) is point[:n] / den and point[n] / den over one
+    # positive common denominator; slack[j] is den times row j's slack.
+    den = 1
+    point = [0] * n + [max(0, max(-b for _, _, b in rows))]
+    slack = [b + point[n] for _, _, b in rows]
 
     def ratio_step(d):
-        """Largest feasible step along d; returns (alpha, blocking row index)."""
+        """Blocking row of the largest feasible step along d, and every row's rate."""
         sums_d = subset_sums(d[:n])
         dt = d[n]
-        best = None
+        rates = [(sums_d[m] if s > 0 else -sums_d[m]) - dt for s, m, _ in rows]
         enter = None
-        for j, row in enumerate(rows):
-            sign, mask, _ = row
-            der = (sums_d[mask] if sign > 0 else -sums_d[mask]) - dt
-            if der > 0:
-                ratio = slack(row) / der
-                if best is None or ratio < best:
-                    best = ratio
-                    enter = j
-        return best, enter
+        for j, rate in enumerate(rates):
+            # slack[j] / rate < best_slack / best_rate, both rates positive
+            if rate > 0 and (enter is None or slack[j] * best_rate < best_slack * rate):
+                enter, best_slack, best_rate = j, slack[j], rate
+        return enter, rates
 
-    def take_step(alpha, d):
-        nonlocal x, t, sums_x
-        if alpha != 0:
-            x = [v + alpha * dv for v, dv in zip(x, d[:n])]
-            t = t + alpha * d[n]
-            sums_x = subset_sums(x)
-
-    def lex_sign(vec):
-        for v in vec:
-            if v != 0:
-                return 1 if v > 0 else -1
-        return 0
+    def take_step(enter, rates, d):
+        # step slack[enter] / (den * rates[enter]) along d, kept in lowest terms
+        nonlocal den, point, slack
+        step = slack[enter]
+        if step:
+            q = rates[enter]
+            den *= q
+            point = [q * a + step * b for a, b in zip(point, d)]
+            slack = [q * a - step * b for a, b in zip(slack, rates)]
+            g = gcd(den, *point)
+            if g > 1:
+                den //= g
+                point = [a // g for a in point]
+                slack = [a // g for a in slack]
 
     # -- purification: climb to a vertex of the relaxed system ---------
     while True:
         working: list[int] = []
-        basis: list[list[Fraction]] = []
+        basis: list[list[int]] = []
         basis_pivots: list[int] = []
-        for j, row in enumerate(rows):
-            if slack(row) != 0:
+        for j, s in enumerate(slack):
+            if s:
                 continue
-            v = normal(row)
-            for pcol, prow in zip(basis_pivots, basis):
-                if v[pcol] != 0:
-                    factor = v[pcol]
-                    v = [a - factor * b for a, b in zip(v, prow)]
-            piv = next((i for i, a in enumerate(v) if a != 0), None)
+            piv, v = _reduce_row(normal(j), basis_pivots, basis)
             if piv is None:
                 continue
-            inv = Fraction(1, 1) / v[piv]
-            basis.append([a * inv for a in v])
+            basis.append(v)
             basis_pivots.append(piv)
             working.append(j)
             if len(working) == dim:
                 break
         if len(working) == dim:
             break
-        d = _null_direction([normal(rows[j]) for j in working], dim)
-        lex = [-d[n]] + d[:n]
-        sign = lex_sign(lex)
-        if sign < 0:
+        d = _null_direction(basis_pivots, basis, dim)
+        if _lex_sign([-d[n]] + d[:n]) < 0:
             d = [-v for v in d]
-        alpha, enter = ratio_step(d)
+        enter, rates = ratio_step(d)
         if enter is None:
             raise InvariantViolation(
                 "feasible set is unbounded; not a two-base-polytope system",
                 dump=dump_system(system),
             )
-        take_step(alpha, d)
+        take_step(enter, rates, d)
 
     # -- lexicographic simplex over the working set ---------------------
-    # objective columns: -t first, then x_0 .. x_{n-1}
-    obj_cols = []
-    for coord in range(dim):
-        col = [Fraction(0)] * dim
-        if coord == n:
-            col[0] = Fraction(-1)
-        else:
-            col[coord + 1] = Fraction(1)
-        obj_cols.append(col)
-
+    # Column pos of adj = det * M^-1 (M: the working normals) gives the
+    # multipliers of working row pos on the objectives (-t, x_0 .. x_{n-1})
+    # as (-adj[n][pos], adj[0][pos] .. adj[n-1][pos]) / det.
     pivots = 0
     while True:
         working.sort()
-        normals = [normal(rows[j]) for j in working]
-        m_t = [[normals[i][coord] for i in range(dim)] for coord in range(dim)]
-        multipliers = _solve_square(m_t, obj_cols)
+        det, adj = _adjugate([normal(j) for j in working])
+        sign = 1 if det > 0 else -1
         leave_pos = next(
-            (pos for pos in range(dim) if lex_sign(multipliers[pos]) < 0), None
+            (
+                pos
+                for pos in range(dim)
+                if sign * _lex_sign([-adj[n][pos]] + [adj[i][pos] for i in range(n)]) < 0
+            ),
+            None,
         )
         if leave_pos is None:
             break
-        rhs = [[Fraction(0)] for _ in range(dim)]
-        rhs[leave_pos][0] = Fraction(-1)
-        d = [row[0] for row in _solve_square(normals, rhs)]
-        alpha, enter = ratio_step(d)
+        # M d = -e_leave: leave the row's bound, stay on the other rows
+        d = _primitive([-sign * adj[i][leave_pos] for i in range(dim)])
+        enter, rates = ratio_step(d)
         if enter is None:
             raise InvariantViolation(
                 "unbounded improving ray; not a two-base-polytope system",
                 dump=dump_system(system),
             )
-        take_step(alpha, d)
+        take_step(enter, rates, d)
         working[leave_pos] = enter
         pivots += 1
         stats["pivots"] += 1
@@ -325,25 +346,31 @@ def find_vertex(system: ConstraintSystem, debug: bool = False):
                 "pivot cap exceeded; anti-cycling failure", dump=dump_system(system)
             )
 
-    if t > 0:
+    if point[n] > 0:
         stats["infeasible_systems"] += 1
         return None
-    if t != 0:
+    if point[n] != 0:
         raise InvariantViolation("negative infeasibility measure", dump=dump_system(system))
 
     # final safety: exact feasibility of the answer
+    x = point[:n]
+    sums_x = subset_sums(x)
     for m, b in system.ineqs:
-        if sums_x[m] > b:
+        if sums_x[m] > den * b:
             raise InvariantViolation(
                 "kernel returned an infeasible point", dump=dump_system(system)
             )
     for m, b in system.eqs:
-        if sums_x[m] != b:
+        if sums_x[m] != den * b:
             raise InvariantViolation(
                 "kernel returned a point off an equality", dump=dump_system(system)
             )
     stats["vertices_found"] += 1
-    return tuple(x)
+    if den == 1:
+        return tuple(x)
+    from fractions import Fraction  # only a non-integral vertex needs it
+
+    return tuple(Fraction(a, den) for a in x)
 
 
 def assert_integral(point, system: ConstraintSystem | None = None) -> tuple[int, ...]:
@@ -355,13 +382,13 @@ def assert_integral(point, system: ConstraintSystem | None = None) -> tuple[int,
     """
     out = []
     for v in point:
-        frac = Fraction(v)
-        if frac.denominator != 1:
+        num, den = v.as_integer_ratio()
+        if den != 1:
             stats["nonintegral_vertices"] += 1
             raise InvariantViolation(
-                f"non-integral vertex coordinate {frac}",
+                f"non-integral vertex coordinate {num}/{den}",
                 dump=dump_system(system) if system is not None else None,
             )
-        out.append(frac.numerator)
+        out.append(num)
     stats["integral_vertices"] += 1
     return tuple(out)

@@ -268,9 +268,18 @@ class TestDirectoryMode:
 class TestStartup:
     def test_import_skips_modules_a_run_does_not_use(self):
         # every CLI run pays for what importing polybase.cli pulls in;
-        # --jobs imports concurrent.futures where it needs it
+        # --jobs imports concurrent.futures, the oracle and enumerate verbs
+        # polybase.oracle, and a non-integral vertex fractions, where needed
         src = Path(__file__).resolve().parent.parent / "src"
-        unused = ["dataclasses", "inspect", "concurrent.futures", "typing"]
+        unused = [
+            "dataclasses",
+            "inspect",
+            "concurrent.futures",
+            "typing",
+            "fractions",
+            "decimal",
+            "polybase.oracle",
+        ]
         code = f"import sys, polybase.cli; print([m for m in {unused!r} if m in sys.modules])"
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],

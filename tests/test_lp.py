@@ -1,13 +1,16 @@
-"""Unit tests for the exact rational LP kernel."""
+"""Unit tests for the exact LP kernel."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lp_reference
 import polybase.lp as lp
 from corpus import (
+    acceptance_corpus,
     ground,
     k3,
     random_graphic,
@@ -26,9 +29,11 @@ from polybase import (
     affine_rank,
     assert_integral,
     build_intersection_system,
+    decompose,
     dump_system,
     enumerate_base_points,
     find_vertex,
+    split_into_k_bases,
 )
 
 
@@ -285,13 +290,85 @@ class TestLexMaxOracle:
             assert find_vertex(system) == brute_lex_max_vertex(system)
 
 
+def engine_systems(monkeypatch, seed):
+    """The systems decompose and split_into_k_bases build on corpus instances.
+
+    Every fifth acceptance-corpus instance (n = 2..8), one decomposition and
+    one split each at a seeded k in 2..6.
+    """
+    engine = sys.modules["polybase.decompose"]
+    build = engine.build_intersection_system
+    systems = []
+
+    def recording(f, g):
+        systems.append(build(f, g))
+        return systems[-1]
+
+    rng = random.Random(seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "build_intersection_system", recording)
+        for _, f in acceptance_corpus()[::5]:
+            k = rng.randint(2, 6)
+            decompose(f, sample_target(f, k, rng), k)
+            split_into_k_bases(f, sample_target(f, k, rng), k)
+    return systems
+
+
+class TestReferenceKernel:
+    def test_integer_kernel_takes_the_fraction_kernels_steps(self, monkeypatch):
+        # same vertex, same purification steps (calls to _null_direction
+        # through the module global, as the benchmark's tracer counts them)
+        # and same pivots as the Fraction simplex it replaced
+        systems = [build_intersection_system(f, g) for _, f, g in intersection_pairs(160, 4242)]
+        systems += engine_systems(monkeypatch, 9091)
+        steps = {"int": 0, "ref": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                steps[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(lp, "_null_direction", counted("int", lp._null_direction))
+        monkeypatch.setattr(
+            lp_reference, "_null_direction", counted("ref", lp_reference._null_direction)
+        )
+        infeasible = 0
+        for system in systems:
+            before = (lp.stats["pivots"], lp_reference.stats["pivots"], dict(steps))
+            got = find_vertex(system)
+            expected = lp_reference.find_vertex(system)
+            assert got == expected, dump_system(system)
+            assert lp.stats["pivots"] - before[0] == lp_reference.stats["pivots"] - before[1]
+            assert steps["int"] - before[2]["int"] == steps["ref"] - before[2]["ref"]
+            if got is None:
+                infeasible += 1
+            else:
+                assert all(type(c) is int for c in got)
+        assert 0 < infeasible < len(systems)
+        assert steps["int"] > len(systems)
+
+    def test_non_integral_vertex_comes_back_as_fractions(self):
+        # under x(E) = 2, x(ab), x(ac), x(ad) <= 1 force x(a) <= 1/2, and
+        # x(E - e) <= 2 keeps every coordinate nonnegative
+        system = lp.ConstraintSystem(
+            names=("a", "b", "c", "d"),
+            ineqs=((0b0011, 1), (0b0101, 1), (0b1001, 1))
+            + tuple((0b1111 ^ 1 << i, 2) for i in range(4)),
+            eqs=((0b1111, 2),),
+        )
+        half = (Fraction(1, 2),) * 4
+        assert find_vertex(system) == lp_reference.find_vertex(system) == half
+
+
 class TestAssertIntegral:
     def test_accepts_integers(self):
         assert assert_integral((Fraction(1), Fraction(1), Fraction(0))) == (1, 1, 0)
 
     def test_rejects_fractions_with_dump(self):
         system = build_intersection_system(u12(), u12())
-        with pytest.raises(InvariantViolation) as err:
+        with pytest.raises(InvariantViolation, match="coordinate 1/2") as err:
             assert_integral((Fraction(1, 2), Fraction(1, 2)), system)
         assert err.value.dump is not None
 
