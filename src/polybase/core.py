@@ -9,6 +9,12 @@ is an index into the table, so evaluation never recurses through composed
 constructions (duals of reductions of scalings, ...).  All values are
 integers and f(empty) = 0 by construction.
 
+Whole-table kernels (reduction, subset sums, the submodularity and
+matroid-rank checks) work one bit at a time: ``_halves`` splits a table on
+one bit into a few aligned slices, and each sweep works on whole slices
+with ``map``/``zip``/``all`` instead of indexing the table one mask at a
+time.  Reduction stays O(n 2^n) and the submodularity check O(n^2 2^n).
+
 Instances never change after construction; they may be shared freely,
 across threads too.
 """
@@ -16,8 +22,10 @@ across threads too.
 from __future__ import annotations
 
 import os
+from itertools import repeat
+from operator import add, le, sub
 
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
 
 DEFAULT_GROUND_LIMIT = 12
 
@@ -52,10 +60,6 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 class Frozen:
@@ -162,12 +166,39 @@ def vector_sum(x, mask: int) -> int:
 
 
 def subset_sums(x) -> list:
-    """sums[mask] = x(mask) for every mask over len(x) coordinates at once."""
-    sums = [0] * (1 << len(x))
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
+    """sums[mask] = x(mask) for every mask over len(x) coordinates at once.
+
+    Built by doubling: the masks that contain coordinate i are those below
+    1 << i shifted up by it, so their sums are the ones so far plus x_i.
+    """
+    sums = [0]
+    for xi in x:
+        sums += list(map(add, sums, repeat(xi)))
     return sums
+
+
+def _halves(size: int, s: int) -> list:
+    """Split range(size) on the bit s into aligned slice triples.
+
+    In each triple (lo, hi, half), ``lo`` and ``hi`` select masks without
+    the bit and the same masks with it, in the same order, and ``half``
+    selects where those masks go in a table of size // 2 indexed by the mask
+    with the bit deleted (bits below s keep their place).  For a low bit the
+    triples are stride slices, one per residue below s; for a high bit they
+    are contiguous runs, one per chunk of 2s masks.  Either way there are at
+    most sqrt(size / 2) triples, so a sweep over one bit takes a few dozen
+    slice operations.
+    """
+    step = 2 * s
+    if s * s <= size // 2:
+        return [
+            (slice(r, size, step), slice(r + s, size, step), slice(r, size // 2, s))
+            for r in range(s)
+        ]
+    return [
+        (slice(c, c + s), slice(c + s, c + step), slice(c // 2, c // 2 + s))
+        for c in range(0, size, step)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +417,21 @@ class ShiftFn(SubmodularFn):
 class ReduceFn(SubmodularFn):
     """(f | a)(U) = min over T subset of U of f(T) + a(U - T).
 
-    Clips the extended polymatroid by the box x <= a.  Computed by the
-    dynamic program h(U) = min(f(U), min over i in U of h(U - i) + a_i),
-    which is exact for any f because a is modular: an optimal T either is
-    U or misses some i in U, and then it is also feasible for U - i.
+    Clips the extended polymatroid by the box x <= a.  Computed by one
+    min-plus sweep per element i, h(U + i) = min(h(U + i), h(U) + a_i) over
+    every U without i, which is exact for any f because a is modular: after
+    the sweeps over elements 0..i, h(U) is the minimum over the T whose
+    difference U - T lies in {0..i}.  O(n 2^n) in all.
     """
 
     def __init__(self, inner: SubmodularFn, a):
         a = _check_int_vector(a, inner.ground.n, "reduction vector")
         h = list(inner.values)
-        for mask in range(1, len(h)):
-            for i in bits(mask):
-                cand = h[mask ^ (1 << i)] + a[i]
-                if cand < h[mask]:
-                    h[mask] = cand
+        for i, ai in enumerate(a):
+            for lo, hi, _ in _halves(len(h), 1 << i):
+                # a conditional beats map(min, ...): min parses its arguments per call
+                cands = map(add, h[lo], repeat(ai))
+                h[hi] = [u if u < c else c for u, c in zip(h[hi], cands)]
         super().__init__(inner.ground, h)
         self.inner = inner
         self.a = a
@@ -489,12 +521,32 @@ def is_submodular(f: SubmodularFn):
     """Exhaustive submodularity check by the local test.
 
     f is submodular iff f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every S and
-    every pair i < j outside S.  Scans S in canonical order, then i, then j,
-    in O(n^2 2^n).  Returns (True, None) or (False, (S+i, S+j)) for the
-    first failure, a pair with f(A) + f(B) < f(A | B) + f(A & B).
+    every pair i < j outside S, that is, iff for every element j the
+    marginal table f(S+j) - f(S) does not increase along any bit i < j.
+    Each marginal is one sweep over bit j, each comparison one sweep over
+    bit i of the marginal, O(n^2 2^n) in all.  Returns (True, None), or
+    (False, (S+i, S+j)) for the first failure when S is scanned in
+    canonical order, then i, then j: a pair with
+    f(A) + f(B) < f(A | B) + f(A & B).
     """
     v = f.values
     n = f.ground.n
+    size = len(v)
+    # every marginal table has size / 2 entries, so its splits are shared
+    marginal_halves = [_halves(size // 2, 1 << i) for i in range(n - 1)]
+    for j in range(n):
+        d = [0] * (size // 2)
+        for lo, hi, half in _halves(size, 1 << j):
+            d[half] = map(sub, v[hi], v[lo])
+        for halves in marginal_halves[:j]:
+            for lo, hi, _ in halves:
+                if not all(map(le, d[hi], d[lo])):
+                    return False, _first_local_violation(v, n)
+    return True, None
+
+
+def _first_local_violation(v, n: int) -> tuple[int, int]:
+    """The pair (S+i, S+j) of the first local failure in canonical order."""
     for s, vs in enumerate(v):
         free = [1 << i for i in range(n) if not s >> i & 1]
         for x, bi in enumerate(free):
@@ -503,25 +555,26 @@ def is_submodular(f: SubmodularFn):
             for bj in free[x + 1:]:
                 b = s | bj
                 if va + v[b] < v[a | b] + vs:
-                    return False, (a, b)
-    return True, None
+                    return a, b
+    raise InvariantViolation("the bit sweeps rejected a table with no local violation")
 
 
 def is_matroid_rank(f: SubmodularFn) -> bool:
     """Check nonnegativity, monotonicity and the unit-increment cap.
 
     Assumes f is submodular (not re-checked); under that assumption the
-    three conditions characterize matroid rank functions.
+    three conditions characterize matroid rank functions.  One pass checks
+    f(U) <= |U|, one sweep per bit f(U) <= f(U + i); with f(empty) = 0 the
+    sweeps also give f(U) >= 0.
     """
     v = f.values
-    n = f.ground.n
-    for mask, val in enumerate(v):
-        if val < 0 or val > popcount(mask):
-            return False
-        for i in range(n):
-            if not mask & (1 << i) and v[mask | (1 << i)] < val:
-                return False
-    return True
+    if not all(map(le, v, subset_sums([1] * f.ground.n))):
+        return False
+    return all(
+        all(map(le, v[lo], v[hi]))
+        for i in range(f.ground.n)
+        for lo, hi, _ in _halves(len(v), 1 << i)
+    )
 
 
 def materialize(f: SubmodularFn) -> TableFn:

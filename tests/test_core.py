@@ -28,6 +28,7 @@ from polybase import (
     materialize,
     set_ground_limit,
 )
+from polybase.core import subset_sums
 
 
 def brute_reduce(f, a, mask):
@@ -420,16 +421,112 @@ def test_reduce_dp_matches_min_over_subsets(n, data):
         assert red(mask) == brute_reduce(f, a, mask)
 
 
+def local_scan_is_submodular(f):
+    """Reference local test, one mask at a time: S in canonical order, then
+    i < j outside S; returns the first failing pair (S+i, S+j)."""
+    v = f.values
+    n = f.ground.n
+    for s, vs in enumerate(v):
+        free = [1 << i for i in range(n) if not s >> i & 1]
+        for x, bi in enumerate(free):
+            a = s | bi
+            for bj in free[x + 1:]:
+                b = s | bj
+                if v[a] + v[b] < v[a | b] + vs:
+                    return False, (a, b)
+    return True, None
+
+
+def one_mask_is_matroid_rank(f):
+    """Reference matroid-rank test, one mask at a time."""
+    v = f.values
+    n = f.ground.n
+    for mask, val in enumerate(v):
+        if val < 0 or val > bin(mask).count("1"):
+            return False
+        for i in range(n):
+            if not mask >> i & 1 and v[mask | 1 << i] < val:
+                return False
+    return True
+
+
+def nudged(f, data, bump):
+    """f with bump added to one random nonempty mask's value."""
+    if not bump:
+        return f
+    values = list(f.values)
+    values[data.draw(st.integers(1, f.ground.full_mask))] += bump
+    return TableFn(f.ground, values)
+
+
 @settings(max_examples=150, deadline=None)
-@given(f=st.one_of(chains(), st.integers(2, 6).flatmap(leaves)), bump=st.integers(-1, 1))
-def test_local_submodularity_test_matches_pair_scan(f, bump):
-    if bump and f.ground.n > 1:
-        # nudge one value so near-submodular functions get tested too
-        values = list(f.values)
-        values[f.ground.full_mask ^ 1] += bump
-        f = TableFn(f.ground, values)
+@given(
+    f=st.one_of(chains(), st.integers(2, 6).flatmap(leaves)),
+    bump=st.integers(-1, 1),
+    data=st.data(),
+)
+def test_local_submodularity_test_matches_pair_scan(f, bump, data):
+    # nudge one value so near-submodular functions get tested too
+    f = nudged(f, data, bump)
     ok, pair = is_submodular(f)
+    assert (ok, pair) == local_scan_is_submodular(f)
     assert ok == pair_scan_is_submodular(f)[0]
     if not ok:
         a, b = pair
         assert f(a) + f(b) < f(a | b) + f(a & b)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_local_submodularity_matches_scan_on_large_tables(n):
+    # at n = 7..10 the sweeps split low bits by stride and high bits by
+    # chunk, on the table and on its half-size marginals
+    rng = random.Random(900 + n)
+    outcomes = set()
+    for trial in range(12):
+        values = list(random_table(ground(n), rng).values)
+        for _ in range(trial % 3):
+            values[rng.randrange(1, 1 << n)] += rng.choice((-2, -1, 1, 2))
+        f = TableFn(ground(n), values)
+        result = is_submodular(f)
+        assert result == local_scan_is_submodular(f)
+        outcomes.add(result[0])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [7, 10])
+def test_every_bit_pair_violation_is_found(n):
+    # f(U) = [i, j both in U] fails the local test on the pair (i, j) only
+    for i, j in itertools.combinations(range(n), 2):
+        both = 1 << i | 1 << j
+        f = TableFn(ground(n), [int(m & both == both) for m in range(1 << n)])
+        assert is_submodular(f) == (False, (1 << i, 1 << j))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=st.one_of(chains(), st.integers(2, 6).flatmap(leaves)),
+    bump=st.integers(-1, 1),
+    data=st.data(),
+)
+def test_matroid_rank_check_matches_one_mask_reference(f, bump, data):
+    f = nudged(f, data, bump)
+    assert is_matroid_rank(f) == one_mask_is_matroid_rank(f)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_reduce_sweeps_match_min_over_subsets_on_large_tables(n):
+    rng = random.Random(700 + n)
+    f = random_table(ground(n), rng)
+    a = [rng.randint(-5, 5) for _ in range(n)]
+    red = f.reduce(a)
+    assert list(red.values) == [brute_reduce(f, a, m) for m in f.ground.subsets()]
+
+
+def test_subset_sums_match_definition():
+    rng = random.Random(31)
+    for length in range(11):
+        x = [rng.randint(-6, 6) for _ in range(length)]
+        expected = [
+            sum(x[i] for i in range(length) if m >> i & 1) for m in range(1 << length)
+        ]
+        assert subset_sums(x) == expected
