@@ -4,8 +4,9 @@ Subsets of the ground set are bitmasks: bit i corresponds to element i in
 the fixed ground order.  Every function node holds ``values``, the tuple of
 its 2^n integer values indexed by mask, computed once in its constructor
 from its inner node's table: dual, shift, scale and block restriction take
-one O(2^n) pass, reduction an O(n 2^n) dynamic program.  Evaluating a mask
-is an index into the table, so evaluation never recurses through composed
+one O(2^n) ``map`` pass, reduction one O(2^n) sweep per element (per
+binding cap over a node known to be submodular).  Evaluating a mask is an
+index into the table, so evaluation never recurses through composed
 constructions (duals of reductions of scalings, ...).  All values are
 integers and f(empty) = 0 by construction.
 
@@ -15,15 +16,17 @@ one bit into a few aligned slices, and each sweep works on whole slices
 with ``map``/``zip``/``all`` instead of indexing the table one mask at a
 time.  Reduction stays O(n 2^n) and the submodularity check O(n^2 2^n).
 
-Instances never change after construction; they may be shared freely,
-across threads too.
+The one field written after construction is the memo ``submodular``:
+``is_submodular`` sets it on success, and every construction, all of which
+preserve submodularity, copies it from its inner node.  It only ever goes
+from None to True, so instances may still be shared freely, across threads.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import repeat
-from operator import add, le, sub
+from operator import add, itemgetter, le, mul, sub
 
 from .errors import InvariantViolation, UsageError
 
@@ -145,6 +148,15 @@ class GroundSet(Frozen):
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.elements[i] for i in bits(mask))
 
+    def table_keys(self) -> list[str]:
+        """keys[mask]: the sorted names of mask joined by commas, built by doubling."""
+        names = sorted(self.elements)
+        keys = [""]
+        for name in names:
+            keys += [name] + [f"{key},{name}" for key in keys[1:]]
+        rank = {name: r for r, name in enumerate(names)}
+        return list(itemgetter(*subset_sums([1 << rank[e] for e in self.elements]))(keys))
+
     def subsets(self):
         """All subset masks in canonical (increasing bitmask) order."""
         return range(1 << self.n)
@@ -211,12 +223,14 @@ class SubmodularFn:
     ``values[mask]`` is the value on the subset mask; calling an instance
     with a mask returns it after a range check.  Construction helpers
     (dual, shift, reduce, ...) build new nodes, each of which computes its
-    own table once from this node's table.
+    own table once from this node's table.  ``submodular`` is the one-way
+    submodularity memo described in the module docstring.
     """
 
-    def __init__(self, ground: GroundSet, values):
+    def __init__(self, ground: GroundSet, values, submodular: bool | None = None):
         self.ground = ground
         self.values: tuple[int, ...] = tuple(values)
+        self.submodular = submodular
 
     def __call__(self, mask: int) -> int:
         if not 0 <= mask < len(self.values):
@@ -268,11 +282,7 @@ class TableFn(SubmodularFn):
         super().__init__(ground, values)
 
     def to_node_dict(self) -> dict:
-        vals = {}
-        for mask in self.ground.subsets():
-            key = ",".join(sorted(self.ground.names_of(mask)))
-            vals[key] = self.values[mask]
-        return {"type": "table", "values": vals}
+        return {"type": "table", "values": dict(zip(self.ground.table_keys(), self.values))}
 
 
 class UniformRank(SubmodularFn):
@@ -391,9 +401,9 @@ class DualFn(SubmodularFn):
     """f*(U) = f(E - U) - f(E); reflects the base polytope through 0."""
 
     def __init__(self, inner: SubmodularFn):
-        fe = inner.values[-1]
+        v = inner.values
         # E - U = full - U, so f(E - U) runs through the table backwards
-        super().__init__(inner.ground, (v - fe for v in reversed(inner.values)))
+        super().__init__(inner.ground, map(sub, reversed(v), repeat(v[-1])), inner.submodular)
         self.inner = inner
 
     def to_node_dict(self) -> dict:
@@ -405,8 +415,7 @@ class ShiftFn(SubmodularFn):
 
     def __init__(self, inner: SubmodularFn, a):
         a = _check_int_vector(a, inner.ground.n, "shift vector")
-        sums = subset_sums(a)
-        super().__init__(inner.ground, (v + s for v, s in zip(inner.values, sums)))
+        super().__init__(inner.ground, map(add, inner.values, subset_sums(a)), inner.submodular)
         self.inner = inner
         self.a = a
 
@@ -421,18 +430,23 @@ class ReduceFn(SubmodularFn):
     min-plus sweep per element i, h(U + i) = min(h(U + i), h(U) + a_i) over
     every U without i, which is exact for any f because a is modular: after
     the sweeps over elements 0..i, h(U) is the minimum over the T whose
-    difference U - T lies in {0..i}.  O(n 2^n) in all.
+    difference U - T lies in {0..i}.  O(n 2^n) in all.  Over a submodular
+    f only binding caps a_i < f({i}) are swept: each partial h is submodular
+    with h({i}) = f({i}), so h(U + i) <= h(U) + a_i for every other cap.
     """
 
     def __init__(self, inner: SubmodularFn, a):
         a = _check_int_vector(a, inner.ground.n, "reduction vector")
         h = list(inner.values)
-        for i, ai in enumerate(a):
+        sweeps = enumerate(a)
+        if inner.submodular:
+            sweeps = [(i, ai) for i, ai in sweeps if ai < inner.values[1 << i]]
+        for i, ai in sweeps:
             for lo, hi, _ in _halves(len(h), 1 << i):
                 # a conditional beats map(min, ...): min parses its arguments per call
                 cands = map(add, h[lo], repeat(ai))
                 h[hi] = [u if u < c else c for u, c in zip(h[hi], cands)]
-        super().__init__(inner.ground, h)
+        super().__init__(inner.ground, h, inner.submodular)
         self.inner = inner
         self.a = a
 
@@ -468,7 +482,7 @@ class ScaleFn(SubmodularFn):
     def __init__(self, r: int, inner: SubmodularFn):
         if not isinstance(r, int) or isinstance(r, bool) or r < 1:
             raise UsageError(f"scale factor must be a positive integer, got {r!r}")
-        super().__init__(inner.ground, (r * v for v in inner.values))
+        super().__init__(inner.ground, map(mul, inner.values, repeat(r)), inner.submodular)
         self.r = r
         self.inner = inner
 
@@ -492,13 +506,13 @@ class BlockRestrictFn(SubmodularFn):
         if a_prev & ~full or block & ~full:
             raise UsageError("block restriction masks out of range")
         positions = tuple(bits(block))
-        ground = GroundSet(tuple(inner.ground.elements[i] for i in positions))
-        # the parent mask of a block mask is the sum of its elements' bits
-        parent_masks = subset_sums([1 << p for p in positions])
-        base = inner.values[a_prev]
-        super().__init__(
-            ground, (inner.values[a_prev | m] - base for m in parent_masks)
-        )
+        # a subset of a validated ground needs no re-validation
+        ground = object.__new__(GroundSet)
+        ground._freeze(tuple(inner.ground.elements[i] for i in positions))
+        # the parent mask of a block mask is a_prev plus its elements' bits
+        parent_masks = map(add, subset_sums([1 << p for p in positions]), repeat(a_prev))
+        values = itemgetter(*parent_masks)(inner.values)
+        super().__init__(ground, map(sub, values, repeat(inner.values[a_prev])), inner.submodular)
         self.inner = inner
         self.a_prev = a_prev
         self.block = block
@@ -527,7 +541,7 @@ def is_submodular(f: SubmodularFn):
     bit i of the marginal, O(n^2 2^n) in all.  Returns (True, None), or
     (False, (S+i, S+j)) for the first failure when S is scanned in
     canonical order, then i, then j: a pair with
-    f(A) + f(B) < f(A | B) + f(A & B).
+    f(A) + f(B) < f(A | B) + f(A & B).  Success sets ``f.submodular``.
     """
     v = f.values
     n = f.ground.n
@@ -542,6 +556,7 @@ def is_submodular(f: SubmodularFn):
             for lo, hi, _ in halves:
                 if not all(map(le, d[hi], d[lo])):
                     return False, _first_local_violation(v, n)
+    f.submodular = True
     return True, None
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import Frozen, SubmodularFn, is_submodular, vector_sum
+from .core import Frozen, SubmodularFn, bits, is_submodular, vector_sum
 from .errors import InvariantViolation, UsageError
 from .lp import assert_integral, build_intersection_system, find_vertex
 from .polytope import (
@@ -105,7 +105,8 @@ def _normalize_terms(terms) -> Terms:
 class DecompositionTrace:
     """One node of the recursion tree; replaying it rebuilds the result.
 
-    The function fields hold the node objects; ``to_dict`` serializes them.
+    The function fields hold the node objects and ``chain`` holds the face's
+    tight-chain masks; ``to_dict`` serializes them, masks as name lists.
     The node has at most ``dim`` + 1 distinct terms: ``dim`` is dim B_f in
     every case but ``point_face``, where it is the dimension of the minimal
     face holding the node's point.  ``to_dict`` leaves it out.
@@ -123,7 +124,7 @@ class DecompositionTrace:
         w: tuple[int, ...],
         k: int,
         children: list[DecompositionTrace] | None = None,
-        chain: tuple[tuple[str, ...], ...] | None = None,
+        chain: tuple[int, ...] | None = None,
         e: str | None = None,
         q: int | None = None,
         r: int | None = None,
@@ -158,7 +159,7 @@ class DecompositionTrace:
             "k": self.k,
         }
         if self.chain is not None:
-            out["chain"] = [list(names) for names in self.chain]
+            out["chain"] = [[self.ground[i] for i in bits(m)] for m in self.chain]
         for key in ("e", "q", "r"):
             val = getattr(self, key)
             if val is not None:
@@ -332,7 +333,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
             ground=ground.elements,
             w=w,
             k=k,
-            chain=_chain_names(ground, fs),
+            chain=fs.chain,
             children=children,
             dim=fs.dim,
         )
@@ -358,7 +359,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
             e=e_name,
             q=q,
             fn_reduced=capped,
-            chain=_chain_names(ground, face),
+            chain=face.chain,
             children=children,
             dim=fs.dim,
         )
@@ -423,7 +424,7 @@ def _decompose_point_face(f_base: SubmodularFn, x, mult: int, parent_measure):
         ground=f_base.ground.elements,
         w=tuple(x),
         k=mult,
-        chain=_chain_names(f_base.ground, face),
+        chain=face.chain,
         children=children,
         dim=face.dim,
     )
@@ -448,10 +449,6 @@ def _recurse_blocks(f_base: SubmodularFn, face: FaceStructure, w, k: int, measur
         (wt, face.scatter(combo)) for wt, combo in _interleave(parts, k)
     ]
     return _normalize_terms(combined), children
-
-
-def _chain_names(ground, face: FaceStructure):
-    return tuple(ground.names_of(m) for m in face.chain)
 
 
 def _check(ok: bool, message: str) -> None:
@@ -544,10 +541,7 @@ def _replay_terms(node: DecompositionTrace) -> Terms:
         return terms
     if node.case in ("direct_sum", "face_drop", "point_face"):
         _check(node.chain is not None and node.children, "corrupt block node")
-        name_pos = {name: i for i, name in enumerate(node.ground)}
-        blocks = []
-        for prev, cur in zip(node.chain, node.chain[1:]):
-            blocks.append(tuple(name_pos[nm] for nm in cur if nm not in set(prev)))
+        blocks = [tuple(bits(cur & ~prev)) for prev, cur in zip(node.chain, node.chain[1:])]
         _check(len(blocks) == len(node.children), "chain/children mismatch")
         parts = [_replay_terms(child) for child in node.children]
         out = []

@@ -106,9 +106,7 @@ def parse_fn(ground: GroundSet, node) -> SubmodularFn:
 def _parse_table(ground: GroundSet, values) -> TableFn:
     if not isinstance(values, dict):
         raise ParseError("table values must be an object")
-    canonical = {}
-    for mask in ground.subsets():
-        canonical[",".join(sorted(ground.names_of(mask)))] = mask
+    canonical = {key: mask for mask, key in enumerate(ground.table_keys())}
     table = [None] * (1 << ground.n)
     for key, value in values.items():
         if key not in canonical:

@@ -1,16 +1,21 @@
 """Queries on extended polymatroids EP_f and base polytopes B_f.
 
 Membership and tightness are decided by exhaustive subset checks (the
-ground sets are small by contract).  Tightness of a subset U for the whole
-base polytope uses the closed-form criterion f(U) + f(E-U) = f(E), which
-equals the definitional "x(U) = f(U) for every point" because the minimum
-of x(U) over B_f is f(E) - f(E-U), attained by a greedy vertex that fills
-E-U first.  The test suite validates this against vertex enumeration.
+ground sets are small by contract); membership and the sets tight at a
+point take one C-level ``map`` pass over the subset sums x(U) and the
+value table.  Tightness of a subset U for the whole base polytope uses
+the closed-form criterion f(U) + f(E-U) = f(E), which equals the
+definitional "x(U) = f(U) for every point" because the minimum of x(U)
+over B_f is f(E) - f(E-U), attained by a greedy vertex that fills E-U
+first.  The test suite validates this against vertex enumeration.
 """
 
 from __future__ import annotations
 
-from .core import Frozen, GroundSet, SubmodularFn, bits, subset_sums, vector_sum
+from itertools import compress, count
+from operator import eq, gt, indexOf, le
+
+from .core import Frozen, GroundSet, SubmodularFn, bits, subset_sums
 from .errors import UsageError
 
 
@@ -20,23 +25,19 @@ def in_extended_polymatroid(f: SubmodularFn, x):
     Returns (True, None) or (False, U) with the first violating subset
     mask in canonical order.
     """
-    x = tuple(x)
-    if len(x) != f.ground.n:
-        raise UsageError(f"vector length {len(x)} != ground size {f.ground.n}")
-    for mask, (s, v) in enumerate(zip(subset_sums(x), f.values)):
-        if s > v:
-            return False, mask
-    return True, None
+    sums = _subset_sums_of(f, x)
+    if all(map(le, sums, f.values)):
+        return True, None
+    return False, indexOf(map(gt, sums, f.values), True)
 
 
 def in_base_polytope(f: SubmodularFn, x) -> bool:
     """Membership in B_f: extended-polymatroid membership with x(E) = f(E)."""
-    x = tuple(x)
-    full = f.ground.full_mask
-    if vector_sum(x, full) != f(full):
-        return False
-    ok, _ = in_extended_polymatroid(f, x)
-    return ok
+    return _in_base(_subset_sums_of(f, x), f.values)
+
+
+def _in_base(sums, values) -> bool:
+    return sums[-1] == values[-1] and all(map(le, sums, values))
 
 
 def bounding_box(f: SubmodularFn):
@@ -88,12 +89,12 @@ class FaceStructure(Frozen):
     """A face factored as a direct sum of block base polytopes.
 
     chain is the maximal tight chain (masks, starting at 0 and ending at
-    the full mask); blocks are the consecutive differences; block i is
-    the base polytope of f.block_restrict(chain[i], blocks[i]);
-    dim = n - (number of blocks).
+    the full mask); blocks are the consecutive differences, positions
+    their bit positions; block i is the base polytope of
+    f.block_restrict(chain[i], blocks[i]); dim = n - (number of blocks).
     """
 
-    __slots__ = ("ground", "chain", "blocks", "dim")
+    __slots__ = ("ground", "chain", "blocks", "dim", "positions")
 
     def __init__(
         self,
@@ -101,25 +102,23 @@ class FaceStructure(Frozen):
         chain: tuple[int, ...],
         blocks: tuple[int, ...],
         dim: int,
+        positions: tuple[tuple[int, ...], ...],
     ):
-        self._freeze(ground, chain, blocks, dim)
+        self._freeze(ground, chain, blocks, dim, positions)
 
     @property
     def t(self) -> int:
         return len(self.blocks)
 
-    def block_positions(self, i: int) -> tuple[int, ...]:
-        return tuple(bits(self.blocks[i]))
-
     def restrict_vector(self, x, i: int) -> tuple[int, ...]:
         """Coordinates of x on block i, in block order."""
-        return tuple(x[p] for p in self.block_positions(i))
+        return tuple(map(x.__getitem__, self.positions[i]))
 
     def scatter(self, parts) -> tuple[int, ...]:
         """Inverse of restrict_vector over all blocks."""
         out = [0] * self.ground.n
-        for i, part in enumerate(parts):
-            for p, v in zip(self.block_positions(i), part):
+        for positions, part in zip(self.positions, parts):
+            for p, v in zip(positions, part):
                 out[p] = v
         return tuple(out)
 
@@ -130,18 +129,16 @@ def _maximal_chain(tight: list[int], full: int) -> tuple[int, ...]:
     From each set, step to its smallest-bitmask strict tight superset; a
     strict superset always has a larger bitmask value, so the first hit in
     canonical order is inclusionwise minimal, and in a lattice any minimal
-    step keeps the chain maximal.
+    step keeps the chain maximal.  The family is sorted, and a set passed
+    over is no superset of the current set, so it is none of any later
+    one either: one pass over the family finds every step.
     """
     chain = [0]
-    cur = 0
-    while cur != full:
-        for cand in tight:
-            if cand != cur and cand & cur == cur:
-                chain.append(cand)
-                cur = cand
-                break
-        else:
-            raise UsageError("tight family has no superset step; not a lattice?")
+    for cand in tight:
+        if cand & chain[-1] == chain[-1] != cand:
+            chain.append(cand)
+    if chain[-1] != full:
+        raise UsageError("tight family has no superset step; not a lattice?")
     return tuple(chain)
 
 
@@ -152,6 +149,7 @@ def _structure_from_chain(f: SubmodularFn, chain) -> FaceStructure:
         chain=tuple(chain),
         blocks=blocks,
         dim=f.ground.n - len(blocks),
+        positions=tuple(tuple(bits(b)) for b in blocks),
     )
 
 
@@ -169,11 +167,14 @@ def dimension(f: SubmodularFn) -> int:
 
 def point_tight_family(f: SubmodularFn, x) -> list[int]:
     """All U with x(U) = f(U), in canonical order (x must lie in B_f)."""
+    return list(compress(count(), map(eq, _subset_sums_of(f, x), f.values)))
+
+
+def _subset_sums_of(f: SubmodularFn, x) -> list[int]:
     x = tuple(x)
     if len(x) != f.ground.n:
         raise UsageError(f"vector length {len(x)} != ground size {f.ground.n}")
-    sums = subset_sums(x)
-    return [m for m, (s, v) in enumerate(zip(sums, f.values)) if s == v]
+    return subset_sums(x)
 
 
 def minimal_face_of_point(f: SubmodularFn, x) -> FaceStructure:
@@ -182,10 +183,12 @@ def minimal_face_of_point(f: SubmodularFn, x) -> FaceStructure:
     The subsets tight at x form a union/intersection-closed family; a
     maximal chain inside it yields the face as a direct sum of block base
     polytopes, with x restricted to each block lying in that block's
-    polytope.
+    polytope.  The subset sums of x serve both membership and tightness.
     """
     x = tuple(x)
-    if not in_base_polytope(f, x):
+    sums = _subset_sums_of(f, x)
+    if not _in_base(sums, f.values):
         raise UsageError(f"point {x} is not in the base polytope")
-    chain = _maximal_chain(point_tight_family(f, x), f.ground.full_mask)
+    tight = compress(count(), map(eq, sums, f.values))
+    chain = _maximal_chain(list(tight), f.ground.full_mask)
     return _structure_from_chain(f, chain)

@@ -9,7 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import coverage_table, ground, k3, random_table, tiny_instances, u12, u23
+import polybase.core as core
+from corpus import (
+    coverage_table,
+    cut_table,
+    ground,
+    k3,
+    random_instance,
+    random_table,
+    tiny_instances,
+    u12,
+    u23,
+)
 from polybase import (
     BlockRestrictFn,
     DualFn,
@@ -98,6 +109,9 @@ class TestEval:
         for mask in sub.ground.subsets():
             parent = 0b001 | (mask << 1)
             assert sub(mask) == f(parent) - f(0b001)
+        # the sub-ground skips re-validation but is the same value object
+        assert sub.ground == GroundSet(("b", "c"))
+        assert hash(sub.ground) == hash(GroundSet(("b", "c")))
 
     def test_mask_out_of_range(self):
         with pytest.raises(UsageError):
@@ -223,6 +237,13 @@ class TestGroundSet:
         g = ground(4)
         assert g.mask_of(("b", "d")) == 0b1010
         assert g.names_of(0b1010) == ("b", "d")
+
+    def test_table_keys_spell_sorted_names_per_mask(self):
+        rng = random.Random(12)
+        for n in range(1, 11):
+            names = [f"{c}{rng.randint(0, 99)}" for c in "kcjafhbgdi"[:n]]
+            g = GroundSet(names)
+            assert g.table_keys() == [",".join(sorted(g.names_of(m))) for m in g.subsets()]
 
     def test_frozen_value_semantics(self):
         from polybase import PointSet
@@ -374,9 +395,10 @@ def leaves(draw, n):
 
 
 @st.composite
-def chains(draw):
-    """A leaf wrapped in 1..4 random constructions, vectors with negatives."""
-    f = draw(leaves(draw(st.integers(2, 6))))
+def chains(draw, leaf=None):
+    """A leaf (from the strategy leaf, else leaves()) wrapped in 1..4 random
+    constructions, vectors with negatives."""
+    f = draw(leaf if leaf is not None else leaves(draw(st.integers(2, 6))))
     for _ in range(draw(st.integers(1, 4))):
         m = f.ground.n
         vector = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
@@ -530,3 +552,88 @@ def test_subset_sums_match_definition():
             sum(x[i] for i in range(length) if m >> i & 1) for m in range(1 << length)
         ]
         assert subset_sums(x) == expected
+
+
+# ---------------------------------------------------------------------------
+# the submodularity memo and the reductions that read it
+# ---------------------------------------------------------------------------
+
+@st.composite
+def checked_leaves(draw):
+    """A submodular leaf that is_submodular has passed, so its memo is set.
+    Cut-plus-modular tables are submodular but not monotone."""
+    n = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    kind = draw(st.sampled_from(("table", "cut_plus_modular", "instance")))
+    if kind == "table":
+        f = random_table(ground(n), rng)
+    elif kind == "cut_plus_modular":
+        f = materialize(cut_table(ground(n), rng).shift([rng.randint(-3, 3) for _ in range(n)]))
+    else:
+        f = random_instance(n, rng)[1]
+    assert is_submodular(f) == (True, None)
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=chains(checked_leaves()), data=st.data())
+def test_memo_holds_and_binding_sweeps_reduce_exactly(f, data):
+    # every construction passes the memo on, and it is never wrong
+    assert f.submodular is True
+    assert local_scan_is_submodular(f) == (True, None)
+    n = f.ground.n
+    # caps around f({i}): binding, equal and slack, some of them negative
+    offsets = data.draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n))
+    a = [f(1 << i) + d for i, d in enumerate(offsets)]
+    capped = f.reduce_at(
+        data.draw(st.sampled_from(f.ground.elements)), data.draw(st.integers(-3, 5))
+    )
+    for red in (f.reduce(a), capped):
+        assert red.submodular is True
+        assert list(red.values) == [brute_reduce(f, red.a, m) for m in f.ground.subsets()]
+
+
+def test_unchecked_node_gets_every_sweep():
+    # f(U + i) > f(U) + f({i}), so the caps a_i = f({i}) all bind
+    f = TableFn(ground(3), [0, 1, 1, 3, 1, 3, 3, 5])
+    a = [f(1 << i) for i in range(3)]
+    for red in (f.reduce(a), f.reduce_at("b", 1)):
+        assert red.submodular is None
+        assert list(red.values) == [brute_reduce(f, red.a, m) for m in f.ground.subsets()]
+        assert red.values != f.values
+    assert is_submodular(f)[0] is False
+    assert f.submodular is None
+
+
+def test_checked_reduction_sweeps_once_per_binding_cap(monkeypatch):
+    f = random_table(ground(6), random.Random(5))
+    swept = []
+    halves = core._halves
+    monkeypatch.setattr(core, "_halves", lambda size, s: swept.append(s) or halves(size, s))
+    a = [f(1 << i) for i in range(6)]
+    a[1] -= 1
+    a[4] -= 3
+    a[5] += 2
+    f.reduce(a)
+    assert swept == [1 << i for i in range(6)]
+    assert is_submodular(f)[0]
+    swept.clear()
+    red = f.reduce(a)
+    assert swept == [1 << 1, 1 << 4]
+    assert list(red.values) == [brute_reduce(f, a, m) for m in f.ground.subsets()]
+
+
+def test_memo_is_set_by_the_check_and_passed_on():
+    f = u23()
+    assert f.submodular is None and f.dual().submodular is None
+    assert is_submodular(f) == (True, None) and f.submodular is True
+    built = (
+        f.dual(),
+        f.shift((1, -2, 0)),
+        f.scale(3),
+        f.reduce((0, 1, 2)),
+        f.reduce_at("a", 0),
+        f.block_restrict(0b001, 0b110),
+    )
+    assert all(node.submodular is True for node in built)
+    assert materialize(f).submodular is None

@@ -282,6 +282,13 @@ class TestTrace:
         assert parsed["case"] in ("leaf", "direct_sum", "face_drop", "split")
         assert parsed["w"] == [3, 2, 1]
 
+    def test_chain_holds_masks_and_serializes_names(self):
+        f = TableFn(ground(4), [0, 1, 1, 1, 2, 3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3])
+        _, trace = decompose(f, (1, 0, 1, 1), 1)
+        assert trace.case == "direct_sum"
+        assert trace.chain == (0, 0b0011, 0b1111)
+        assert trace.to_dict()["chain"] == [[], ["a", "b"], ["a", "b", "c", "d"]]
+
     def test_split_node_records_parts(self):
         _, trace = decompose(k3(), (2, 2, 2), 3)
         split_nodes = _collect(trace, "split")

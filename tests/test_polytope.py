@@ -31,6 +31,8 @@ from polybase import (
     point_tight_family,
     tight_sets,
 )
+from polybase.core import subset_sums
+from polybase.polytope import _maximal_chain
 
 
 class TestMembership:
@@ -259,3 +261,91 @@ class TestVertexCover:
                 for order in itertools.permutations(range(f.ground.n))
             }
             assert greedy == hrep_vertices(f)
+
+
+# ---------------------------------------------------------------------------
+# per-mask references for the single-pass table queries
+# ---------------------------------------------------------------------------
+
+def one_mask_in_extended_polymatroid(f, x):
+    """Reference membership scan: the first mask with x(U) > f(U)."""
+    for mask, (s, v) in enumerate(zip(subset_sums(x), f.values)):
+        if s > v:
+            return False, mask
+    return True, None
+
+
+def one_mask_tight_sets(f):
+    """Reference: every U with f(U) + f(E - U) = f(E), one mask at a time."""
+    v = f.values
+    return [m for m, (a, b) in enumerate(zip(v, reversed(v))) if a + b == v[-1]]
+
+
+def one_mask_point_tight_family(f, x):
+    """Reference: every U with x(U) = f(U), one mask at a time."""
+    return [m for m, (s, v) in enumerate(zip(subset_sums(x), f.values)) if s == v]
+
+
+def rescan_maximal_chain(tight, full):
+    """Reference chain: each step rescans the whole family for the first
+    strict superset of the current set."""
+    chain = [0]
+    cur = 0
+    while cur != full:
+        for cand in tight:
+            if cand != cur and cand & cur == cur:
+                chain.append(cand)
+                cur = cand
+                break
+        else:
+            raise UsageError("tight family has no superset step; not a lattice?")
+    return tuple(chain)
+
+
+def _chain_or_error(chain_fn, family, full):
+    try:
+        return chain_fn(family, full)
+    except UsageError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_table_queries_match_per_mask_references(n):
+    rng = random.Random(4100 + n)
+    g = ground(n)
+    full = g.full_mask
+    outcomes = set()
+    for trial in range(6):
+        f = random_table(g, rng)
+        if trial % 2:
+            # a flat polytope: capping one coordinate at its lower bound
+            f = f.reduce_at(g.elements[rng.randrange(n)], bounding_box(f)[0][0])
+        vertex = greedy_vertex(f, rng.sample(range(n), n))
+        points = [vertex, [v + rng.randint(-2, 2) for v in vertex]]
+        points.append([v + (1 if i == rng.randrange(n) else 0) for i, v in enumerate(vertex)])
+        for x in points:
+            expected = one_mask_in_extended_polymatroid(f, x)
+            assert in_extended_polymatroid(f, x) == expected
+            outcomes.add(expected[0])
+            family = one_mask_point_tight_family(f, x)
+            assert point_tight_family(f, x) == family
+            assert _chain_or_error(_maximal_chain, family, full) == _chain_or_error(
+                rescan_maximal_chain, family, full
+            )
+        family = one_mask_tight_sets(f)
+        assert tight_sets(f) == family
+        assert _maximal_chain(family, full) == rescan_maximal_chain(family, full)
+    assert outcomes == {True, False}
+
+
+def test_maximal_chain_matches_rescan_on_arbitrary_sorted_families():
+    # families that are not lattices, with or without the empty set and E:
+    # the same chain, or the same error, as the rescan
+    rng = random.Random(4242)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        full = (1 << n) - 1
+        family = sorted(rng.sample(range(full + 1), rng.randint(1, full + 1)))
+        assert _chain_or_error(_maximal_chain, family, full) == _chain_or_error(
+            rescan_maximal_chain, family, full
+        )

@@ -7,13 +7,15 @@ of a traced benchmark run.
 
 import importlib
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import polybase.cli  # noqa: F401  (loads every module the tracer wraps)
 import polybase.core as core
 import polybase.lp as lp
-from corpus import u23
+from corpus import ground, random_table, u23
+from polybase import greedy_vertex
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -44,3 +46,19 @@ def test_tracer_installs_and_restores():
         sys.modules["polybase.decompose"].decompose(u23(), (2, 1, 1), 2)
     assert core.SubmodularFn.__call__ is before
     assert tracer.layer_totals()["calls"]["decompose.entry"] == 1
+
+
+def test_face_drop_run_records_polytope_spans():
+    # w = k b for an integer base point b, as in the benchmark's face-drop
+    # workload: a call rerouted around the wrapped names would zero these
+    # per-layer metrics without failing anything else
+    f = random_table(ground(5), random.Random(8))
+    k = 3
+    w = tuple(k * v for v in greedy_vertex(f, (3, 1, 4, 0, 2)))
+    engine = sys.modules["polybase.decompose"]
+    with _tracing().Tracer() as tracer:
+        dec, _ = engine.decompose(f, w, k)
+        assert engine.verify(f, dec) == (True, [])
+    calls = tracer.layer_totals()["calls"]
+    for name in ("polytope.face", "polytope.member", "polytope.dim"):
+        assert calls[name] >= 1, name
