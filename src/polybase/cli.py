@@ -76,10 +76,8 @@ def _parse_w(text: str) -> tuple[int, ...]:
         raise UsageError(f"--w must be comma-separated integers, got {text!r}")
 
 
-def certificate_dict(fn, w, k, dec, trace=None, dim=None) -> dict:
-    """The certificate document; dim B_f is computed unless given."""
-    if dim is None:
-        dim = dimension(fn)
+def certificate_dict(w, k, dec, dim: int, trace=None) -> dict:
+    """The certificate document for a decomposition of w in k B_f, dim = dim B_f."""
     doc = {
         "k": k,
         "w": list(w),
@@ -132,7 +130,7 @@ def cmd_decompose(args) -> int:
                 "certificate failed verification: " + "; ".join(failures)
             )
     shown = trace if args.trace else None
-    print(to_json(certificate_dict(inst.fn, w, k, dec, shown, dim=trace.dim)))
+    print(to_json(certificate_dict(w, k, dec, trace.dim, shown)))
     return EXIT_OK
 
 
@@ -198,26 +196,27 @@ def _run_capture(args) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _worker(payload):
-    argv, limit = payload
-    if limit is not None:
-        core.set_ground_limit(limit)
-    args = build_parser().parse_args(argv)
+def _worker(args):
+    # a worker process need not inherit the parent's cap, so set it again
+    if args.limit_n is not None:
+        core.set_ground_limit(args.limit_n)
     code, out, err = _run_capture(args)
     return args.path, code, out, err
 
 
-def _run_directory(args, argv_base: list[str]) -> int:
+def _run_directory(args) -> int:
     paths = sorted(str(p) for p in Path(args.path).glob("*.json"))
     if not paths:
         print(f"error: no *.json instances under {args.path}", file=sys.stderr)
         return EXIT_INPUT
-    jobs = [(argv_base + [p], args.limit_n) for p in paths]
-    if args.jobs > 1:
+    jobs = [argparse.Namespace(**{**vars(args), "path": p}) for p in paths]
+    # a pool starts all its workers up front, so never more than there are files
+    workers = min(args.jobs, len(paths))
+    if workers > 1:
         # imported here so serial runs skip it and the logging it pulls in
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, jobs))
     else:
         results = [_worker(job) for job in jobs]
@@ -238,30 +237,8 @@ def main(argv=None) -> int:
     if args.limit_n is not None:
         core.set_ground_limit(args.limit_n)
     if Path(args.path).is_dir():
-        argv_base = [args.verb] + _replay_flags(args)
-        return _run_directory(args, argv_base)
+        return _run_directory(args)
     return _run_single(args)
-
-
-def _replay_flags(args) -> list[str]:
-    """Re-encode per-file flags for directory workers."""
-    flags: list[str] = []
-    if args.verb == "decompose":
-        if args.w is not None:
-            flags += ["--w", args.w]
-        if args.k is not None:
-            flags += ["--k", str(args.k)]
-        if args.trace:
-            flags.append("--trace")
-        if args.verify:
-            flags.append("--verify")
-    if args.verb == "oracle":
-        flags += ["--k-max", str(args.k_max)]
-    if args.verb == "enumerate" and args.vertices:
-        flags.append("--vertices")
-    if args.limit_n is not None:
-        flags += ["--limit-n", str(args.limit_n)]
-    return flags
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from None to True, so instances may still be shared freely, across threads.
 from __future__ import annotations
 
 import os
+from functools import cache
 from itertools import repeat
 from operator import add, itemgetter, le, mul, sub
 
@@ -189,7 +190,8 @@ def subset_sums(x) -> list:
     return sums
 
 
-def _halves(size: int, s: int) -> list:
+@cache
+def _halves(size: int, s: int) -> tuple:
     """Split range(size) on the bit s into aligned slice triples.
 
     In each triple (lo, hi, half), ``lo`` and ``hi`` select masks without
@@ -199,18 +201,19 @@ def _halves(size: int, s: int) -> list:
     triples are stride slices, one per residue below s; for a high bit they
     are contiguous runs, one per chunk of 2s masks.  Either way there are at
     most sqrt(size / 2) triples, so a sweep over one bit takes a few dozen
-    slice operations.
+    slice operations.  The triples depend only on (size, s), so they are
+    built once and shared as a tuple.
     """
     step = 2 * s
     if s * s <= size // 2:
-        return [
+        return tuple(
             (slice(r, size, step), slice(r + s, size, step), slice(r, size // 2, s))
             for r in range(s)
-        ]
-    return [
+        )
+    return tuple(
         (slice(c, c + s), slice(c + s, c + step), slice(c // 2, c // 2 + s))
         for c in range(0, size, step)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +549,12 @@ def is_submodular(f: SubmodularFn):
     v = f.values
     n = f.ground.n
     size = len(v)
-    # every marginal table has size / 2 entries, so its splits are shared
-    marginal_halves = [_halves(size // 2, 1 << i) for i in range(n - 1)]
     for j in range(n):
         d = [0] * (size // 2)
         for lo, hi, half in _halves(size, 1 << j):
             d[half] = map(sub, v[hi], v[lo])
-        for halves in marginal_halves[:j]:
-            for lo, hi, _ in halves:
+        for i in range(j):
+            for lo, hi, _ in _halves(size // 2, 1 << i):
                 if not all(map(le, d[hi], d[lo])):
                     return False, _first_local_violation(v, n)
     f.submodular = True

@@ -25,6 +25,9 @@ Three constructive pieces:
       property makes the two face dimensions sum to at most |E| - 2, so
       the two branch counts total at most dim + 1.
 
+Membership in k B_f and the faces of k B_f read f's own table, so the only
+scaled nodes built are the split's two LP operands.
+
 Every run records a replayable trace, and ``verify`` re-checks a finished
 decomposition from scratch, independent of the trace.
 """
@@ -187,22 +190,28 @@ def split_into_k_bases(f: SubmodularFn, x, k: int) -> list[tuple[int, ...]]:
     _require_membership(f, x, k)
     result: list[tuple[int, ...]] = []
     cur = x
+    dual = f.dual()
     for j in range(k, 1, -1):
         # cur - (j-1) B_f is the base polytope of cur + (j-1) f*
-        mirror = f.dual().scale(j - 1).shift(cur)
-        system = build_intersection_system(f, mirror)
-        vertex = find_vertex(system)
-        if vertex is None:
-            raise InvariantViolation(
-                "empty intersection while splitting; decomposition theory violated"
-            )
-        point = assert_integral(vertex, system)
+        mirror = dual.scale(j - 1).shift(cur)
+        point = _integer_vertex(
+            f, mirror, "empty intersection while splitting; decomposition theory violated"
+        )
         result.append(point)
         cur = tuple(c - p for c, p in zip(cur, point))
     if not in_base_polytope(f, cur):
         raise InvariantViolation("split residue left the base polytope")
     result.append(cur)
     return result
+
+
+def _integer_vertex(f: SubmodularFn, g: SubmodularFn, empty: str) -> tuple[int, ...]:
+    """An integer vertex of B_f intersected with B_g; ``empty`` is the error if none."""
+    system = build_intersection_system(f, g)
+    vertex = find_vertex(system)
+    if vertex is None:
+        raise InvariantViolation(empty)
+    return assert_integral(vertex, system)
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +305,16 @@ def _require_membership(f: SubmodularFn, x, k: int) -> None:
             f"f is not submodular: f(A) + f(B) < f(A | B) + f(A & B)"
             f" for A = {{{a}}}, B = {{{b}}}"
         )
-    scaled = f.scale(k) if k > 1 else f
     full = f.ground.full_mask
-    if vector_sum(x, full) != scaled(full):
+    if vector_sum(x, full) != k * f(full):
         raise UsageError(
-            f"x(E) = {vector_sum(x, full)} != {scaled(full)} = {k} * f(E)"
+            f"x(E) = {vector_sum(x, full)} != {k * f(full)} = {k} * f(E)"
         )
-    ok, violated = in_extended_polymatroid(scaled, x)
+    ok, violated = in_extended_polymatroid(f, x, k)
     if not ok:
         names = ",".join(f.ground.names_of(violated))
         raise UsageError(
-            f"violated x({{{names}}}) <= {scaled(violated)}: got {vector_sum(x, violated)}"
+            f"violated x({{{names}}}) <= {k * f(violated)}: got {vector_sum(x, violated)}"
         )
 
 
@@ -346,11 +354,11 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     if r == 0:
         capped = f.reduce_at(e_name, q)
         _check(capped(full) == f(full), "cap at q changed the level")
-        scaled = capped.scale(k) if k > 1 else capped
-        _check(scaled(1) == w[0], "x(e) = q is not tight for w under the cap")
-        face = _face_of(scaled, w)
-        _check(face.chain[1] == 1, "fixed element does not start the tight chain")
-        terms, children = _recurse_blocks(capped, face, w, k, measure)
+        _check(k * capped(1) == w[0], "x(e) = q is not tight for w under the cap")
+        face, terms, children = _face_step(
+            capped, w, k, measure, lambda face: face.chain[1] == 1,
+            "fixed element does not start the tight chain",
+        )
         trace = DecompositionTrace(
             case="face_drop",
             ground=ground.elements,
@@ -372,13 +380,9 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     _check(lower(full) == f(full), "cap at q changed the level")
     fn_left = upper.scale(r)
     fn_right = lower.dual().scale(k - r).shift(w)
-    system = build_intersection_system(fn_left, fn_right)
-    vertex = find_vertex(system)
-    if vertex is None:
-        raise InvariantViolation(
-            "empty split intersection; decomposition theory violated"
-        )
-    x1 = assert_integral(vertex, system)
+    x1 = _integer_vertex(
+        fn_left, fn_right, "empty split intersection; decomposition theory violated"
+    )
     x2 = tuple(wi - xi for wi, xi in zip(w, x1))
     _check(x1[0] == r * (q + 1), "x'(e) != r (q+1)")
     _check(x2[0] == (k - r) * q, "x''(e) != (k-r) q")
@@ -405,20 +409,26 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     return _bounded(_normalize_terms(left_terms + right_terms), fs.dim), trace
 
 
-def _face_of(scaled: SubmodularFn, x) -> FaceStructure:
-    """Minimal face of a derived point; failures here are engine defects."""
+def _face_step(f_base: SubmodularFn, x, k: int, measure, splits, message: str):
+    """(face, terms, children) for x in the minimal face of k B_{f_base} holding it.
+
+    ``splits(face)`` must hold (else InvariantViolation(message)), and so
+    must membership: a derived point outside k B_{f_base} is a defect.
+    """
     try:
-        return minimal_face_of_point(scaled, x)
+        face = minimal_face_of_point(f_base, x, k)
     except UsageError as exc:
         raise InvariantViolation(f"derived point left its polytope: {exc}") from exc
+    _check(splits(face), message)
+    terms, children = _recurse_blocks(f_base, face, x, k, measure)
+    return face, terms, children
 
 
 def _decompose_point_face(f_base: SubmodularFn, x, mult: int, parent_measure):
     """Decompose x inside the minimal face of B_{mult * f_base} holding it."""
-    scaled = f_base.scale(mult) if mult > 1 else f_base
-    face = _face_of(scaled, x)
-    _check(face.t >= 2, "point face did not factor")
-    terms, children = _recurse_blocks(f_base, face, x, mult, parent_measure)
+    face, terms, children = _face_step(
+        f_base, x, mult, parent_measure, lambda face: face.t >= 2, "point face did not factor"
+    )
     trace = DecompositionTrace(
         case="point_face",
         ground=f_base.ground.elements,

@@ -8,27 +8,30 @@ the closed-form criterion f(U) + f(E-U) = f(E), which equals the
 definitional "x(U) = f(U) for every point" because the minimum of x(U)
 over B_f is f(E) - f(E-U), attained by a greedy vertex that fills E-U
 first.  The test suite validates this against vertex enumeration.
+
+Membership and faces of k B_f = B_{kf} read f's own table: the queries
+taking a multiplicity k compare x(U) with k f(U) inside their one pass.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import eq, gt, indexOf, le
+from itertools import compress, count, repeat
+from operator import eq, gt, indexOf, le, mul
 
 from .core import Frozen, GroundSet, SubmodularFn, bits, subset_sums
 from .errors import UsageError
 
 
-def in_extended_polymatroid(f: SubmodularFn, x):
-    """Check x(U) <= f(U) for all U.
+def in_extended_polymatroid(f: SubmodularFn, x, k: int = 1):
+    """Check x(U) <= k f(U) for all U: membership in k EP_f.
 
     Returns (True, None) or (False, U) with the first violating subset
     mask in canonical order.
     """
     sums = _subset_sums_of(f, x)
-    if all(map(le, sums, f.values)):
+    if all(map(le, sums, _times(f.values, k))):
         return True, None
-    return False, indexOf(map(gt, sums, f.values), True)
+    return False, indexOf(map(gt, sums, _times(f.values, k)), True)
 
 
 def in_base_polytope(f: SubmodularFn, x) -> bool:
@@ -36,8 +39,13 @@ def in_base_polytope(f: SubmodularFn, x) -> bool:
     return _in_base(_subset_sums_of(f, x), f.values)
 
 
-def _in_base(sums, values) -> bool:
-    return sums[-1] == values[-1] and all(map(le, sums, values))
+def _in_base(sums, values, k: int = 1) -> bool:
+    return sums[-1] == k * values[-1] and all(map(le, sums, _times(values, k)))
+
+
+def _times(values, k: int):
+    """k times a value table, lazily; the table itself when k = 1."""
+    return values if k == 1 else map(mul, values, repeat(k))
 
 
 def bounding_box(f: SubmodularFn):
@@ -177,18 +185,18 @@ def _subset_sums_of(f: SubmodularFn, x) -> list[int]:
     return subset_sums(x)
 
 
-def minimal_face_of_point(f: SubmodularFn, x) -> FaceStructure:
-    """The inclusionwise minimal face of B_f containing x, factored.
+def minimal_face_of_point(f: SubmodularFn, x, k: int = 1) -> FaceStructure:
+    """The inclusionwise minimal face of k B_f containing x, factored.
 
-    The subsets tight at x form a union/intersection-closed family; a
-    maximal chain inside it yields the face as a direct sum of block base
-    polytopes, with x restricted to each block lying in that block's
-    polytope.  The subset sums of x serve both membership and tightness.
+    The subsets U tight at x (x(U) = k f(U)) form a union/intersection-closed
+    family; a maximal chain inside it yields the face as a direct sum of
+    block base polytopes, each scaled by k.  The subset sums of x serve
+    both membership and tightness.
     """
     x = tuple(x)
     sums = _subset_sums_of(f, x)
-    if not _in_base(sums, f.values):
+    if not _in_base(sums, f.values, k):
         raise UsageError(f"point {x} is not in the base polytope")
-    tight = compress(count(), map(eq, sums, f.values))
+    tight = compress(count(), map(eq, sums, _times(f.values, k)))
     chain = _maximal_chain(list(tight), f.ground.full_mask)
     return _structure_from_chain(f, chain)

@@ -27,6 +27,24 @@ BAD_TABLE_DOC = {
     "f": {"type": "table", "values": {"a": 0, "b": 0, "a,b": 1}},
 }
 
+# directory-mode files: ok runs, input errors and, under --limit-n 3, a
+# parse error, so summary lines carry every status
+DIRECTORY_DOCS = {
+    "k3.json": K3_DOC,
+    "u23.json": {"ground": ["a", "b", "c"], "f": {"type": "uniform", "rank": 2},
+                 "w": [2, 1, 1], "k": 2},
+    "u24.json": U24_DOC,
+    "bad.json": BAD_TABLE_DOC,
+}
+
+DIRECTORY_FLAGS = [
+    ["check"],
+    ["decompose", "--verify"],
+    ["decompose", "--w", "2,1,1", "--k", "2", "--trace", "--verify", "--limit-n", "3"],
+    ["oracle", "--k-max", "2"],
+    ["enumerate", "--vertices"],
+]
+
 
 @pytest.fixture
 def write(tmp_path):
@@ -263,6 +281,57 @@ class TestDirectoryMode:
 
     def test_empty_directory_is_input_error(self, tmp_path):
         assert main(["check", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("flags", DIRECTORY_FLAGS, ids="_".join)
+    def test_summary_is_last_line_of_per_file_run(self, tmp_path, capsys, flags, jobs):
+        import polybase.core as core
+
+        for name, doc in DIRECTORY_DOCS.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        verb, rest = flags[0], flags[1:]
+        expected, worst = [], 0
+        try:
+            for path in sorted(str(p) for p in tmp_path.glob("*.json")):
+                code = main([verb, path, *rest])
+                tail = capsys.readouterr().out.strip().splitlines()[-1:]
+                status = "ok" if code == 0 else f"exit {code}"
+                expected.append(" ".join([f"{path}: {status}", *tail]))
+                worst = max(worst, code)
+            code = main([verb, str(tmp_path), *rest, "--jobs", jobs])
+        finally:
+            core.set_ground_limit(None)
+        assert capsys.readouterr().out.splitlines() == expected
+        assert code == worst
+
+    def test_jobs_capped_at_file_count(self, tmp_path, monkeypatch):
+        # a pool forks all its workers at the first submit, so --jobs 5000
+        # on two files must ask for two; a recording pool maps serially
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        for name in ("one.json", "two.json"):
+            (tmp_path / name).write_text(json.dumps(U24_DOC))
+        assert main(["check", str(tmp_path), "--jobs", "5000"]) == 0
+        assert sizes == [2]
+        (tmp_path / "two.json").unlink()
+        assert main(["check", str(tmp_path), "--jobs", "5000"]) == 0
+        assert sizes == [2]  # one file runs serially, without a pool
 
 
 class TestStartup:

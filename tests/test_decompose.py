@@ -26,6 +26,7 @@ from polybase import (
     decompose,
     dimension,
     enumerate_base_points,
+    greedy_vertex,
     in_base_polytope,
     merge_direct_sum,
     min_decomposition_size,
@@ -33,6 +34,7 @@ from polybase import (
     split_into_k_bases,
     verify,
 )
+from polybase.core import ScaleFn
 
 
 def brute_splits(f, x, k):
@@ -304,6 +306,41 @@ def _collect(trace, case):
     for child in trace.children:
         out.extend(_collect(child, case))
     return out
+
+
+class TestScaledNodes:
+    """Membership and faces of k B_f read f's own table, so the only scaled
+    nodes ``decompose`` builds are each split's two LP operands: fn_left
+    and the scale inside fn_right."""
+
+    @pytest.fixture
+    def scale_builds(self, monkeypatch):
+        built = []
+        init = ScaleFn.__init__
+
+        def counted(node, r, inner):
+            built.append(r)
+            init(node, r, inner)
+
+        monkeypatch.setattr(ScaleFn, "__init__", counted)
+        return built
+
+    def test_face_drop_builds_no_scaled_node(self, scale_builds):
+        f = random_table(ground(6), random.Random(8))
+        for k in (2, 4):
+            w = tuple(k * v for v in greedy_vertex(f, (5, 2, 0, 4, 1, 3)))
+            _, trace = decompose(f, w, k)
+            assert trace.case == "face_drop"
+        assert scale_builds == []
+
+    def test_split_builds_two_scaled_nodes_per_split(self, scale_builds):
+        f = random_table(ground(5), random.Random(21))
+        for k, w in ((3, (1, 2, 1, -3, -1)), (4, (2, 0, 0, -4, 2))):
+            scale_builds.clear()
+            _, trace = decompose(f, w, k)
+            splits = _collect(trace, "split")
+            assert splits and _collect(trace, "face_drop")
+            assert len(scale_builds) == 2 * len(splits)
 
 
 @settings(max_examples=30, deadline=None)

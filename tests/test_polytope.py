@@ -315,6 +315,7 @@ def test_table_queries_match_per_mask_references(n):
     g = ground(n)
     full = g.full_mask
     outcomes = set()
+    scaled_outcomes = set()
     for trial in range(6):
         f = random_table(g, rng)
         if trial % 2:
@@ -335,7 +336,28 @@ def test_table_queries_match_per_mask_references(n):
         family = one_mask_tight_sets(f)
         assert tight_sets(f) == family
         assert _maximal_chain(family, full) == rescan_maximal_chain(family, full)
+        # queries on k B_f read f's table and must answer as on the scaled table
+        for k in (1, 2, 5):
+            scaled = f.scale(k)
+            for x in points:
+                p = [k * v for v in x]
+                i, j = rng.sample(range(n), 2)
+                moved = [v + (i == m) - (j == m) for m, v in enumerate(p)]
+                for y in (p, moved, [v + rng.randint(-1, 1) for v in p]):
+                    member = in_extended_polymatroid(f, y, k)
+                    assert member == in_extended_polymatroid(scaled, y)
+                    face = _face_or_error(f, y, k)
+                    assert face == _face_or_error(scaled, y, 1)
+                    scaled_outcomes.add((member[0], isinstance(face, str)))
     assert outcomes == {True, False}
+    assert scaled_outcomes == {(True, False), (True, True), (False, True)}
+
+
+def _face_or_error(f, x, k):
+    try:
+        return minimal_face_of_point(f, x, k)
+    except UsageError as exc:
+        return str(exc)
 
 
 def test_maximal_chain_matches_rescan_on_arbitrary_sorted_families():
