@@ -38,7 +38,6 @@ from .errors import BudgetExceeded, InvariantViolation, ParseError, UsageError
 from .instance import InstanceFile, load_instance, parse_fn, parse_instance
 from .lp import (
     ConstraintSystem,
-    affine_rank,
     assert_integral,
     build_intersection_system,
     dump_system,
@@ -100,7 +99,6 @@ __all__ = [
     "UniformRank",
     "UsageError",
     "WeightedDecomposition",
-    "affine_rank",
     "assert_integral",
     "bounding_box",
     "build_intersection_system",

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import core
 from .decompose import decompose as run_decompose
+from .decompose import require_submodular
 from .decompose import verify as run_verify
 from .errors import BudgetExceeded, InvariantViolation, ParseError, UsageError
 from .instance import load_instance
@@ -138,6 +139,7 @@ def cmd_oracle(args) -> int:
     from . import oracle
 
     inst = load_instance(args.path)
+    require_submodular(inst.fn)
     bound = oracle.cr_exact(inst.fn, args.k_max)
     dim = dimension(inst.fn)
     n = inst.ground.n
@@ -154,6 +156,7 @@ def cmd_enumerate(args) -> int:
     from . import oracle
 
     inst = load_instance(args.path)
+    require_submodular(inst.fn)
     if args.vertices:
         points = oracle.enumerate_vertices(inst.fn)
     else:
@@ -234,11 +237,15 @@ def _run_directory(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.limit_n is not None:
-        core.set_ground_limit(args.limit_n)
-    if Path(args.path).is_dir():
-        return _run_directory(args)
-    return _run_single(args)
+    run = _run_directory if Path(args.path).is_dir() else _run_single
+    if args.limit_n is None:
+        return run(args)
+    # the cap holds for this run only; the caller's override comes back after
+    previous = core.set_ground_limit(args.limit_n)
+    try:
+        return run(args)
+    finally:
+        core.set_ground_limit(previous)
 
 
 if __name__ == "__main__":

@@ -36,10 +36,11 @@ DEFAULT_GROUND_LIMIT = 12
 _limit_override: int | None = None
 
 
-def set_ground_limit(n: int | None) -> None:
-    """Override the ground-set size cap (None restores env/default)."""
+def set_ground_limit(n: int | None) -> int | None:
+    """Override the ground-set size cap (None restores env/default); returns the old one."""
     global _limit_override
-    _limit_override = n
+    previous, _limit_override = _limit_override, n
+    return previous
 
 
 def ground_limit() -> int:

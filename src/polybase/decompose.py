@@ -11,19 +11,22 @@ Three constructive pieces:
   t blocks cost only t - 1 extra terms.
 
 * ``decompose``: writes w as a nonnegative integer combination of at most
-  dim B_f + 1 integer base vectors.  The recursion tracks the measure
-  dim + |E|, which strictly drops along every edge:
+  dim B_f + 1 integer base vectors.  A flat B_f (dim < |E| - 1) factors
+  once, at the root, into a direct sum of smaller base polytopes along a
+  maximal chain A_0 < ... < A_t of its tight sets.  No block of a maximal
+  tight chain, of B_f or of a face, has a proper tight set U: A_{i-1} | U
+  would be tight and lie strictly between two sets of the chain.  So the
+  recursion below the root sees only full-dimensional blocks.  It tracks
+  the measure dim + |E|, which strictly drops along every edge:
 
     - one element: the polytope is a point;
-    - a flat polytope (dim < |E| - 1) factors into a direct sum of
-      smaller base polytopes along its tight chain;
     - otherwise fix the first element e and divide w(e) = k q + r.  When
       r = 0, w lies on the proper face x(e) = q of the polytope capped at
-      q, which factors as above.  When r > 0, cap f at q+1 and at q, pick
-      an integer vertex x' of B_{r f'} intersected with w - B_{(k-r) f''},
-      and recurse on x' and w - x' inside their minimal faces; the vertex
-      property makes the two face dimensions sum to at most |E| - 2, so
-      the two branch counts total at most dim + 1.
+      q, which factors into full-dimensional blocks.  When r > 0, cap f at
+      q+1 and at q, pick an integer vertex x' of B_{r f'} intersected with
+      w - B_{(k-r) f''}, and recurse on x' and w - x' inside their minimal
+      faces; the vertex property makes the two face dimensions sum to at
+      most |E| - 2, so the two branch counts total at most dim + 1.
 
 Membership in k B_f and the faces of k B_f read f's own table, so the only
 scaled nodes built are the split's two LP operands.
@@ -91,9 +94,6 @@ class WeightedDecomposition(Frozen):
     @property
     def distinct_count(self) -> int:
         return len(self.terms)
-
-    def points(self):
-        return [p for _, p in self.terms]
 
 
 def _normalize_terms(terms) -> Terms:
@@ -286,8 +286,16 @@ def decompose(f: SubmodularFn, w, k: int):
     """
     w = tuple(w)
     _require_membership(f, w, k)
-    terms, trace = _decompose_rec(f, w, k, None)
-    return WeightedDecomposition.from_terms(terms, w, k), trace
+    fs = face_structure(f)
+    if fs.t == 1:
+        terms, trace = _decompose_rec(f, w, k, None)
+        return WeightedDecomposition.from_terms(terms, w, k), trace
+    terms, children = _recurse_blocks(f, fs, w, k, fs.dim + f.ground.n)
+    trace = DecompositionTrace(
+        case="direct_sum", ground=f.ground.elements, w=w, k=k,
+        chain=fs.chain, children=children, dim=fs.dim,
+    )
+    return WeightedDecomposition.from_terms(_bounded(terms, fs.dim), w, k), trace
 
 
 def _require_membership(f: SubmodularFn, x, k: int) -> None:
@@ -298,13 +306,7 @@ def _require_membership(f: SubmodularFn, x, k: int) -> None:
     for v in x:
         if not isinstance(v, int) or isinstance(v, bool):
             raise UsageError(f"vector entries must be integers, got {v!r}")
-    ok, pair = is_submodular(f)
-    if not ok:
-        a, b = (",".join(f.ground.names_of(m)) for m in pair)
-        raise UsageError(
-            f"f is not submodular: f(A) + f(B) < f(A | B) + f(A & B)"
-            f" for A = {{{a}}}, B = {{{b}}}"
-        )
+    require_submodular(f)
     full = f.ground.full_mask
     if vector_sum(x, full) != k * f(full):
         raise UsageError(
@@ -315,6 +317,17 @@ def _require_membership(f: SubmodularFn, x, k: int) -> None:
         names = ",".join(f.ground.names_of(violated))
         raise UsageError(
             f"violated x({{{names}}}) <= {k * f(violated)}: got {vector_sum(x, violated)}"
+        )
+
+
+def require_submodular(f: SubmodularFn) -> None:
+    """Raise UsageError naming a violating pair unless f is submodular."""
+    ok, pair = is_submodular(f)
+    if not ok:
+        a, b = (",".join(f.ground.names_of(m)) for m in pair)
+        raise UsageError(
+            f"f is not submodular: f(A) + f(B) < f(A | B) + f(A & B)"
+            f" for A = {{{a}}}, B = {{{b}}}"
         )
 
 
@@ -330,24 +343,11 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
         trace = DecompositionTrace(case="leaf", ground=ground.elements, w=w, k=k, dim=0)
         return [(k, (value,))], trace
 
-    fs = face_structure(f)
-    measure = fs.dim + n
+    # f is full-dimensional (see the module docstring): fix the first element
+    dim = n - 1
+    measure = dim + n
     _check_measure(measure, parent_measure)
 
-    if fs.t >= 2:
-        terms, children = _recurse_blocks(f, fs, w, k, measure)
-        trace = DecompositionTrace(
-            case="direct_sum",
-            ground=ground.elements,
-            w=w,
-            k=k,
-            chain=fs.chain,
-            children=children,
-            dim=fs.dim,
-        )
-        return _bounded(terms, fs.dim), trace
-
-    # full-dimensional: fix the first element
     e_name = ground.elements[0]
     q, r = divmod(w[0], k)
 
@@ -369,9 +369,9 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
             fn_reduced=capped,
             chain=face.chain,
             children=children,
-            dim=fs.dim,
+            dim=dim,
         )
-        return _bounded(terms, fs.dim), trace
+        return _bounded(terms, dim), trace
 
     # r >= 1: split w across the caps at q+1 and q
     upper = f.reduce_at(e_name, q + 1)
@@ -404,9 +404,9 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
         x1=x1,
         x2=x2,
         children=[left_trace, right_trace],
-        dim=fs.dim,
+        dim=dim,
     )
-    return _bounded(_normalize_terms(left_terms + right_terms), fs.dim), trace
+    return _bounded(_normalize_terms(left_terms + right_terms), dim), trace
 
 
 def _face_step(f_base: SubmodularFn, x, k: int, measure, splits, message: str):

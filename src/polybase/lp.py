@@ -27,9 +27,7 @@ rational simplex, with the same working sets, entering and leaving rows.
 
 from __future__ import annotations
 
-import os
-import sys
-from math import gcd, lcm
+from math import gcd
 
 from .core import Frozen, SubmodularFn, bits, subset_sums
 from .errors import InvariantViolation, UsageError
@@ -185,30 +183,11 @@ def _lex_sign(vec) -> int:
     return 0
 
 
-def affine_rank(points) -> int:
-    """Rank of the difference vectors of a nonempty point list."""
-    ratios = [[v.as_integer_ratio() for v in p] for p in points]
-    if not ratios:
-        raise UsageError("affine_rank needs at least one point")
-    # one common denominator turns the points into integer vectors
-    den = lcm(*(d for p in ratios for _, d in p))
-    pts = [[a * (den // d) for a, d in p] for p in ratios]
-    base = pts[0]
-    pivots: list[int] = []
-    ech: list[list[int]] = []
-    for p in pts[1:]:
-        piv, v = _reduce_row([a - b for a, b in zip(p, base)], pivots, ech)
-        if piv is not None:
-            pivots.append(piv)
-            ech.append(v)
-    return len(pivots)
-
-
 # ---------------------------------------------------------------------------
 # vertex finding
 # ---------------------------------------------------------------------------
 
-def find_vertex(system: ConstraintSystem, debug: bool = False):
+def find_vertex(system: ConstraintSystem):
     """Lex-max vertex of the system, or None when infeasible.
 
     Deterministic: identical systems give identical vertices.  Coordinates
@@ -217,9 +196,6 @@ def find_vertex(system: ConstraintSystem, debug: bool = False):
     systems built from two base polytopes, which carry all singleton
     bounds and the level equalities).
     """
-    if debug or os.environ.get("POLYBASE_LP_DEBUG"):
-        print(dump_system(system), file=sys.stderr)
-
     # Immediate contradictions: parallel equalities, empty-set rows.
     seen = {}
     for m, b in system.eqs:

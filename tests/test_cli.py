@@ -241,6 +241,21 @@ class TestOracle:
         assert main(["oracle", write(doc)]) == 4
 
 
+@pytest.mark.parametrize(
+    "flags", [["oracle"], ["enumerate"], ["enumerate", "--vertices"]], ids="_".join
+)
+def test_oracle_verbs_refuse_non_submodular(write, capsys, flags):
+    # B_f is empty, so any rank bound or point list would be a false report
+    code = main([flags[0], write(BAD_TABLE_DOC), *flags[1:]])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: f is not submodular: f(A) + f(B) < f(A | B) + f(A & B)"
+        " for A = {a}, B = {b}\n"
+    )
+
+
 class TestEnumerate:
     def test_base_points(self, write, capsys):
         doc = {"ground": ["a", "b"], "f": {"type": "uniform", "rank": 1}}
@@ -285,22 +300,17 @@ class TestDirectoryMode:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("flags", DIRECTORY_FLAGS, ids="_".join)
     def test_summary_is_last_line_of_per_file_run(self, tmp_path, capsys, flags, jobs):
-        import polybase.core as core
-
         for name, doc in DIRECTORY_DOCS.items():
             (tmp_path / name).write_text(json.dumps(doc))
         verb, rest = flags[0], flags[1:]
         expected, worst = [], 0
-        try:
-            for path in sorted(str(p) for p in tmp_path.glob("*.json")):
-                code = main([verb, path, *rest])
-                tail = capsys.readouterr().out.strip().splitlines()[-1:]
-                status = "ok" if code == 0 else f"exit {code}"
-                expected.append(" ".join([f"{path}: {status}", *tail]))
-                worst = max(worst, code)
-            code = main([verb, str(tmp_path), *rest, "--jobs", jobs])
-        finally:
-            core.set_ground_limit(None)
+        for path in sorted(str(p) for p in tmp_path.glob("*.json")):
+            code = main([verb, path, *rest])
+            tail = capsys.readouterr().out.strip().splitlines()[-1:]
+            status = "ok" if code == 0 else f"exit {code}"
+            expected.append(" ".join([f"{path}: {status}", *tail]))
+            worst = max(worst, code)
+        code = main([verb, str(tmp_path), *rest, "--jobs", jobs])
         assert capsys.readouterr().out.splitlines() == expected
         assert code == worst
 
@@ -363,11 +373,21 @@ class TestStartup:
 
 class TestLimitFlag:
     def test_limit_forbids_large_ground(self, write):
-        import polybase.core as core
-
         doc = {"ground": ["a", "b", "c", "d"], "f": {"type": "uniform", "rank": 1}}
+        assert main(["check", write(doc), "--limit-n", "3"]) == 2
+
+    def test_limit_lasts_for_one_run(self, write):
+        import polybase.core as core
+        from polybase import GroundSet, UsageError
+
+        assert main(["check", write(U24_DOC), "--limit-n", "3"]) == 2
+        assert GroundSet("abcd").n == 4
+        core.set_ground_limit(5)
         try:
-            assert main(["check", write(doc), "--limit-n", "3"]) == 2
+            assert main(["check", write(U24_DOC), "--limit-n", "3"]) == 2
+            with pytest.raises(UsageError, match="outside"):
+                GroundSet("abcdef")
+            assert GroundSet("abcde").n == 5
         finally:
             core.set_ground_limit(None)
 

@@ -3,14 +3,17 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (
+    flat_corpus,
     ground,
     k3,
+    part11,
     random_table,
     sample_target,
     tiny_instances,
@@ -341,6 +344,52 @@ class TestScaledNodes:
             splits = _collect(trace, "split")
             assert splits and _collect(trace, "face_drop")
             assert len(scale_builds) == 2 * len(splits)
+
+
+class TestFactorOnce:
+    """B_f factors once, at the root: the blocks of every face below are
+    full-dimensional (see test_polytope.TestBlocksAreFullDimensional)."""
+
+    @pytest.fixture
+    def face_calls(self, monkeypatch):
+        engine = sys.modules["polybase.decompose"]
+        factor = engine.face_structure
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return factor(f)
+
+        monkeypatch.setattr(engine, "face_structure", counted)
+        return calls
+
+    def test_one_face_structure_per_decompose(self, face_calls):
+        drop = random_table(ground(6), random.Random(8))
+        split = random_table(ground(5), random.Random(21))
+        runs = [
+            (drop, tuple(2 * v for v in greedy_vertex(drop, (5, 2, 0, 4, 1, 3))), 2),
+            (split, (1, 2, 1, -3, -1), 3),
+            (split, (2, 0, 0, -4, 2), 4),
+            (part11(), (1, 1, 1, 1), 2),
+        ]
+        cases = set()
+        for f, w, k in runs:
+            face_calls.clear()
+            _, trace = decompose(f, w, k)
+            assert face_calls == [f]
+            cases.update(c for c in ("direct_sum", "face_drop", "split") if _collect(trace, c))
+        assert cases == {"direct_sum", "face_drop", "split"}
+
+    def test_no_direct_sum_below_the_root(self):
+        rng = random.Random(61)
+        roots = 0
+        for _, f in tiny_instances() + flat_corpus():
+            k = rng.randint(1, 6)
+            _, trace = decompose(f, sample_target(f, k, rng), k)
+            roots += trace.case == "direct_sum"
+            for child in trace.children:
+                assert not _collect(child, "direct_sum")
+        assert roots >= 50
 
 
 @settings(max_examples=30, deadline=None)

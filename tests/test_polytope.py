@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 
 from corpus import (
+    acceptance_corpus,
     block_fns,
+    flat_corpus,
     ground,
     k3,
     part11,
     random_table,
+    sample_target,
     tiny_instances,
     u12,
     u23,
@@ -208,6 +211,22 @@ class TestMinimalFace:
         for a in family:
             for b in family:
                 assert (a | b) in family and (a & b) in family
+
+
+class TestBlocksAreFullDimensional:
+    """A block of a maximal tight chain has no proper tight set of its own:
+    with one, U, the set A_{i-1} | U would be tight for the face and lie
+    strictly between two sets of the chain.  ``decompose`` relies on this
+    to factor only at the root."""
+
+    def test_blocks_of_faces_do_not_factor(self):
+        rng = random.Random(47)
+        for name, f in acceptance_corpus() + flat_corpus():
+            k = rng.randint(1, 6)
+            x = sample_target(f, k, rng)
+            for fs in (face_structure(f), minimal_face_of_point(f, x, k)):
+                for block_fn in block_fns(f, fs):
+                    assert face_structure(block_fn).t == 1, (name, x, k)
 
 
 def hrep_vertices(f):
