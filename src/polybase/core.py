@@ -155,6 +155,8 @@ class GroundSet(Frozen):
         names = sorted(self.elements)
         keys = [""]
         for name in names:
+            if not name or "," in name:
+                raise UsageError(f"table keys cannot spell element {name!r}: empty or holds ','")
             keys += [name] + [f"{key},{name}" for key in keys[1:]]
         rank = {name: r for r, name in enumerate(names)}
         return list(itemgetter(*subset_sums([1 << rank[e] for e in self.elements]))(keys))
@@ -164,13 +166,20 @@ class GroundSet(Frozen):
         return range(1 << self.n)
 
 
+def _check_int(value, what: str, low: int | None = None) -> int:
+    """value if it is an int, not a bool, and not below ``low``; else UsageError."""
+    if not isinstance(value, int) or isinstance(value, bool) or low is not None and value < low:
+        raise UsageError(f"{what}, got {value!r}")
+    return value
+
+
 def _check_int_vector(a, n: int, what: str) -> tuple[int, ...]:
     a = tuple(a)
     if len(a) != n:
-        raise UsageError(f"{what} has length {len(a)}, ground set has {n}")
+        raise UsageError(f"{what} has length {len(a)}, expected {n}")
+    entries = f"{what} must have integer entries"
     for v in a:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise UsageError(f"{what} must have integer entries, got {v!r}")
+        _check_int(v, entries)
     return a
 
 
@@ -273,14 +282,7 @@ class TableFn(SubmodularFn):
     """Explicit table of all 2^n values."""
 
     def __init__(self, ground: GroundSet, values):
-        values = tuple(values)
-        if len(values) != 1 << ground.n:
-            raise UsageError(
-                f"table has {len(values)} entries, expected {1 << ground.n}"
-            )
-        for v in values:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise UsageError(f"table values must be integers, got {v!r}")
+        values = _check_int_vector(values, 1 << ground.n, "table")
         if values[0] != 0:
             raise UsageError(f"table value on the empty set must be 0, got {values[0]}")
         super().__init__(ground, values)
@@ -293,8 +295,7 @@ class UniformRank(SubmodularFn):
     """Rank function of the uniform matroid: min(|U|, r)."""
 
     def __init__(self, ground: GroundSet, rank: int):
-        if not isinstance(rank, int) or rank < 0:
-            raise UsageError(f"uniform rank must be a nonnegative integer, got {rank!r}")
+        _check_int(rank, "uniform rank must be a nonnegative integer", 0)
         super().__init__(ground, [min(m.bit_count(), rank) for m in ground.subsets()])
         self.rank = rank
 
@@ -318,8 +319,7 @@ class PartitionRank(SubmodularFn):
         if seen != ground.full_mask:
             raise UsageError("partition blocks do not cover the ground set")
         for c in caps:
-            if not isinstance(c, int) or c < 0:
-                raise UsageError(f"partition caps must be nonnegative integers, got {c!r}")
+            _check_int(c, "partition caps must be nonnegative integers", 0)
         values = [0] * (1 << ground.n)
         for b, c in zip(blocks, caps):
             values = [v + min((m & b).bit_count(), c) for m, v in enumerate(values)]
@@ -348,11 +348,10 @@ class GraphicRank(SubmodularFn):
             raise UsageError(
                 f"got {len(edges)} edges for a ground set of {ground.n} elements"
             )
-        if vertices < 1:
-            raise UsageError("graphic matroid needs at least one vertex")
+        _check_int(vertices, "graphic vertex count must be a positive integer", 1)
         for u, v in edges:
-            if not all(isinstance(p, int) and not isinstance(p, bool) for p in (u, v)):
-                raise UsageError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
+            _check_int(u, "edge endpoints must be integers")
+            _check_int(v, "edge endpoints must be integers")
             if not (0 <= u < vertices and 0 <= v < vertices):
                 raise UsageError(f"edge ({u},{v}) outside vertex range 0..{vertices - 1}")
         super().__init__(ground, _forest_sizes(ground.n, edges))
@@ -462,8 +461,7 @@ class ReduceAtFn(ReduceFn):
     """f | (e0, c): cap coordinate e0 at c, all others at f({e})."""
 
     def __init__(self, inner: SubmodularFn, element: str, cap: int):
-        if not isinstance(cap, int) or isinstance(cap, bool):
-            raise UsageError(f"cap must be an integer, got {cap!r}")
+        _check_int(cap, "cap must be an integer")
         pos = inner.ground.index(element)
         a = [inner.values[1 << i] for i in range(inner.ground.n)]
         a[pos] = cap
@@ -484,8 +482,7 @@ class ScaleFn(SubmodularFn):
     """(r f)(U) = r * f(U) for a positive integer r."""
 
     def __init__(self, r: int, inner: SubmodularFn):
-        if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-            raise UsageError(f"scale factor must be a positive integer, got {r!r}")
+        _check_int(r, "scale factor must be a positive integer", 1)
         super().__init__(inner.ground, map(mul, inner.values, repeat(r)), inner.submodular)
         self.r = r
         self.inner = inner
@@ -510,9 +507,7 @@ class BlockRestrictFn(SubmodularFn):
         if a_prev & ~full or block & ~full:
             raise UsageError("block restriction masks out of range")
         positions = tuple(bits(block))
-        # a subset of a validated ground needs no re-validation
-        ground = object.__new__(GroundSet)
-        ground._freeze(tuple(inner.ground.elements[i] for i in positions))
+        ground = GroundSet(inner.ground.elements[i] for i in positions)
         # the parent mask of a block mask is a_prev plus its elements' bits
         parent_masks = map(add, subset_sums([1 << p for p in positions]), repeat(a_prev))
         values = itemgetter(*parent_masks)(inner.values)

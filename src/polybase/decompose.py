@@ -19,7 +19,8 @@ Three constructive pieces:
   recursion below the root sees only full-dimensional blocks.  It tracks
   the measure dim + |E|, which strictly drops along every edge:
 
-    - one element: the polytope is a point;
+    - one element: the polytope is a point, its level read from the
+      parent's table (or from f's own when |E| = 1);
     - otherwise fix the first element e and divide w(e) = k q + r.  When
       r = 0, w lies on the proper face x(e) = q of the polytope capped at
       q, which factors into full-dimensional blocks.  When r > 0, cap f at
@@ -40,6 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .core import Frozen, SubmodularFn, bits, is_submodular, vector_sum
+from .core import _check_int, _check_int_vector
 from .errors import InvariantViolation, UsageError
 from .lp import assert_integral, build_intersection_system, find_vertex
 from .polytope import (
@@ -80,8 +82,7 @@ class WeightedDecomposition(Frozen):
         if not merged:
             raise UsageError("a decomposition needs at least one term")
         for wt, point in merged:
-            if not isinstance(wt, int) or wt <= 0:
-                raise UsageError(f"term weight must be a positive integer, got {wt!r}")
+            _check_int(wt, "term weight must be a positive integer", 1)
             if len(point) != len(target):
                 raise UsageError("term length does not match the target")
         if sum(wt for wt, _ in merged) != multiplicity:
@@ -286,26 +287,23 @@ def decompose(f: SubmodularFn, w, k: int):
     """
     w = tuple(w)
     _require_membership(f, w, k)
-    fs = face_structure(f)
-    if fs.t == 1:
+    if f.ground.n == 1:
+        terms, trace = _leaf(f, 0, 1, w, k, None)
+    elif (fs := face_structure(f)).t == 1:
         terms, trace = _decompose_rec(f, w, k, None)
-        return WeightedDecomposition.from_terms(terms, w, k), trace
-    terms, children = _recurse_blocks(f, fs, w, k, fs.dim + f.ground.n)
-    trace = DecompositionTrace(
-        case="direct_sum", ground=f.ground.elements, w=w, k=k,
-        chain=fs.chain, children=children, dim=fs.dim,
-    )
-    return WeightedDecomposition.from_terms(_bounded(terms, fs.dim), w, k), trace
+    else:
+        terms, children = _recurse_blocks(f, fs, w, k, fs.dim + f.ground.n)
+        trace = DecompositionTrace(
+            case="direct_sum", ground=f.ground.elements, w=w, k=k,
+            chain=fs.chain, children=children, dim=fs.dim,
+        )
+        terms = _bounded(terms, fs.dim)
+    return WeightedDecomposition.from_terms(terms, w, k), trace
 
 
 def _require_membership(f: SubmodularFn, x, k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise UsageError(f"multiplicity must be a positive integer, got {k!r}")
-    if len(x) != f.ground.n:
-        raise UsageError(f"vector length {len(x)} != ground size {f.ground.n}")
-    for v in x:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise UsageError(f"vector entries must be integers, got {v!r}")
+    _check_int(k, "multiplicity must be a positive integer", 1)
+    _check_int_vector(x, f.ground.n, "vector")
     require_submodular(f)
     full = f.ground.full_mask
     if vector_sum(x, full) != k * f(full):
@@ -331,19 +329,21 @@ def require_submodular(f: SubmodularFn) -> None:
         )
 
 
+def _leaf(f: SubmodularFn, prev: int, block: int, w, k: int, parent_measure):
+    """The one-element block after ``prev`` of k B_f: the point k times its level."""
+    value = f.values[prev | block] - f.values[prev]
+    _check(w[0] == k * value, "leaf target is not k times the level")
+    _check_measure(1, parent_measure)
+    trace = DecompositionTrace(case="leaf", ground=f.ground.names_of(block), w=w, k=k, dim=0)
+    return [(k, (value,))], trace
+
+
 def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     ground = f.ground
     n = ground.n
     full = ground.full_mask
 
-    if n == 1:
-        value = f(full)
-        _check(w[0] == k * value, "leaf target is not k times the level")
-        _check_measure(1, parent_measure)
-        trace = DecompositionTrace(case="leaf", ground=ground.elements, w=w, k=k, dim=0)
-        return [(k, (value,))], trace
-
-    # f is full-dimensional (see the module docstring): fix the first element
+    # f is full-dimensional and n >= 2 (see the module docstring): fix the first element
     dim = n - 1
     measure = dim + n
     _check_measure(measure, parent_measure)
@@ -444,15 +444,19 @@ def _decompose_point_face(f_base: SubmodularFn, x, mult: int, parent_measure):
 def _recurse_blocks(f_base: SubmodularFn, face: FaceStructure, w, k: int, measure):
     """Recurse into the face's blocks and interleave the results.
 
-    Block functions are restrictions of the unscaled f_base so that each
+    A one-element block is a leaf whose level is read from f_base's table.
+    Larger blocks are restrictions of the unscaled f_base so that each
     block decomposes at the original multiplicity k.
     """
     parts: list[Terms] = []
     children = []
-    for i in range(face.t):
-        block_fn = f_base.block_restrict(face.chain[i], face.blocks[i])
+    for i, (prev, block) in enumerate(zip(face.chain, face.blocks)):
         block_w = face.restrict_vector(w, i)
-        block_terms, child = _decompose_rec(block_fn, block_w, k, measure)
+        if len(block_w) == 1:
+            block_terms, child = _leaf(f_base, prev, block, block_w, k, measure)
+        else:
+            block_fn = f_base.block_restrict(prev, block)
+            block_terms, child = _decompose_rec(block_fn, block_w, k, measure)
         parts.append(block_terms)
         children.append(child)
     combined = [

@@ -88,6 +88,11 @@ class TestCheck:
         path.write_text("{not json")
         assert main(["check", str(path)]) == 2
 
+    def test_unspellable_table_key_exits_two(self, write, capsys):
+        doc = {"ground": ["a", "b", "a,b"], "f": {"type": "table", "values": {"a": 1}}}
+        assert main(["check", write(doc)]) == 2
+        assert "cannot spell element 'a,b'" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_certificate_shape(self, write, capsys):

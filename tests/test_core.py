@@ -213,6 +213,16 @@ class TestConstructions:
         with pytest.raises(UsageError, match="integers"):
             GraphicRank(ground(2), 2, [(0, 1), (0, 1.7)])
 
+    @pytest.mark.parametrize("build", [
+        lambda g: UniformRank(g, True),
+        lambda g: PartitionRank(g, [g.full_mask], [True]),
+        lambda g: GraphicRank(g, "3", [(0, 1), (1, 2)]),
+        lambda g: GraphicRank(g, 3.0, [(0, 1), (1, 2)]),
+    ], ids=["uniform-bool", "partition-bool", "graphic-str", "graphic-float"])
+    def test_integer_parameters_refuse_bools_strings_and_floats(self, build):
+        with pytest.raises(UsageError, match="integer"):
+            build(ground(2))
+
 
 class TestGroundSet:
     def test_duplicate_names_rejected(self):
@@ -244,6 +254,13 @@ class TestGroundSet:
             names = [f"{c}{rng.randint(0, 99)}" for c in "kcjafhbgdi"[:n]]
             g = GroundSet(names)
             assert g.table_keys() == [",".join(sorted(g.names_of(m))) for m in g.subsets()]
+
+    @pytest.mark.parametrize("names", [["a", "b", "a,b"], ["a", ""]])
+    def test_table_keys_refuse_names_they_cannot_spell(self, names):
+        # "a,b" would spell {a, b} twice and "" the empty set twice
+        g = GroundSet(names)
+        with pytest.raises(UsageError, match=f"cannot spell element {names[-1]!r}"):
+            materialize(UniformRank(g, 2)).to_node_dict()
 
     def test_frozen_value_semantics(self):
         from polybase import PointSet

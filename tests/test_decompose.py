@@ -37,7 +37,7 @@ from polybase import (
     split_into_k_bases,
     verify,
 )
-from polybase.core import ScaleFn
+from polybase.core import BlockRestrictFn, ScaleFn
 
 
 def brute_splits(f, x, k):
@@ -390,6 +390,46 @@ class TestFactorOnce:
             for child in trace.children:
                 assert not _collect(child, "direct_sum")
         assert roots >= 50
+
+
+class TestLeaves:
+    """A one-element block is a leaf whose level is read from its parent's
+    table, so block functions are built only for blocks of two or more."""
+
+    @pytest.fixture
+    def block_builds(self, monkeypatch):
+        built = []
+        init = BlockRestrictFn.__init__
+
+        def counted(node, inner, a_prev, block):
+            built.append(block)
+            init(node, inner, a_prev, block)
+
+        monkeypatch.setattr(BlockRestrictFn, "__init__", counted)
+        return built
+
+    def test_point_faces_build_no_block_function(self, block_builds):
+        # w = k b at a vertex b: every block of the face below the root is
+        # one element; a one-element ground is a leaf at the root
+        f = random_table(ground(6), random.Random(8))
+        for k in (1, 3):
+            w = tuple(k * v for v in greedy_vertex(f, (5, 2, 0, 4, 1, 3)))
+            dec, trace = decompose(f, w, k)
+            assert len(_collect(trace, "leaf")) == 6 and replay(trace) == dec
+        dec, trace = decompose(UniformRank(ground(1), 1), (3,), 3)
+        assert trace.case == "leaf" and dec.terms == ((3, (1,)),)
+        assert block_builds == []
+
+    def test_block_functions_only_for_larger_blocks(self, block_builds):
+        rng = random.Random(62)
+        leaves = 0
+        for _, f in tiny_instances() + flat_corpus():
+            k = rng.randint(1, 6)
+            dec, trace = decompose(f, sample_target(f, k, rng), k)
+            assert replay(trace) == dec
+            leaves += len(_collect(trace, "leaf"))
+        assert block_builds and all(block.bit_count() >= 2 for block in block_builds)
+        assert leaves > len(block_builds)
 
 
 @settings(max_examples=30, deadline=None)

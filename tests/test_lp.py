@@ -288,14 +288,16 @@ def intersection_pairs(count, seed):
 
 
 class TestLexMaxOracle:
-    def test_kernel_matches_edmonds_intersection_oracle(self):
+    def test_kernel_matches_edmonds_intersection_oracle(self, monkeypatch):
         outcomes = {}
-        for kind, f, g in intersection_pairs(320, 8128):
+        engine = [("engine", f, g) for f, g in engine_pairs(monkeypatch, 9091)]
+        assert {f.ground.n for _, f, _ in engine} == set(range(2, 9))
+        for kind, f, g in itertools.chain(intersection_pairs(320, 8128), engine):
             expected = edmonds_lex_max(f, g)
             got = find_vertex(build_intersection_system(f, g))
             assert got == expected, (kind, f.values, g.values)
             outcomes.setdefault(kind, set()).add(expected is None)
-        assert outcomes["split"] == {False}
+        assert outcomes["split"] == outcomes["engine"] == {False}
         assert outcomes["level"] == outcomes["cut"] == {True}
         assert outcomes["tables"] == outcomes["matroids"] == {False, True}
 
@@ -313,19 +315,19 @@ class TestLexMaxOracle:
             assert find_vertex(system) == brute_lex_max_vertex(system)
 
 
-def engine_systems(monkeypatch, seed):
-    """The systems decompose and split_into_k_bases build on corpus instances.
+def engine_pairs(monkeypatch, seed):
+    """The (f, g) pairs decompose and split_into_k_bases build LP systems of.
 
     Every fifth acceptance-corpus instance (n = 2..8), one decomposition and
     one split each at a seeded k in 2..6.
     """
     engine = sys.modules["polybase.decompose"]
     build = engine.build_intersection_system
-    systems = []
+    pairs = []
 
     def recording(f, g):
-        systems.append(build(f, g))
-        return systems[-1]
+        pairs.append((f, g))
+        return build(f, g)
 
     rng = random.Random(seed)
     with monkeypatch.context() as patch:
@@ -334,7 +336,7 @@ def engine_systems(monkeypatch, seed):
             k = rng.randint(2, 6)
             decompose(f, sample_target(f, k, rng), k)
             split_into_k_bases(f, sample_target(f, k, rng), k)
-    return systems
+    return pairs
 
 
 class TestReferenceKernel:
@@ -343,7 +345,7 @@ class TestReferenceKernel:
         # through the module global, as the benchmark's tracer counts them)
         # and same pivots as the Fraction simplex it replaced
         systems = [build_intersection_system(f, g) for _, f, g in intersection_pairs(160, 4242)]
-        systems += engine_systems(monkeypatch, 9091)
+        systems += [build_intersection_system(f, g) for f, g in engine_pairs(monkeypatch, 9091)]
         steps = {"int": 0, "ref": 0}
 
         def counted(key, fn):

@@ -39,6 +39,18 @@ def test_counter_targets_resolve():
     assert "__call__" in vars(core.SubmodularFn)
 
 
+def test_run_targets_resolve():
+    # every bench/run.py run, traced or not, reads these bindings
+    names = ("decompose", "instance", "cli", "lp")
+    modules = {name: sys.modules.get(f"polybase.{name}") for name in names}
+    assert None not in modules.values()
+    targets = [("instance", "parse_instance"), ("decompose", "decompose"), ("decompose", "verify"),
+               ("decompose", "split_into_k_bases"), ("cli", "main")]
+    for mod, attr in targets:
+        assert callable(vars(modules[mod]).get(attr)), (mod, attr)
+    assert "nonintegral_vertices" in modules["lp"].stats
+
+
 def test_tracer_installs_and_restores():
     before = core.SubmodularFn.__call__
     with _tracing().Tracer() as tracer:
