@@ -78,13 +78,13 @@ class WeightedDecomposition(Frozen):
     @classmethod
     def from_terms(cls, terms, target, multiplicity: int) -> "WeightedDecomposition":
         target = tuple(target)
+        _check_int_vector(target, len(target), "target")
         merged = _normalize_terms(terms)
         if not merged:
             raise UsageError("a decomposition needs at least one term")
         for wt, point in merged:
             _check_int(wt, "term weight must be a positive integer", 1)
-            if len(point) != len(target):
-                raise UsageError("term length does not match the target")
+            _check_int_vector(point, len(target), "term point")
         if sum(wt for wt, _ in merged) != multiplicity:
             raise UsageError("term weights do not sum to the multiplicity")
         for i in range(len(target)):
@@ -292,12 +292,7 @@ def decompose(f: SubmodularFn, w, k: int):
     elif (fs := face_structure(f)).t == 1:
         terms, trace = _decompose_rec(f, w, k, None)
     else:
-        terms, children = _recurse_blocks(f, fs, w, k, fs.dim + f.ground.n)
-        trace = DecompositionTrace(
-            case="direct_sum", ground=f.ground.elements, w=w, k=k,
-            chain=fs.chain, children=children, dim=fs.dim,
-        )
-        terms = _bounded(terms, fs.dim)
+        terms, trace = _chain_node("direct_sum", f, fs, w, k, fs.dim + f.ground.n, fs.dim)
     return WeightedDecomposition.from_terms(terms, w, k), trace
 
 
@@ -355,23 +350,11 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
         capped = f.reduce_at(e_name, q)
         _check(capped(full) == f(full), "cap at q changed the level")
         _check(k * capped(1) == w[0], "x(e) = q is not tight for w under the cap")
-        face, terms, children = _face_step(
-            capped, w, k, measure, lambda face: face.chain[1] == 1,
-            "fixed element does not start the tight chain",
+        face = _face_of(capped, w, k)
+        _check(face.chain[1] == 1, "fixed element does not start the tight chain")
+        return _chain_node(
+            "face_drop", capped, face, w, k, measure, dim, e=e_name, q=q, fn_reduced=capped
         )
-        trace = DecompositionTrace(
-            case="face_drop",
-            ground=ground.elements,
-            w=w,
-            k=k,
-            e=e_name,
-            q=q,
-            fn_reduced=capped,
-            chain=face.chain,
-            children=children,
-            dim=dim,
-        )
-        return _bounded(terms, dim), trace
 
     # r >= 1: split w across the caps at q+1 and q
     upper = f.reduce_at(e_name, q + 1)
@@ -387,8 +370,12 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     _check(x1[0] == r * (q + 1), "x'(e) != r (q+1)")
     _check(x2[0] == (k - r) * q, "x''(e) != (k-r) q")
 
-    left_terms, left_trace = _decompose_point_face(upper, x1, r, measure)
-    right_terms, right_trace = _decompose_point_face(lower, x2, k - r, measure)
+    sides = []
+    for f_side, x, mult in ((upper, x1, r), (lower, x2, k - r)):
+        face = _face_of(f_side, x, mult)
+        _check(face.t >= 2, "point face did not factor")
+        sides.append(_chain_node("point_face", f_side, face, x, mult, measure, face.dim))
+    (left_terms, left_trace), (right_terms, right_trace) = sides
     _check(left_trace.dim + right_trace.dim <= n - 2, "split faces are not complementary")
 
     trace = DecompositionTrace(
@@ -409,44 +396,25 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     return _bounded(_normalize_terms(left_terms + right_terms), dim), trace
 
 
-def _face_step(f_base: SubmodularFn, x, k: int, measure, splits, message: str):
-    """(face, terms, children) for x in the minimal face of k B_{f_base} holding it.
+def _face_of(f_base: SubmodularFn, x, k: int) -> FaceStructure:
+    """The minimal face of k B_{f_base} holding x, a point the engine derived.
 
-    ``splits(face)`` must hold (else InvariantViolation(message)), and so
-    must membership: a derived point outside k B_{f_base} is a defect.
+    Such a point outside k B_{f_base} is a defect, not a usage error.
     """
     try:
-        face = minimal_face_of_point(f_base, x, k)
+        return minimal_face_of_point(f_base, x, k)
     except UsageError as exc:
         raise InvariantViolation(f"derived point left its polytope: {exc}") from exc
-    _check(splits(face), message)
-    terms, children = _recurse_blocks(f_base, face, x, k, measure)
-    return face, terms, children
 
 
-def _decompose_point_face(f_base: SubmodularFn, x, mult: int, parent_measure):
-    """Decompose x inside the minimal face of B_{mult * f_base} holding it."""
-    face, terms, children = _face_step(
-        f_base, x, mult, parent_measure, lambda face: face.t >= 2, "point face did not factor"
-    )
-    trace = DecompositionTrace(
-        case="point_face",
-        ground=f_base.ground.elements,
-        w=tuple(x),
-        k=mult,
-        chain=face.chain,
-        children=children,
-        dim=face.dim,
-    )
-    return terms, trace
-
-
-def _recurse_blocks(f_base: SubmodularFn, face: FaceStructure, w, k: int, measure):
-    """Recurse into the face's blocks and interleave the results.
+def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int,
+                measure, dim: int, **fields):
+    """(terms, trace) for w in a face of k B_{f_base} factored along its chain.
 
     A one-element block is a leaf whose level is read from f_base's table.
     Larger blocks are restrictions of the unscaled f_base so that each
-    block decomposes at the original multiplicity k.
+    block decomposes at the original multiplicity k.  The interleaved
+    block terms must number at most ``dim`` + 1.
     """
     parts: list[Terms] = []
     children = []
@@ -459,10 +427,14 @@ def _recurse_blocks(f_base: SubmodularFn, face: FaceStructure, w, k: int, measur
             block_terms, child = _decompose_rec(block_fn, block_w, k, measure)
         parts.append(block_terms)
         children.append(child)
-    combined = [
-        (wt, face.scatter(combo)) for wt, combo in _interleave(parts, k)
-    ]
-    return _normalize_terms(combined), children
+    terms = _normalize_terms(
+        [(wt, face.scatter(combo)) for wt, combo in _interleave(parts, k)]
+    )
+    trace = DecompositionTrace(
+        case=case, ground=f_base.ground.elements, w=w, k=k,
+        chain=face.chain, children=children, dim=dim, **fields,
+    )
+    return _bounded(terms, dim), trace
 
 
 def _check(ok: bool, message: str) -> None:

@@ -3,9 +3,11 @@
 An instance document is ``{"ground": [names...], "f": <node>}`` plus an
 optional target ``"w"`` (integer array) and multiplicity ``"k"``.  Nodes
 are explicit tables, the three matroid rank families, or wrappers (dual,
-shift, reduce, reduce_at, scale) around an inner node.  Table keys are
-comma-joined alphabetically sorted element names; the empty-set key may
-be omitted (it is zero), every other subset key is required.
+shift, reduce, reduce_at, scale, block_restrict) around an inner node; a
+block_restrict node lives on its ``block``, which like ``a_prev`` names
+elements of the inner node's ground.  Table keys are comma-joined
+alphabetically sorted element names; the empty-set key may be omitted
+(it is zero), every other subset key is required.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ def _int_list(value, what: str) -> list[int]:
     return [_int(v, what) for v in value]
 
 
+def _names(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ParseError(f"{what} must be an array of element names")
+    return value
+
+
 def parse_fn(ground: GroundSet, node) -> SubmodularFn:
     if not isinstance(node, dict):
         raise ParseError(f"function node must be an object, got {type(node).__name__}")
@@ -98,6 +106,13 @@ def parse_fn(ground: GroundSet, node) -> SubmodularFn:
         if kind == "scale":
             r = _int(_need(node, "r", "scale"), "scale factor")
             return parse_fn(ground, _need(node, "inner", "scale")).scale(r)
+        if kind == "block_restrict":
+            inner = parse_fn(ground, _need(node, "inner", "block_restrict"))
+            a_prev, block = (
+                inner.ground.mask_of(_names(_need(node, key, "block_restrict"), key))
+                for key in ("a_prev", "block")
+            )
+            return inner.block_restrict(a_prev, block)
     except UsageError as exc:
         raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown function node type {kind!r}")
@@ -123,14 +138,13 @@ def _parse_table(ground: GroundSet, values) -> TableFn:
 def parse_instance(doc) -> InstanceFile:
     if not isinstance(doc, dict):
         raise ParseError("instance must be a JSON object")
-    names = _need(doc, "ground", "instance")
-    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
-        raise ParseError("ground must be an array of element names")
+    names = _names(_need(doc, "ground", "instance"), "ground")
     try:
         ground = GroundSet(tuple(names))
     except UsageError as exc:
         raise ParseError(str(exc)) from exc
     fn = parse_fn(ground, _need(doc, "f", "instance"))
+    ground = fn.ground
     w = None
     if "w" in doc:
         w = tuple(_int_list(doc["w"], "w"))

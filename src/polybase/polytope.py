@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import compress, count, repeat
 from operator import eq, gt, indexOf, le, mul
 
-from .core import Frozen, GroundSet, SubmodularFn, bits, subset_sums
+from .core import Frozen, GroundSet, SubmodularFn, _check_int_vector, bits, subset_sums
 from .errors import UsageError
 
 
@@ -169,8 +169,7 @@ def face_structure(f: SubmodularFn) -> FaceStructure:
 
 def dimension(f: SubmodularFn) -> int:
     """dim B_f = n - (length of a maximal tight chain)."""
-    chain = _maximal_chain(tight_sets(f), f.ground.full_mask)
-    return f.ground.n - (len(chain) - 1)
+    return face_structure(f).dim
 
 
 def point_tight_family(f: SubmodularFn, x) -> list[int]:
@@ -179,10 +178,7 @@ def point_tight_family(f: SubmodularFn, x) -> list[int]:
 
 
 def _subset_sums_of(f: SubmodularFn, x) -> list[int]:
-    x = tuple(x)
-    if len(x) != f.ground.n:
-        raise UsageError(f"vector length {len(x)} != ground size {f.ground.n}")
-    return subset_sums(x)
+    return subset_sums(_check_int_vector(x, f.ground.n, "vector"))
 
 
 def minimal_face_of_point(f: SubmodularFn, x, k: int = 1) -> FaceStructure:

@@ -163,6 +163,20 @@ class TestDecompose:
         assert "forced failure" in err
         assert "x({a}) <= 1" in err
 
+    def test_chain_step_violation_exits_three(self, write, capsys, monkeypatch):
+        from polybase import UsageError
+
+        engine = sys.modules["polybase.decompose"]
+
+        def outside(f, x, k=1):
+            raise UsageError("outside")
+
+        monkeypatch.setattr(engine, "minimal_face_of_point", outside)
+        code = main(["decompose", write(K3_DOC)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "internal error: derived point left its polytope: outside\n"
+
     def test_certificate_round_trip_verifies(self, write, capsys):
         from polybase import WeightedDecomposition, load_instance, verify
 
@@ -184,6 +198,8 @@ class TestExitCodes:
         {"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, "x"]]},
         {"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, 1.7]]},
         {"type": "partition", "blocks": ["ab"], "caps": [1]},
+        {"type": "block_restrict", "a_prev": ["a"], "block": ["a", "b"],
+         "inner": {"type": "uniform", "rank": 1}},
     ])
     def test_malformed_node_exits_two(self, write, capsys, f):
         doc = {"ground": ["a", "b"], "w": [1, 0], "k": 1, "f": f}

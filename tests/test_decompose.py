@@ -1,5 +1,6 @@
 """Unit tests for splitting, merging and the decomposition engine."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (
+    acceptance_corpus,
     flat_corpus,
     ground,
     k3,
@@ -37,7 +39,9 @@ from polybase import (
     split_into_k_bases,
     verify,
 )
+from polybase.cli import certificate_dict, to_json
 from polybase.core import BlockRestrictFn, ScaleFn
+from polybase.polytope import _structure_from_chain
 
 
 def brute_splits(f, x, k):
@@ -255,6 +259,13 @@ class TestVerify:
         assert not ok
         assert any("cardinality bound exceeded" in msg for msg in failures)
 
+    def test_non_integer_points_refused(self):
+        with pytest.raises(UsageError, match="integer entries"):
+            verify(
+                UniformRank(ground(2), 1),
+                WeightedDecomposition.from_terms([(2, (0.5, 0.5))], (1, 1), 2),
+            )
+
     def test_foreign_point_reported(self):
         # right level, but (2,0,0) violates x({a}) <= 1
         bad = WeightedDecomposition.from_terms([(2, (2, 0, 0))], (4, 0, 0), 2)
@@ -302,6 +313,27 @@ class TestTrace:
         assert node.e == "a"
         assert tuple(a + b for a, b in zip(node.x1, node.x2)) == node.w
         assert node.fn_left is not None and node.fn_right is not None
+
+    def test_trace_bytes_are_pinned(self):
+        # certificate plus --trace bytes over a fixed seeded set that
+        # reaches all five node cases; an engine refactor must keep them
+        rng = random.Random(1072)
+        digest = hashlib.sha256()
+        cases = set()
+        for _, f in acceptance_corpus()[::5] + flat_corpus()[::5]:
+            for _ in range(2):
+                k = rng.randint(1, 6)
+                w = sample_target(f, k, rng)
+                dec, trace = decompose(f, w, k)
+                digest.update(to_json(certificate_dict(w, k, dec, trace.dim, trace)).encode())
+                digest.update(b"\n")
+                cases.update(c for c in NODE_CASES if _collect(trace, c))
+        assert cases == set(NODE_CASES)
+        assert digest.hexdigest() == TRACE_DIGEST
+
+
+NODE_CASES = ("leaf", "direct_sum", "face_drop", "split", "point_face")
+TRACE_DIGEST = "b1e0b9bca057549afdfafaefb49e9a4ed8bff9ef765fd332761610ace43405e4"
 
 
 def _collect(trace, case):
@@ -430,6 +462,41 @@ class TestLeaves:
             leaves += len(_collect(trace, "leaf"))
         assert block_builds and all(block.bit_count() >= 2 for block in block_builds)
         assert leaves > len(block_builds)
+
+
+def _outside(f, x, k=1):
+    raise UsageError("outside")
+
+
+def _one_block(f, x, k=1):
+    return _structure_from_chain(f, (0, f.ground.full_mask))
+
+
+class TestChainStep:
+    """A face step re-checks what the theory promises: the derived point
+    lies in its polytope, and its face factors as the case requires."""
+
+    @pytest.mark.parametrize("face_of, message", [
+        (_outside, "derived point left its polytope: outside"),
+        (_one_block, "fixed element does not start the tight chain"),
+    ])
+    def test_face_drop(self, monkeypatch, face_of, message):
+        assert decompose(u12(), (2, 0), 2)[1].case == "face_drop"
+        monkeypatch.setattr(sys.modules["polybase.decompose"], "minimal_face_of_point", face_of)
+        with pytest.raises(InvariantViolation) as err:
+            decompose(u12(), (2, 0), 2)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("face_of, message", [
+        (_outside, "derived point left its polytope: outside"),
+        (_one_block, "point face did not factor"),
+    ])
+    def test_split(self, monkeypatch, face_of, message):
+        assert decompose(k3(), (2, 2, 2), 3)[1].case == "split"
+        monkeypatch.setattr(sys.modules["polybase.decompose"], "minimal_face_of_point", face_of)
+        with pytest.raises(InvariantViolation) as err:
+            decompose(k3(), (2, 2, 2), 3)
+        assert str(err.value) == message
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,9 +1,19 @@
 """Unit tests for the JSON instance format."""
 
+import json
+import random
+
 import pytest
 
-from corpus import ground, k3
-from polybase import ParseError, load_instance, materialize, parse_fn, parse_instance
+from corpus import flat_corpus, ground, k3, sample_target, tiny_instances
+from polybase import (
+    ParseError,
+    decompose,
+    load_instance,
+    materialize,
+    parse_fn,
+    parse_instance,
+)
 
 
 def table_doc():
@@ -138,6 +148,50 @@ class TestNodeKinds:
         doc = f.to_node_dict()
         again = parse_fn(ground(3), doc)
         assert all(again(m) == f(m) for m in range(8))
+
+    def test_block_restrict_lives_on_the_block(self):
+        inst = parse_instance({
+            "ground": ["a", "b", "c"],
+            "f": {"type": "block_restrict", "a_prev": ["a"], "block": ["b", "c"],
+                  "inner": {"type": "uniform", "rank": 2}},
+            "w": [1, 1],
+            "k": 2,
+        })
+        assert inst.ground.elements == ("b", "c")
+        assert inst.fn.values == (0, 1, 1, 1)
+
+    @pytest.mark.parametrize("a_prev, block", [("ab", ["c"]), (["a"], "c"), (["a", 1], ["c"])])
+    def test_block_restrict_masks_must_be_name_arrays(self, a_prev, block):
+        node = {"type": "block_restrict", "a_prev": a_prev, "block": block,
+                "inner": {"type": "uniform", "rank": 1}}
+        with pytest.raises(ParseError, match="element names"):
+            parse_fn(ground(3), node)
+
+    def test_trace_functions_round_trip(self):
+        # trace nodes below the root hold block restrictions of f; their
+        # dicts parse against the root ground
+        rng = random.Random(60)
+        restricted = 0
+        for _, f in tiny_instances() + flat_corpus():
+            k = rng.randint(1, 6)
+            _, trace = decompose(f, sample_target(f, k, rng), k)
+            for node in _nodes(trace):
+                for key in ("fn_left", "fn_right", "fn_reduced"):
+                    fn = getattr(node, key)
+                    if fn is None:
+                        continue
+                    doc = fn.to_node_dict()
+                    again = parse_fn(f.ground, doc)
+                    assert again.ground.elements == fn.ground.elements == node.ground
+                    assert again.values == fn.values
+                    restricted += '"block_restrict"' in json.dumps(doc)
+        assert restricted
+
+
+def _nodes(trace):
+    yield trace
+    for child in trace.children:
+        yield from _nodes(child)
 
 
 def test_deep_nesting_is_a_parse_error(tmp_path):

@@ -55,6 +55,11 @@ class TestMembership:
         assert in_base_polytope(k3(), (1, 1, 0))
         assert not in_base_polytope(k3(), (1, 1, 1))
 
+    @pytest.mark.parametrize("x", [(0.5, 0.5), (True, False)])
+    def test_non_integer_points_refused(self, x):
+        with pytest.raises(UsageError, match="integer entries"):
+            in_base_polytope(u12(), x)
+
 
 class TestBoundingBox:
     def test_uniform(self):
