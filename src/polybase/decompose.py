@@ -29,8 +29,8 @@ Three constructive pieces:
       faces; the vertex property makes the two face dimensions sum to at
       most |E| - 2, so the two branch counts total at most dim + 1.
 
-Membership in k B_f and the faces of k B_f read f's own table, so the only
-scaled nodes built are the split's two LP operands.
+Membership in k B_f and its faces read f's own table, and the vertex step
+reads plain value tables, so no scaled, dual or shifted node is built.
 
 Every run records a replayable trace, and ``verify`` re-checks a finished
 decomposition from scratch, independent of the trace.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import Frozen, SubmodularFn, bits, is_submodular, vector_sum
+from .core import Frozen, GroundSet, SubmodularFn, bits, is_submodular, subset_sums, vector_sum
 from .core import _check_int, _check_int_vector
 from .errors import InvariantViolation, UsageError
 from .lp import assert_integral, build_intersection_system, find_vertex
@@ -109,8 +109,10 @@ def _normalize_terms(terms) -> Terms:
 class DecompositionTrace:
     """One node of the recursion tree; replaying it rebuilds the result.
 
-    The function fields hold the node objects and ``chain`` holds the face's
-    tight-chain masks; ``to_dict`` serializes them, masks as name lists.
+    ``chain`` holds the face's tight-chain masks, printed as name lists.  A
+    ``face_drop``'s ``fn`` is f capped at q, printed as ``fn_reduced``; a
+    ``split``'s is f, printed as the vertex step's operands r (f capped at
+    q+1) and w - (k-r) B_{f capped at q} (``fn_left``, ``fn_right``).
     The node has at most ``dim`` + 1 distinct terms: ``dim`` is dim B_f in
     every case but ``point_face``, where it is the dimension of the minimal
     face holding the node's point.  ``to_dict`` leaves it out.
@@ -118,7 +120,7 @@ class DecompositionTrace:
 
     __slots__ = (
         "case", "ground", "w", "k", "children", "chain", "e", "q", "r",
-        "fn_left", "fn_right", "fn_reduced", "x1", "x2", "dim",
+        "fn", "x1", "x2", "dim",
     )
 
     def __init__(
@@ -132,9 +134,7 @@ class DecompositionTrace:
         e: str | None = None,
         q: int | None = None,
         r: int | None = None,
-        fn_left: SubmodularFn | None = None,
-        fn_right: SubmodularFn | None = None,
-        fn_reduced: SubmodularFn | None = None,
+        fn: SubmodularFn | None = None,
         x1: tuple[int, ...] | None = None,
         x2: tuple[int, ...] | None = None,
         dim: int | None = None,
@@ -148,9 +148,7 @@ class DecompositionTrace:
         self.e = e
         self.q = q
         self.r = r
-        self.fn_left = fn_left
-        self.fn_right = fn_right
-        self.fn_reduced = fn_reduced
+        self.fn = fn
         self.x1 = x1
         self.x2 = x2
         self.dim = dim
@@ -168,10 +166,12 @@ class DecompositionTrace:
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
-        for key in ("fn_left", "fn_right", "fn_reduced"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val.to_node_dict()
+        if self.case == "split":
+            upper, lower = (self.fn.reduce_at(self.e, c) for c in (self.q + 1, self.q))
+            out["fn_left"] = upper.scale(self.r).to_node_dict()
+            out["fn_right"] = lower.dual().scale(self.k - self.r).shift(self.w).to_node_dict()
+        elif self.fn is not None:
+            out["fn_reduced"] = self.fn.to_node_dict()
         if self.x1 is not None:
             out["x1"] = list(self.x1)
         if self.x2 is not None:
@@ -191,12 +191,10 @@ def split_into_k_bases(f: SubmodularFn, x, k: int) -> list[tuple[int, ...]]:
     _require_membership(f, x, k)
     result: list[tuple[int, ...]] = []
     cur = x
-    dual = f.dual()
     for j in range(k, 1, -1):
-        # cur - (j-1) B_f is the base polytope of cur + (j-1) f*
-        mirror = dual.scale(j - 1).shift(cur)
         point = _integer_vertex(
-            f, mirror, "empty intersection while splitting; decomposition theory violated"
+            f.ground, f.values, _mirror_values(cur, j - 1, f),
+            "empty intersection while splitting; decomposition theory violated",
         )
         result.append(point)
         cur = tuple(c - p for c, p in zip(cur, point))
@@ -206,9 +204,16 @@ def split_into_k_bases(f: SubmodularFn, x, k: int) -> list[tuple[int, ...]]:
     return result
 
 
-def _integer_vertex(f: SubmodularFn, g: SubmodularFn, empty: str) -> tuple[int, ...]:
-    """An integer vertex of B_f intersected with B_g; ``empty`` is the error if none."""
-    system = build_intersection_system(f, g)
+def _mirror_values(x, m: int, g: SubmodularFn) -> list[int]:
+    """The table whose base polytope is x - m B_g: U -> x(U) - m (g(E) - g(E - U))."""
+    top = g.values[-1]
+    # E - U = full - U, so g(E - U) runs through the table backwards
+    return [s - m * (top - v) for s, v in zip(subset_sums(x), reversed(g.values))]
+
+
+def _integer_vertex(ground: GroundSet, f_values, g_values, empty: str) -> tuple[int, ...]:
+    """An integer vertex of B_f intersected with B_g, read from their value tables."""
+    system = build_intersection_system(ground, f_values, g_values)
     vertex = find_vertex(system)
     if vertex is None:
         raise InvariantViolation(empty)
@@ -353,7 +358,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
         face = _face_of(capped, w, k)
         _check(face.chain[1] == 1, "fixed element does not start the tight chain")
         return _chain_node(
-            "face_drop", capped, face, w, k, measure, dim, e=e_name, q=q, fn_reduced=capped
+            "face_drop", capped, face, w, k, measure, dim, e=e_name, q=q, fn=capped
         )
 
     # r >= 1: split w across the caps at q+1 and q
@@ -361,10 +366,9 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     lower = f.reduce_at(e_name, q)
     _check(upper(full) == f(full), "cap at q+1 changed the level")
     _check(lower(full) == f(full), "cap at q changed the level")
-    fn_left = upper.scale(r)
-    fn_right = lower.dual().scale(k - r).shift(w)
     x1 = _integer_vertex(
-        fn_left, fn_right, "empty split intersection; decomposition theory violated"
+        ground, [r * v for v in upper.values], _mirror_values(w, k - r, lower),
+        "empty split intersection; decomposition theory violated",
     )
     x2 = tuple(wi - xi for wi, xi in zip(w, x1))
     _check(x1[0] == r * (q + 1), "x'(e) != r (q+1)")
@@ -379,19 +383,8 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     _check(left_trace.dim + right_trace.dim <= n - 2, "split faces are not complementary")
 
     trace = DecompositionTrace(
-        case="split",
-        ground=ground.elements,
-        w=w,
-        k=k,
-        e=e_name,
-        q=q,
-        r=r,
-        fn_left=fn_left,
-        fn_right=fn_right,
-        x1=x1,
-        x2=x2,
-        children=[left_trace, right_trace],
-        dim=dim,
+        case="split", ground=ground.elements, w=w, k=k, e=e_name, q=q, r=r, fn=f,
+        x1=x1, x2=x2, children=[left_trace, right_trace], dim=dim,
     )
     return _bounded(_normalize_terms(left_terms + right_terms), dim), trace
 

@@ -156,12 +156,13 @@ def parse_instance(doc) -> InstanceFile:
 
 def load_instance(path) -> InstanceFile:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                doc = json.load(handle)
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:  # also not UTF-8, or an integer past the digit limit
+            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
         return parse_instance(doc)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:
         raise ParseError(f"{path} nests too deeply to parse") from None

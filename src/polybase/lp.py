@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .core import Frozen, SubmodularFn, bits, subset_sums
+from .core import Frozen, GroundSet, bits, subset_sums
 from .errors import InvariantViolation, UsageError
 
 # Running tallies for integrality auditing; single-threaded use only.
@@ -71,19 +71,19 @@ class ConstraintSystem(Frozen):
         return len(self.names)
 
 
-def build_intersection_system(f: SubmodularFn, g: SubmodularFn) -> ConstraintSystem:
-    """Constraints of B_f intersected with B_g.
+def build_intersection_system(ground: GroundSet, f_values, g_values) -> ConstraintSystem:
+    """Constraints of B_f intersected with B_g, from the value tables of f and g.
 
     Emits x(U) <= f(U) and x(U) <= g(U) for every subset U, plus the two
     level equalities x(E) = f(E) and x(E) = g(E).  When f(E) != g(E) the
     equalities contradict and find_vertex reports Infeasible immediately.
     """
-    if f.ground != g.ground:
-        raise UsageError("intersection requires a common ground set")
-    full = f.ground.full_mask
-    ineqs = tuple(enumerate(f.values)) + tuple(enumerate(g.values))
-    eqs = ((full, f.values[full]), (full, g.values[full]))
-    return ConstraintSystem(names=f.ground.elements, ineqs=ineqs, eqs=eqs)
+    if not len(f_values) == len(g_values) == 1 << ground.n:
+        raise UsageError(f"intersection tables need {1 << ground.n} values on this ground")
+    full = ground.full_mask
+    ineqs = tuple(enumerate(f_values)) + tuple(enumerate(g_values))
+    eqs = ((full, f_values[full]), (full, g_values[full]))
+    return ConstraintSystem(names=ground.elements, ineqs=ineqs, eqs=eqs)
 
 
 def dump_system(system: ConstraintSystem) -> str:

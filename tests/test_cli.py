@@ -27,6 +27,14 @@ BAD_TABLE_DOC = {
     "f": {"type": "table", "values": {"a": 0, "b": 0, "a,b": 1}},
 }
 
+# files json cannot decode: bytes that are not UTF-8, and an integer
+# literal past the interpreter's 4300-digit limit
+UNDECODABLE_FILES = {
+    "latin1.json": '{"ground": ["\xe9"], "f": {"type": "uniform", "rank": 1}}'.encode("latin-1"),
+    "digits.json": b'{"ground": ["a"], "f": {"type": "uniform", "rank": 1}, "k": '
+    + b"1" * 5000 + b"}",
+}
+
 # directory-mode files: ok runs, input errors and, under --limit-n 3, a
 # parse error, so summary lines carry every status
 DIRECTORY_DOCS = {
@@ -84,9 +92,12 @@ class TestCheck:
         assert "matroid rank: no" in out
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert main(["check", str(path)]) == 2
+        files = {"broken.json": b"{not json", **UNDECODABLE_FILES}
+        for name, data in files.items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            assert main(["check", str(path)]) == 2, name
+            assert f"invalid JSON in {path}" in capsys.readouterr().err
 
     def test_unspellable_table_key_exits_two(self, write, capsys):
         doc = {"ground": ["a", "b", "a,b"], "f": {"type": "table", "values": {"a": 1}}}
@@ -302,6 +313,19 @@ class TestDirectoryMode:
         assert len(lines) == 2
         assert lines[0].endswith("dim B_f = 3") and "one.json" in lines[0]
         assert "exit 1" in lines[1]
+
+    def test_undecodable_files_exit_two_without_traceback(self, tmp_path, capsys):
+        (tmp_path / "good.json").write_text(json.dumps(K3_DOC))
+        for name, data in UNDECODABLE_FILES.items():
+            (tmp_path / name).write_bytes(data)
+        code = main(["decompose", str(tmp_path)])
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert code == 2 and len(lines) == 3
+        for path, line in zip(sorted(str(p) for p in tmp_path.glob("*.json")), lines):
+            status = "ok" if path.endswith("good.json") else "exit 2"
+            assert line.startswith(f"{path}: {status}")
+        assert "Traceback" not in captured.out + captured.err
 
     def test_parallel_jobs_match_serial(self, tmp_path, capsys):
         for i in range(3):

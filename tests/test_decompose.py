@@ -40,7 +40,8 @@ from polybase import (
     verify,
 )
 from polybase.cli import certificate_dict, to_json
-from polybase.core import BlockRestrictFn, ScaleFn
+from polybase.core import BlockRestrictFn, DualFn, ScaleFn, ShiftFn
+from polybase.instance import parse_fn
 from polybase.polytope import _structure_from_chain
 
 
@@ -305,14 +306,45 @@ class TestTrace:
         assert trace.chain == (0, 0b0011, 0b1111)
         assert trace.to_dict()["chain"] == [[], ["a", "b"], ["a", "b", "c", "d"]]
 
-    def test_split_node_records_parts(self):
-        _, trace = decompose(k3(), (2, 2, 2), 3)
-        split_nodes = _collect(trace, "split")
-        assert split_nodes, "expected at least one split in a forced 3-term run"
-        node = split_nodes[0]
-        assert node.e == "a"
-        assert tuple(a + b for a, b in zip(node.x1, node.x2)) == node.w
-        assert node.fn_left is not None and node.fn_right is not None
+    def test_trace_functions_parse_back_to_vertex_tables(self, monkeypatch):
+        # a split prints its two vertex-step operands and a face_drop the
+        # capped function it factors; parsed back against the root ground
+        # (nodes below the root print block restrictions of f), a split's
+        # pair is the two tables the vertex step read, in call order
+        engine = sys.modules["polybase.decompose"]
+        vertex = engine._integer_vertex
+        read = []
+
+        def recording(ground, f_values, g_values, empty):
+            read.append((tuple(f_values), tuple(g_values)))
+            return vertex(ground, f_values, g_values, empty)
+
+        monkeypatch.setattr(engine, "_integer_vertex", recording)
+        rng = random.Random(60)
+        runs = [(k3(), (2, 2, 2), 3)]
+        for _, f in tiny_instances() + flat_corpus():
+            k = rng.randint(1, 6)
+            runs.append((f, sample_target(f, k, rng), k))
+        seen = {"split": 0, "face_drop": 0, "block_restrict": 0}
+        for f, w, k in runs:
+            read.clear()
+            _, trace = decompose(f, w, k)
+            printed = []
+            for node, doc in _with_dicts(trace, trace.to_dict()):
+                if node.case not in ("split", "face_drop"):
+                    assert not {"fn_left", "fn_right", "fn_reduced"} & set(doc)
+                    continue
+                seen[node.case] += 1
+                seen["block_restrict"] += '"block_restrict"' in json.dumps(doc)
+                if node.case == "face_drop":
+                    assert _parse_on(f, doc["fn_reduced"], node) == node.fn.values
+                    continue
+                assert node.e == node.ground[0]
+                assert tuple(a + b for a, b in zip(node.x1, node.x2)) == node.w
+                operands = (doc["fn_left"], doc["fn_right"])
+                printed.append(tuple(_parse_on(f, fn, node) for fn in operands))
+            assert printed == read
+        assert all(seen.values()), seen
 
     def test_trace_bytes_are_pinned(self):
         # certificate plus --trace bytes over a fixed seeded set that
@@ -336,6 +368,20 @@ NODE_CASES = ("leaf", "direct_sum", "face_drop", "split", "point_face")
 TRACE_DIGEST = "b1e0b9bca057549afdfafaefb49e9a4ed8bff9ef765fd332761610ace43405e4"
 
 
+def _with_dicts(node, doc):
+    """(trace node, its printed dict) pairs in pre-order."""
+    yield node, doc
+    for child, child_doc in zip(node.children, doc.get("children", []), strict=True):
+        yield from _with_dicts(child, child_doc)
+
+
+def _parse_on(f, fn_doc, node):
+    """The value table of a printed trace function, parsed on f's ground."""
+    fn = parse_fn(f.ground, fn_doc)
+    assert fn.ground.elements == node.ground
+    return fn.values
+
+
 def _collect(trace, case):
     out = [trace] if trace.case == case else []
     for child in trace.children:
@@ -344,38 +390,43 @@ def _collect(trace, case):
 
 
 class TestScaledNodes:
-    """Membership and faces of k B_f read f's own table, so the only scaled
-    nodes ``decompose`` builds are each split's two LP operands: fn_left
-    and the scale inside fn_right."""
+    """Membership and faces of k B_f read f's own table, and the vertex step
+    reads two value tables, so neither ``decompose`` nor ``split_into_k_bases``
+    builds a scaled, dual or shifted node."""
 
     @pytest.fixture
-    def scale_builds(self, monkeypatch):
+    def mirror_builds(self, monkeypatch):
         built = []
-        init = ScaleFn.__init__
+        for cls in (ScaleFn, DualFn, ShiftFn):
 
-        def counted(node, r, inner):
-            built.append(r)
-            init(node, r, inner)
+            def counted(node, *args, _init=cls.__init__):
+                built.append(type(node).__name__)
+                _init(node, *args)
 
-        monkeypatch.setattr(ScaleFn, "__init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         return built
 
-    def test_face_drop_builds_no_scaled_node(self, scale_builds):
+    def test_face_drop_builds_no_scaled_node(self, mirror_builds):
         f = random_table(ground(6), random.Random(8))
         for k in (2, 4):
             w = tuple(k * v for v in greedy_vertex(f, (5, 2, 0, 4, 1, 3)))
             _, trace = decompose(f, w, k)
             assert trace.case == "face_drop"
-        assert scale_builds == []
+        assert mirror_builds == []
 
-    def test_split_builds_two_scaled_nodes_per_split(self, scale_builds):
+    def test_split_builds_no_scaled_node(self, mirror_builds):
         f = random_table(ground(5), random.Random(21))
         for k, w in ((3, (1, 2, 1, -3, -1)), (4, (2, 0, 0, -4, 2))):
-            scale_builds.clear()
             _, trace = decompose(f, w, k)
-            splits = _collect(trace, "split")
-            assert splits and _collect(trace, "face_drop")
-            assert len(scale_builds) == 2 * len(splits)
+            assert _collect(trace, "split") and _collect(trace, "face_drop")
+        assert mirror_builds == []
+
+    def test_split_into_k_bases_builds_no_scaled_node(self, mirror_builds):
+        f = random_table(ground(5), random.Random(21))
+        for k, w in ((3, (1, 2, 1, -3, -1)), (4, (2, 0, 0, -4, 2))):
+            assert len(split_into_k_bases(f, w, k)) == k
+        assert mirror_builds == []
+
 
 
 class TestFactorOnce:

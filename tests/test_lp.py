@@ -64,6 +64,11 @@ def affine_rank(points) -> int:
     return rank
 
 
+def intersection(f, g):
+    """The system of B_f intersected with B_g, built from the two value tables."""
+    return build_intersection_system(f.ground, f.values, g.values)
+
+
 def satisfies(system, x):
     n = system.n
     for m, b in system.ineqs:
@@ -78,36 +83,37 @@ def satisfies(system, x):
 class TestBuildSystem:
     def test_counts(self):
         f = u23()
-        system = build_intersection_system(f, f)
+        system = intersection(f, f)
         assert len(system.ineqs) == 2 * 8
         assert len(system.eqs) == 2
         assert system.names == ("a", "b", "c")
 
     def test_ground_mismatch(self):
-        with pytest.raises(UsageError):
-            build_intersection_system(u12(), u23())
+        # u12's table has 4 values, a ground of three elements needs 8
+        with pytest.raises(UsageError, match="need 8 values"):
+            build_intersection_system(u23().ground, u12().values, u23().values)
 
     def test_split_system_contains_the_average(self):
         # B_f meets x - (k-1) B_f whenever x lies in k B_f
         f = k3()
         x, k = (2, 2, 2), 3
         mirror = f.dual().scale(k - 1).shift(x)
-        system = build_intersection_system(f, mirror)
+        system = intersection(f, mirror)
         frac = tuple(Fraction(v, k) for v in x)
         assert satisfies(system, frac)
 
 
 class TestFindVertex:
     def test_lex_vertex_of_hypersimplex_section(self):
-        system = build_intersection_system(u23(), u23())
+        system = intersection(u23(), u23())
         assert find_vertex(system) == (1, 1, 0)
 
     def test_segment_prefers_first_coordinate(self):
-        system = build_intersection_system(u12(), u12())
+        system = intersection(u12(), u12())
         assert find_vertex(system) == (1, 0)
 
     def test_parallel_levels_infeasible(self):
-        system = build_intersection_system(u12(), u12().shift((5, 5)))
+        system = intersection(u12(), u12().shift((5, 5)))
         assert find_vertex(system) is None
 
     def test_returned_point_satisfies_all_constraints(self):
@@ -115,7 +121,7 @@ class TestFindVertex:
         for _, f in tiny_instances():
             x = tuple(2 * v for v in _greedy(f, rng))
             mirror = f.dual().shift(x)  # x - B_f
-            system = build_intersection_system(f, mirror)
+            system = intersection(f, mirror)
             v = find_vertex(system)
             assert v is not None
             assert satisfies(system, v)
@@ -124,7 +130,7 @@ class TestFindVertex:
         f = k3()
         x = (2, 2, 2)
         mirror = f.dual().scale(2).shift(x)
-        system = build_intersection_system(f, mirror)
+        system = intersection(f, mirror)
         v = find_vertex(system)
         n = system.n
         normals = []
@@ -139,14 +145,14 @@ class TestFindVertex:
     def test_determinism(self):
         f = k3()
         mirror = f.dual().scale(2).shift((2, 2, 2))
-        system = build_intersection_system(f, mirror)
+        system = intersection(f, mirror)
         assert find_vertex(system) == find_vertex(system)
 
     def test_infeasible_has_no_integer_points(self):
         # feasibility agreement with exhaustive box enumeration
         f = u23()
         g = u23().shift((2, 0, 0))  # levels 2 vs 4: parallel, disjoint
-        system = build_intersection_system(f, g)
+        system = intersection(f, g)
         assert find_vertex(system) is None
         pts_f = set(enumerate_base_points(f))
         pts_g = set(enumerate_base_points(g))
@@ -159,7 +165,7 @@ class TestFindVertex:
             v2 = _greedy(f, rng)
             x = tuple(a + b for a, b in zip(v1, v2))
             mirror = f.dual().shift(x)
-            system = build_intersection_system(f, mirror)
+            system = intersection(f, mirror)
             assert find_vertex(system) is not None
 
 
@@ -206,7 +212,7 @@ def _solve_or_none(rows, rhs):
     return tuple(aug[r][n] for r in range(n))
 
 
-def edmonds_lex_max(f, g):
+def edmonds_lex_max(f_values, g_values):
     """Oracle: lex-max point of B_f intersected with B_g, by Edmonds' theorem.
 
     The intersection is nonempty iff f(E) = g(E) and f(U) + g(E - U) >= f(E)
@@ -217,13 +223,13 @@ def edmonds_lex_max(f, g):
     the same for g, both on E - e.  Coordinates are fixed in ground order.
     No linear programming: the kernel-free reference for ``find_vertex``.
     """
-    fv, gv = list(f.values), list(g.values)
-    rest = f.ground.full_mask
+    fv, gv = list(f_values), list(g_values)
+    rest = len(fv) - 1
     level = fv[rest]
     if gv[rest] != level or any(fv[u] + gv[rest ^ u] < level for u in range(rest + 1)):
         return None
     point = []
-    for i in range(f.ground.n):
+    for i in range(rest.bit_length()):
         bit = 1 << i
         subsets = [u for u in range(rest + 1) if u & rest == u]
         c = min(fv[u] + gv[rest ^ u | bit] for u in subsets if u & bit) - fv[rest]
@@ -290,12 +296,14 @@ def intersection_pairs(count, seed):
 class TestLexMaxOracle:
     def test_kernel_matches_edmonds_intersection_oracle(self, monkeypatch):
         outcomes = {}
-        engine = [("engine", f, g) for f, g in engine_pairs(monkeypatch, 9091)]
-        assert {f.ground.n for _, f, _ in engine} == set(range(2, 9))
-        for kind, f, g in itertools.chain(intersection_pairs(320, 8128), engine):
-            expected = edmonds_lex_max(f, g)
-            got = find_vertex(build_intersection_system(f, g))
-            assert got == expected, (kind, f.values, g.values)
+        engine = [("engine", *tables) for tables in engine_pairs(monkeypatch, 9091)]
+        assert {ground.n for _, ground, _, _ in engine} == set(range(2, 9))
+        pairs = [(kind, f.ground, f.values, g.values)
+                 for kind, f, g in intersection_pairs(320, 8128)]
+        for kind, ground, f_values, g_values in pairs + engine:
+            expected = edmonds_lex_max(f_values, g_values)
+            got = find_vertex(build_intersection_system(ground, f_values, g_values))
+            assert got == expected, (kind, f_values, g_values)
             outcomes.setdefault(kind, set()).add(expected is None)
         assert outcomes["split"] == outcomes["engine"] == {False}
         assert outcomes["level"] == outcomes["cut"] == {True}
@@ -311,12 +319,13 @@ class TestLexMaxOracle:
             k = rng.randint(2, 4)
             x = sample_target(f, k, rng)
             mirror = f.dual().scale(k - 1).shift(x)
-            system = build_intersection_system(f, mirror)
+            system = intersection(f, mirror)
             assert find_vertex(system) == brute_lex_max_vertex(system)
 
 
 def engine_pairs(monkeypatch, seed):
-    """The (f, g) pairs decompose and split_into_k_bases build LP systems of.
+    """The (ground, f table, g table) triples decompose and split_into_k_bases
+    build LP systems of.
 
     Every fifth acceptance-corpus instance (n = 2..8), one decomposition and
     one split each at a seeded k in 2..6.
@@ -325,9 +334,9 @@ def engine_pairs(monkeypatch, seed):
     build = engine.build_intersection_system
     pairs = []
 
-    def recording(f, g):
-        pairs.append((f, g))
-        return build(f, g)
+    def recording(ground, f_values, g_values):
+        pairs.append((ground, f_values, g_values))
+        return build(ground, f_values, g_values)
 
     rng = random.Random(seed)
     with monkeypatch.context() as patch:
@@ -344,8 +353,8 @@ class TestReferenceKernel:
         # same vertex, same purification steps (calls to _null_direction
         # through the module global, as the benchmark's tracer counts them)
         # and same pivots as the Fraction simplex it replaced
-        systems = [build_intersection_system(f, g) for _, f, g in intersection_pairs(160, 4242)]
-        systems += [build_intersection_system(f, g) for f, g in engine_pairs(monkeypatch, 9091)]
+        systems = [intersection(f, g) for _, f, g in intersection_pairs(160, 4242)]
+        systems += [build_intersection_system(*t) for t in engine_pairs(monkeypatch, 9091)]
         steps = {"int": 0, "ref": 0}
 
         def counted(key, fn):
@@ -392,7 +401,7 @@ class TestAssertIntegral:
         assert assert_integral((Fraction(1), Fraction(1), Fraction(0))) == (1, 1, 0)
 
     def test_rejects_fractions_with_dump(self):
-        system = build_intersection_system(u12(), u12())
+        system = intersection(u12(), u12())
         with pytest.raises(InvariantViolation, match="coordinate 1/2") as err:
             assert_integral((Fraction(1, 2), Fraction(1, 2)), system)
         assert err.value.dump is not None
@@ -402,7 +411,7 @@ class TestAssertIntegral:
         for _, f in tiny_instances():
             x = tuple(3 * v for v in _greedy(f, rng))
             mirror = f.dual().scale(2).shift(x)
-            system = build_intersection_system(f, mirror)
+            system = intersection(f, mirror)
             v = find_vertex(system)
             assert v is not None
             point = assert_integral(v, system)
@@ -430,7 +439,7 @@ class TestAffineRank:
 
 class TestDump:
     def test_readable_lines(self):
-        system = build_intersection_system(u12(), u12())
+        system = intersection(u12(), u12())
         text = dump_system(system)
         assert "x({a}) <= 1" in text
         assert "x({a,b}) == 1" in text
@@ -438,7 +447,7 @@ class TestDump:
 class TestStats:
     def test_counters_move(self):
         lp.reset_stats()
-        system = build_intersection_system(u12(), u12())
+        system = intersection(u12(), u12())
         v = find_vertex(system)
         assert_integral(v, system)
         assert lp.stats["vertices_found"] == 1

@@ -79,15 +79,17 @@ def test_face_drop_run_records_polytope_spans():
 def test_vertex_steps_record_lp_spans():
     # the split case and split_into_k_bases share one vertex step; it must
     # call the LP under the names the tracer wraps, or the lp.* per-layer
-    # metrics would read 0 without failing anything else
+    # metrics would read 0 without failing anything else; a system holds
+    # both tables' 2^n rows plus the two level equalities
     f = random_table(ground(5), random.Random(21))
     engine = sys.modules["polybase.decompose"]
     runs = [
-        lambda: engine.decompose(f, (1, 2, 1, -3, -1), 3),
-        lambda: engine.split_into_k_bases(u23(), (2, 2, 2), 3),
+        (5, lambda: engine.decompose(f, (1, 2, 1, -3, -1), 3)),
+        (3, lambda: engine.split_into_k_bases(u23(), (2, 2, 2), 3)),
     ]
-    for run in runs:
+    for n, run in runs:
         with _tracing().Tracer() as tracer:
             run()
         calls = tracer.layer_totals()["calls"]
         assert calls["lp.build"] >= 1 and calls["lp.solve"] >= 1
+        assert tracer.counts["lp.rows"] == calls["lp.build"] * (2 * 2**n + 2)
