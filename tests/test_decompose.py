@@ -306,6 +306,16 @@ class TestTrace:
         assert trace.chain == (0, 0b0011, 0b1111)
         assert trace.to_dict()["chain"] == [[], ["a", "b"], ["a", "b", "c", "d"]]
 
+    def test_split_node_records_parts(self):
+        _, trace = decompose(k3(), (2, 2, 2), 3)
+        split_nodes = _collect(trace, "split")
+        assert split_nodes, "expected at least one split in a forced 3-term run"
+        node = split_nodes[0]
+        assert node.e == "a"
+        assert tuple(a + b for a, b in zip(node.x1, node.x2)) == node.w
+        doc = node.to_dict()
+        assert node.fn is not None and "fn_left" in doc and "fn_right" in doc
+
     def test_trace_functions_parse_back_to_vertex_tables(self, monkeypatch):
         # a split prints its two vertex-step operands and a face_drop the
         # capped function it factors; parsed back against the root ground

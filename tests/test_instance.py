@@ -1,12 +1,14 @@
 """Unit tests for the JSON instance format."""
 
 import json
+import random
 
 import pytest
 
-from corpus import ground, k3
+from corpus import flat_corpus, ground, k3, sample_target, tiny_instances
 from polybase import (
     ParseError,
+    decompose,
     load_instance,
     materialize,
     parse_fn,
@@ -164,6 +166,30 @@ class TestNodeKinds:
                 "inner": {"type": "uniform", "rank": 1}}
         with pytest.raises(ParseError, match="element names"):
             parse_fn(ground(3), node)
+
+    def test_trace_functions_round_trip(self):
+        # trace nodes below the root hold block restrictions of f; their
+        # dicts parse against the root ground
+        rng = random.Random(60)
+        restricted = 0
+        for _, f in tiny_instances() + flat_corpus():
+            k = rng.randint(1, 6)
+            _, trace = decompose(f, sample_target(f, k, rng), k)
+            for node in _nodes(trace):
+                if node.fn is None:
+                    continue
+                doc = node.fn.to_node_dict()
+                again = parse_fn(f.ground, doc)
+                assert again.ground.elements == node.fn.ground.elements == node.ground
+                assert again.values == node.fn.values
+                restricted += '"block_restrict"' in json.dumps(doc)
+        assert restricted
+
+
+def _nodes(trace):
+    yield trace
+    for child in trace.children:
+        yield from _nodes(child)
 
 
 def test_deep_nesting_is_a_parse_error(tmp_path):
