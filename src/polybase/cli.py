@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -100,8 +101,7 @@ def to_json(doc) -> str:
 # per-file commands
 # ---------------------------------------------------------------------------
 
-def cmd_check(args) -> int:
-    inst = load_instance(args.path)
+def cmd_check(args, inst) -> int:
     ok, pair = core.is_submodular(inst.fn)
     print(f"submodular: {'yes' if ok else 'no'}")
     if not ok:
@@ -117,8 +117,7 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_decompose(args) -> int:
-    inst = load_instance(args.path)
+def cmd_decompose(args, inst) -> int:
     w = _parse_w(args.w) if args.w is not None else inst.w
     k = args.k if args.k is not None else inst.k
     if w is None or k is None:
@@ -135,10 +134,9 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, inst) -> int:
     from . import oracle
 
-    inst = load_instance(args.path)
     require_submodular(inst.fn)
     bound = oracle.cr_exact(inst.fn, args.k_max)
     dim = dimension(inst.fn)
@@ -152,10 +150,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args, inst) -> int:
     from . import oracle
 
-    inst = load_instance(args.path)
     require_submodular(inst.fn)
     if args.vertices:
         points = oracle.enumerate_vertices(inst.fn)
@@ -173,9 +170,21 @@ _COMMANDS = {
 }
 
 
+# json refuses integer literals past the digit cap, but derived integers
+# such as k * f(E) may still pass it when a message or certificate prints them
+_get_digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
+
 def _run_single(args) -> int:
     try:
-        return _COMMANDS[args.verb](args)
+        inst = load_instance(args.path)
+        previous = _get_digit_cap()
+        _set_digit_cap(0)
+        try:
+            return _COMMANDS[args.verb](args, inst)
+        finally:
+            _set_digit_cap(previous)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -238,14 +247,19 @@ def _run_directory(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run = _run_directory if Path(args.path).is_dir() else _run_single
-    if args.limit_n is None:
-        return run(args)
     # the cap holds for this run only; the caller's override comes back after
-    previous = core.set_ground_limit(args.limit_n)
+    previous = core.set_ground_limit(args.limit_n) if args.limit_n is not None else None
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()  # so a closed stdout shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the recipe in the signal module's docs: later writes, the flush at exit too, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     finally:
-        core.set_ground_limit(previous)
+        if args.limit_n is not None:
+            core.set_ground_limit(previous)
 
 
 if __name__ == "__main__":

@@ -70,18 +70,28 @@ def bits(mask: int):
 class Frozen:
     """Immutable value object whose fields are the names in ``__slots__``.
 
-    ``__init__`` stores the fields once through ``_freeze``; assigning or
-    deleting one afterwards raises AttributeError.  Equality (same class,
-    equal fields), hashing and repr go by the fields in slot order, as for
-    a frozen dataclass.  ``dataclasses`` is avoided because its import,
-    which pulls in ``inspect`` and ``ast``, slows the start of every CLI
-    run.
+    ``__init__`` takes the fields in slot order, positionally or by name,
+    and raises TypeError for an unknown or missing one; assigning or
+    deleting a field afterwards raises AttributeError.  Equality (same
+    class, equal fields), hashing and repr go by the fields in slot order,
+    as for a frozen dataclass.  ``dataclasses`` is avoided because its
+    import, which pulls in ``inspect`` and ``ast``, slows the start of
+    every CLI run.
     """
 
     __slots__ = ()
 
-    def _freeze(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named:
+            rest = names[len(values):]
+            if named.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} fields are {names}, got "
+                                f"{len(values)} positional and {tuple(named)} by name")
+            values += tuple(map(named.__getitem__, rest))
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} fields are {names}, got {len(values)} values")
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
@@ -125,7 +135,7 @@ class GroundSet(Frozen):
         limit = ground_limit()
         if not 1 <= len(elements) <= limit:
             raise UsageError(f"ground set size {len(elements)} outside [1, {limit}]")
-        self._freeze(elements)
+        super().__init__(elements)
 
     @property
     def n(self) -> int:

@@ -67,14 +67,6 @@ class WeightedDecomposition(Frozen):
 
     __slots__ = ("terms", "target", "multiplicity")
 
-    def __init__(
-        self,
-        terms: tuple[tuple[int, tuple[int, ...]], ...],
-        target: tuple[int, ...],
-        multiplicity: int,
-    ):
-        self._freeze(terms, target, multiplicity)
-
     @classmethod
     def from_terms(cls, terms, target, multiplicity: int) -> "WeightedDecomposition":
         target = tuple(target)
@@ -90,7 +82,7 @@ class WeightedDecomposition(Frozen):
         for i in range(len(target)):
             if sum(wt * p[i] for wt, p in merged) != target[i]:
                 raise UsageError(f"terms do not sum to the target at coordinate {i}")
-        return cls(terms=tuple(merged), target=target, multiplicity=multiplicity)
+        return cls(tuple(merged), target, multiplicity)
 
     @property
     def distinct_count(self) -> int:
@@ -109,48 +101,32 @@ def _normalize_terms(terms) -> Terms:
 class DecompositionTrace:
     """One node of the recursion tree; replaying it rebuilds the result.
 
-    ``chain`` holds the face's tight-chain masks, printed as name lists.  A
-    ``face_drop``'s ``fn`` is f capped at q, printed as ``fn_reduced``; a
-    ``split``'s is f, printed as the vertex step's operands r (f capped at
-    q+1) and w - (k-r) B_{f capped at q} (``fn_left``, ``fn_right``).
-    The node has at most ``dim`` + 1 distinct terms: ``dim`` is dim B_f in
-    every case but ``point_face``, where it is the dimension of the minimal
-    face holding the node's point.  ``to_dict`` leaves it out.
+    ``chain`` holds the face's tight-chain masks, printed as name lists.
+    ``face_drop`` and ``split`` fix the first element e = ground[0] and
+    divide w(e) = k q + r; ``to_dict`` prints e, q and, for a split, r,
+    all read from ``ground``, ``w`` and ``k``.  A ``face_drop``'s ``fn`` is
+    f capped at q, printed as ``fn_reduced``; a ``split``'s is f, printed
+    as the vertex step's operands r (f capped at q+1) and
+    w - (k-r) B_{f capped at q} (``fn_left``, ``fn_right``).  A split's
+    parts x1 and x2 are its two children's ``w``.  The node has at most
+    ``dim`` + 1 distinct terms: ``dim`` is dim B_f in every case but
+    ``point_face``, where it is the dimension of the minimal face holding
+    the node's point.  ``to_dict`` leaves it out.
     """
 
-    __slots__ = (
-        "case", "ground", "w", "k", "children", "chain", "e", "q", "r",
-        "fn", "x1", "x2", "dim",
-    )
+    __slots__ = ("case", "ground", "w", "k", "children", "chain", "fn", "dim")
 
-    def __init__(
-        self,
-        case: str,
-        ground: tuple[str, ...],
-        w: tuple[int, ...],
-        k: int,
-        children: list[DecompositionTrace] | None = None,
-        chain: tuple[int, ...] | None = None,
-        e: str | None = None,
-        q: int | None = None,
-        r: int | None = None,
-        fn: SubmodularFn | None = None,
-        x1: tuple[int, ...] | None = None,
-        x2: tuple[int, ...] | None = None,
-        dim: int | None = None,
-    ):
+    def __init__(self, case: str, ground: tuple[str, ...], w: tuple[int, ...], k: int,
+                 children: list[DecompositionTrace] | None = None,
+                 chain: tuple[int, ...] | None = None, fn: SubmodularFn | None = None,
+                 dim: int | None = None):
         self.case = case
         self.ground = ground
         self.w = w
         self.k = k
         self.children = [] if children is None else children
         self.chain = chain
-        self.e = e
-        self.q = q
-        self.r = r
         self.fn = fn
-        self.x1 = x1
-        self.x2 = x2
         self.dim = dim
 
     def to_dict(self) -> dict:
@@ -162,20 +138,19 @@ class DecompositionTrace:
         }
         if self.chain is not None:
             out["chain"] = [[self.ground[i] for i in bits(m)] for m in self.chain]
-        for key in ("e", "q", "r"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        if self.case == "split":
-            upper, lower = (self.fn.reduce_at(self.e, c) for c in (self.q + 1, self.q))
-            out["fn_left"] = upper.scale(self.r).to_node_dict()
-            out["fn_right"] = lower.dual().scale(self.k - self.r).shift(self.w).to_node_dict()
-        elif self.fn is not None:
-            out["fn_reduced"] = self.fn.to_node_dict()
-        if self.x1 is not None:
-            out["x1"] = list(self.x1)
-        if self.x2 is not None:
-            out["x2"] = list(self.x2)
+        if self.case == "face_drop":
+            out.update(e=self.ground[0], q=self.w[0] // self.k, fn_reduced=self.fn.to_node_dict())
+        elif self.case == "split":
+            e = self.ground[0]
+            q, r = divmod(self.w[0], self.k)
+            upper, lower = (self.fn.reduce_at(e, c) for c in (q + 1, q))
+            left, right = self.children
+            out.update(
+                e=e, q=q, r=r,
+                fn_left=upper.scale(r).to_node_dict(),
+                fn_right=lower.dual().scale(self.k - r).shift(self.w).to_node_dict(),
+                x1=list(left.w), x2=list(right.w),
+            )
         if self.children:
             out["children"] = [c.to_dict() for c in self.children]
         return out
@@ -334,7 +309,7 @@ def _leaf(f: SubmodularFn, prev: int, block: int, w, k: int, parent_measure):
     value = f.values[prev | block] - f.values[prev]
     _check(w[0] == k * value, "leaf target is not k times the level")
     _check_measure(1, parent_measure)
-    trace = DecompositionTrace(case="leaf", ground=f.ground.names_of(block), w=w, k=k, dim=0)
+    trace = DecompositionTrace("leaf", f.ground.names_of(block), w, k, dim=0)
     return [(k, (value,))], trace
 
 
@@ -357,9 +332,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
         _check(k * capped(1) == w[0], "x(e) = q is not tight for w under the cap")
         face = _face_of(capped, w, k)
         _check(face.chain[1] == 1, "fixed element does not start the tight chain")
-        return _chain_node(
-            "face_drop", capped, face, w, k, measure, dim, e=e_name, q=q, fn=capped
-        )
+        return _chain_node("face_drop", capped, face, w, k, measure, dim, fn=capped)
 
     # r >= 1: split w across the caps at q+1 and q
     upper = f.reduce_at(e_name, q + 1)
@@ -382,10 +355,8 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     (left_terms, left_trace), (right_terms, right_trace) = sides
     _check(left_trace.dim + right_trace.dim <= n - 2, "split faces are not complementary")
 
-    trace = DecompositionTrace(
-        case="split", ground=ground.elements, w=w, k=k, e=e_name, q=q, r=r, fn=f,
-        x1=x1, x2=x2, children=[left_trace, right_trace], dim=dim,
-    )
+    trace = DecompositionTrace("split", ground.elements, w, k, [left_trace, right_trace],
+                               fn=f, dim=dim)
     return _bounded(_normalize_terms(left_terms + right_terms), dim), trace
 
 
@@ -401,7 +372,7 @@ def _face_of(f_base: SubmodularFn, x, k: int) -> FaceStructure:
 
 
 def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int,
-                measure, dim: int, **fields):
+                measure, dim: int, fn: SubmodularFn | None = None):
     """(terms, trace) for w in a face of k B_{f_base} factored along its chain.
 
     A one-element block is a leaf whose level is read from f_base's table.
@@ -423,10 +394,7 @@ def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int,
     terms = _normalize_terms(
         [(wt, face.scatter(combo)) for wt, combo in _interleave(parts, k)]
     )
-    trace = DecompositionTrace(
-        case=case, ground=f_base.ground.elements, w=w, k=k,
-        chain=face.chain, children=children, dim=dim, **fields,
-    )
+    trace = DecompositionTrace(case, f_base.ground.elements, w, k, children, face.chain, fn, dim)
     return _bounded(terms, dim), trace
 
 
@@ -508,12 +476,9 @@ def _replay_terms(node: DecompositionTrace) -> Terms:
         _check(len(node.children) == 2, "split node needs two children")
         left, right = node.children
         _check(
-            node.x1 is not None
-            and node.x2 is not None
-            and tuple(a + b for a, b in zip(node.x1, node.x2)) == node.w,
+            tuple(a + b for a, b in zip(left.w, right.w)) == node.w,
             "split parts do not sum to the target",
         )
-        _check(left.w == node.x1 and right.w == node.x2, "split children mismatch")
         _check(left.k + right.k == node.k, "split multiplicities mismatch")
         terms = _normalize_terms(_replay_terms(left) + _replay_terms(right))
         _total_check(terms, node)

@@ -27,16 +27,9 @@ from .errors import ParseError, UsageError
 
 
 class InstanceFile(Frozen):
-    __slots__ = ("ground", "fn", "w", "k")
+    """A parsed instance: its function and the optional target w and multiplicity k."""
 
-    def __init__(
-        self,
-        ground: GroundSet,
-        fn: SubmodularFn,
-        w: tuple[int, ...] | None,
-        k: int | None,
-    ):
-        self._freeze(ground, fn, w, k)
+    __slots__ = ("ground", "fn", "w", "k")
 
 
 def _need(node: dict, key: str, kind: str):
@@ -151,7 +144,7 @@ def parse_instance(doc) -> InstanceFile:
         if len(w) != ground.n:
             raise ParseError(f"w has length {len(w)}, ground set has {ground.n}")
     k = _int(doc["k"], "k") if "k" in doc else None
-    return InstanceFile(ground=ground, fn=fn, w=w, k=k)
+    return InstanceFile(ground, fn, w, k)
 
 
 def load_instance(path) -> InstanceFile:

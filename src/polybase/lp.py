@@ -58,14 +58,6 @@ class ConstraintSystem(Frozen):
 
     __slots__ = ("names", "ineqs", "eqs")
 
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        ineqs: tuple[tuple[int, int], ...],
-        eqs: tuple[tuple[int, int], ...],
-    ):
-        self._freeze(names, ineqs, eqs)
-
     @property
     def n(self) -> int:
         return len(self.names)
@@ -83,7 +75,7 @@ def build_intersection_system(ground: GroundSet, f_values, g_values) -> Constrai
     full = ground.full_mask
     ineqs = tuple(enumerate(f_values)) + tuple(enumerate(g_values))
     eqs = ((full, f_values[full]), (full, g_values[full]))
-    return ConstraintSystem(names=ground.elements, ineqs=ineqs, eqs=eqs)
+    return ConstraintSystem(ground.elements, ineqs, eqs)
 
 
 def dump_system(system: ConstraintSystem) -> str:

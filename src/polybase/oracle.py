@@ -26,9 +26,6 @@ class PointSet(Frozen):
 
     __slots__ = ("points", "provenance")
 
-    def __init__(self, points: tuple[tuple[int, ...], ...], provenance: str):
-        self._freeze(points, provenance)
-
     def __contains__(self, p) -> bool:
         return tuple(p) in set(self.points)
 
@@ -39,23 +36,21 @@ class PointSet(Frozen):
         return iter(self.points)
 
 
-def enumerate_base_points(f: SubmodularFn, budget: int = ENUM_BOX_BUDGET) -> PointSet:
+def enumerate_base_points(f: SubmodularFn) -> PointSet:
     """All integer points of B_f, by scanning the bounding box."""
     lower, upper = bounding_box(f)
     volume = 1
     for lo, hi in zip(lower, upper):
         volume *= max(0, hi - lo + 1)
-        if volume > budget:
-            raise BudgetExceeded(
-                f"bounding box volume exceeds budget {budget}"
-            )
+        if volume > ENUM_BOX_BUDGET:
+            raise BudgetExceeded(f"bounding box volume exceeds budget {ENUM_BOX_BUDGET}")
     pts = [
         p
         for p in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lower, upper)))
         if in_base_polytope(f, p)
     ]
     pts.sort()
-    return PointSet(points=tuple(pts), provenance="box-scan")
+    return PointSet(tuple(pts), "box-scan")
 
 
 def enumerate_vertices(f: SubmodularFn) -> PointSet:
@@ -66,7 +61,7 @@ def enumerate_vertices(f: SubmodularFn) -> PointSet:
             f"vertex enumeration needs n <= {VERTEX_ENUM_MAX_N}, got {n}"
         )
     seen = {greedy_vertex(f, order) for order in itertools.permutations(range(n))}
-    return PointSet(points=tuple(sorted(seen)), provenance="greedy-orders")
+    return PointSet(tuple(sorted(seen)), "greedy-orders")
 
 
 def _multiset_sweep(pts, k: int, n: int):
@@ -90,36 +85,28 @@ def _multiset_sweep(pts, k: int, n: int):
     return table
 
 
-def min_decomposition_size(
-    f: SubmodularFn,
-    w,
-    k: int,
-    max_points: int = MIN_DEC_MAX_POINTS,
-    max_k: int = MIN_DEC_MAX_K,
-):
+def _budgeted_base_points(f: SubmodularFn) -> list[tuple[int, ...]]:
+    """The integer points of B_f, unless there are more than the multiset sweeps allow."""
+    base = enumerate_base_points(f)
+    if len(base) > MIN_DEC_MAX_POINTS:
+        raise BudgetExceeded(f"{len(base)} base points exceed oracle budget {MIN_DEC_MAX_POINTS}")
+    return list(base)
+
+
+def min_decomposition_size(f: SubmodularFn, w, k: int):
     """Fewest distinct base points expressing w with total multiplicity k.
 
     Exhaustive sweep over all k-multisets of base points, so the returned
     value is provably minimal.  Returns None when w has no expression at
     multiplicity k.
     """
-    if k < 1 or k > max_k:
-        raise BudgetExceeded(f"k = {k} outside oracle budget 1..{max_k}")
+    if k < 1 or k > MIN_DEC_MAX_K:
+        raise BudgetExceeded(f"k = {k} outside oracle budget 1..{MIN_DEC_MAX_K}")
     w = tuple(w)
-    base = enumerate_base_points(f)
-    if len(base) > max_points:
-        raise BudgetExceeded(
-            f"{len(base)} base points exceed oracle budget {max_points}"
-        )
-    return _multiset_sweep(list(base), k, f.ground.n).get(w)
+    return _multiset_sweep(_budgeted_base_points(f), k, f.ground.n).get(w)
 
 
-def cr_exact(
-    f: SubmodularFn,
-    k_max: int,
-    max_points: int = MIN_DEC_MAX_POINTS,
-    max_k: int = MIN_DEC_MAX_K,
-) -> int:
+def cr_exact(f: SubmodularFn, k_max: int) -> int:
     """Largest minimum-support size over all w in k B_f, k <= k_max.
 
     A certified lower bound on the worst-case number of distinct bases
@@ -129,14 +116,9 @@ def cr_exact(
     """
     if k_max < 1:
         raise UsageError("k_max must be positive")
-    if k_max > max_k:
-        raise BudgetExceeded(f"k_max = {k_max} outside oracle budget {max_k}")
-    base = enumerate_base_points(f)
-    if len(base) > max_points:
-        raise BudgetExceeded(
-            f"{len(base)} base points exceed oracle budget {max_points}"
-        )
-    pts = list(base)
+    if k_max > MIN_DEC_MAX_K:
+        raise BudgetExceeded(f"k_max = {k_max} outside oracle budget {MIN_DEC_MAX_K}")
+    pts = _budgeted_base_points(f)
     best = 0
     for k in range(1, k_max + 1):
         table = _multiset_sweep(pts, k, f.ground.n)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import compress, count, repeat
 from operator import eq, gt, indexOf, le, mul
 
-from .core import Frozen, GroundSet, SubmodularFn, _check_int_vector, bits, subset_sums
+from .core import Frozen, SubmodularFn, _check_int_vector, bits, subset_sums
 from .errors import UsageError
 
 
@@ -104,16 +104,6 @@ class FaceStructure(Frozen):
 
     __slots__ = ("ground", "chain", "blocks", "dim", "positions")
 
-    def __init__(
-        self,
-        ground: GroundSet,
-        chain: tuple[int, ...],
-        blocks: tuple[int, ...],
-        dim: int,
-        positions: tuple[tuple[int, ...], ...],
-    ):
-        self._freeze(ground, chain, blocks, dim, positions)
-
     @property
     def t(self) -> int:
         return len(self.blocks)
@@ -152,13 +142,8 @@ def _maximal_chain(tight: list[int], full: int) -> tuple[int, ...]:
 
 def _structure_from_chain(f: SubmodularFn, chain) -> FaceStructure:
     blocks = tuple(cur ^ prev for prev, cur in zip(chain, chain[1:]))
-    return FaceStructure(
-        ground=f.ground,
-        chain=tuple(chain),
-        blocks=blocks,
-        dim=f.ground.n - len(blocks),
-        positions=tuple(tuple(bits(b)) for b in blocks),
-    )
+    positions = tuple(tuple(bits(b)) for b in blocks)
+    return FaceStructure(f.ground, tuple(chain), blocks, f.ground.n - len(blocks), positions)
 
 
 def face_structure(f: SubmodularFn) -> FaceStructure:

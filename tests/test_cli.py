@@ -223,6 +223,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "not submodular" in err and "A = {a}, B = {b}" in err
 
+    def test_derived_integers_past_the_digit_cap_exit_one(self, tmp_path, capsys):
+        # every literal is within json's digit cap, but k * f(E) is not
+        big = 9 * 10**4299
+        doc = {"ground": ["a", "b"], "w": [big, 0], "k": 2,
+               "f": {"type": "table", "values": {"a": big, "b": big, "a,b": big}}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        digit_cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+        cap = digit_cap()
+        assert main(["decompose", str(path)]) == 1
+        assert digit_cap() == cap
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: x(E) = {big} != 18{'0' * 4299} = 2 * f(E)")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exits_one_quietly(self, write, unbuffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "polybase", "decompose", write(K3_DOC)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60, check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
     def test_deep_nesting_exits_two(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text(_scale_chain(3000))

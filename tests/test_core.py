@@ -263,7 +263,7 @@ class TestGroundSet:
             materialize(UniformRank(g, 2)).to_node_dict()
 
     def test_frozen_value_semantics(self):
-        from polybase import PointSet
+        from polybase import FaceStructure, PointSet, WeightedDecomposition
 
         g = GroundSet(["a", "b"])
         assert g.elements == ("a", "b")
@@ -277,6 +277,23 @@ class TestGroundSet:
             del g.elements
         assert g != ("a", "b")
         assert PointSet(((1,),), "x") != PointSet(((1,),), "y")
+        # the one initializer takes fields by position or by name
+        fields = (g, (0, 1, 3), (1, 2), 0, ((0,), (1,)))
+        face = FaceStructure(*fields)
+        assert face == FaceStructure(ground=g, chain=(0, 1, 3), blocks=(1, 2), dim=0,
+                                     positions=((0,), (1,)))
+        assert face == FaceStructure(g, (0, 1, 3), blocks=(1, 2), dim=0, positions=((0,), (1,)))
+        with pytest.raises(TypeError):
+            FaceStructure(*fields, colour="red")
+        with pytest.raises(TypeError):
+            FaceStructure(*fields[:4])
+        with pytest.raises(TypeError):
+            FaceStructure(*fields[:4], ground=g)
+        with pytest.raises(TypeError):
+            FaceStructure(*fields, fields[0])
+        dec = WeightedDecomposition.from_terms([(1, (1, 0)), (2, (0, 1))], (1, 2), 3)
+        assert pickle.loads(pickle.dumps(dec)) == dec
+        assert copy.deepcopy(dec) == dec and hash(copy.deepcopy(dec)) == hash(dec)
 
 
 @settings(max_examples=40, deadline=None)

@@ -311,9 +311,9 @@ class TestTrace:
         split_nodes = _collect(trace, "split")
         assert split_nodes, "expected at least one split in a forced 3-term run"
         node = split_nodes[0]
-        assert node.e == "a"
-        assert tuple(a + b for a, b in zip(node.x1, node.x2)) == node.w
         doc = node.to_dict()
+        assert doc["e"] == "a"
+        assert tuple(a + b for a, b in zip(doc["x1"], doc["x2"])) == node.w
         assert node.fn is not None and "fn_left" in doc and "fn_right" in doc
 
     def test_trace_functions_parse_back_to_vertex_tables(self, monkeypatch):
@@ -349,8 +349,8 @@ class TestTrace:
                 if node.case == "face_drop":
                     assert _parse_on(f, doc["fn_reduced"], node) == node.fn.values
                     continue
-                assert node.e == node.ground[0]
-                assert tuple(a + b for a, b in zip(node.x1, node.x2)) == node.w
+                assert doc["e"] == node.ground[0]
+                assert tuple(a + b for a, b in zip(doc["x1"], doc["x2"])) == node.w
                 operands = (doc["fn_left"], doc["fn_right"])
                 printed.append(tuple(_parse_on(f, fn, node) for fn in operands))
             assert printed == read

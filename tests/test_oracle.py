@@ -35,7 +35,7 @@ class TestEnumerateBasePoints:
     def test_budget(self):
         f = u12().scale(10_000)
         with pytest.raises(BudgetExceeded):
-            enumerate_base_points(f, budget=100)
+            enumerate_base_points(f)
 
 
 class TestEnumerateVertices:
@@ -123,7 +123,7 @@ class TestCrExact:
 
     def test_point_budget(self):
         with pytest.raises(BudgetExceeded):
-            cr_exact(UniformRank(ground(8), 2), 2, max_points=20)
+            cr_exact(UniformRank(ground(8), 2), 2)
 
     def test_never_exceeds_dimension_bound(self):
         from polybase import dimension

@@ -14,7 +14,7 @@ from pathlib import Path
 import polybase.cli  # noqa: F401  (loads every module the tracer wraps)
 import polybase.core as core
 import polybase.lp as lp
-from corpus import ground, random_table, u23
+from corpus import ground, k3, random_table, u23
 from polybase import greedy_vertex
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -93,3 +93,14 @@ def test_vertex_steps_record_lp_spans():
         calls = tracer.layer_totals()["calls"]
         assert calls["lp.build"] >= 1 and calls["lp.solve"] >= 1
         assert tracer.counts["lp.rows"] == calls["lp.build"] * (2 * 2**n + 2)
+
+
+def test_trace_walk_counts_node_cases():
+    # bench/run.py reads decompose.nodes.* and decompose.depth_max from
+    # the tracer's walk over each node's case and children; a trace whose
+    # nodes stopped carrying them would zero those metrics silently
+    engine = sys.modules["polybase.decompose"]
+    with _tracing().Tracer() as tracer:
+        engine.decompose(k3(), (2, 2, 2), 3)
+    assert tracer.nodes["split"] >= 1 and tracer.nodes["leaf"] >= 1
+    assert tracer.depth_max >= 2
