@@ -32,7 +32,8 @@ Three constructive pieces:
 Membership in k B_f and its faces read f's own table, and the vertex step
 reads plain value tables, so no scaled, dual or shifted node is built.
 
-Every run records a replayable trace, and ``verify`` re-checks a finished
+The recursion builds only a ``DecompositionTrace``, and ``decompose`` reads
+the terms off it as ``replay`` does.  ``verify`` re-checks a finished
 decomposition from scratch, independent of the trace.
 """
 
@@ -99,9 +100,11 @@ def _normalize_terms(terms) -> Terms:
 
 
 class DecompositionTrace:
-    """One node of the recursion tree; replaying it rebuilds the result.
+    """One node of the recursion tree; the decomposition is read off it.
 
-    ``chain`` holds the face's tight-chain masks, printed as name lists.
+    A block node (``direct_sum``, ``face_drop``, ``point_face``) holds the
+    ``face`` it factors along, one child per block; ``to_dict`` prints the
+    face's tight chain as name lists.
     ``face_drop`` and ``split`` fix the first element e = ground[0] and
     divide w(e) = k q + r; ``to_dict`` prints e, q and, for a split, r,
     all read from ``ground``, ``w`` and ``k``.  A ``face_drop``'s ``fn`` is
@@ -114,18 +117,18 @@ class DecompositionTrace:
     the node's point.  ``to_dict`` leaves it out.
     """
 
-    __slots__ = ("case", "ground", "w", "k", "children", "chain", "fn", "dim")
+    __slots__ = ("case", "ground", "w", "k", "children", "face", "fn", "dim")
 
     def __init__(self, case: str, ground: tuple[str, ...], w: tuple[int, ...], k: int,
                  children: list[DecompositionTrace] | None = None,
-                 chain: tuple[int, ...] | None = None, fn: SubmodularFn | None = None,
+                 face: FaceStructure | None = None, fn: SubmodularFn | None = None,
                  dim: int | None = None):
         self.case = case
         self.ground = ground
         self.w = w
         self.k = k
         self.children = [] if children is None else children
-        self.chain = chain
+        self.face = face
         self.fn = fn
         self.dim = dim
 
@@ -136,8 +139,8 @@ class DecompositionTrace:
             "w": list(self.w),
             "k": self.k,
         }
-        if self.chain is not None:
-            out["chain"] = [[self.ground[i] for i in bits(m)] for m in self.chain]
+        if self.face is not None:
+            out["chain"] = [[self.ground[i] for i in bits(m)] for m in self.face.chain]
         if self.case == "face_drop":
             out.update(e=self.ground[0], q=self.w[0] // self.k, fn_reduced=self.fn.to_node_dict())
         elif self.case == "split":
@@ -260,20 +263,20 @@ def merge_direct_sum(parts: list[WeightedDecomposition]) -> WeightedDecompositio
 def decompose(f: SubmodularFn, w, k: int):
     """Decompose w in k B_f into at most dim B_f + 1 integer bases.
 
-    Returns (WeightedDecomposition, DecompositionTrace); the trace's root
-    ``dim`` is dim B_f.  Raises
+    Returns (WeightedDecomposition, DecompositionTrace); the terms are
+    read off the trace, whose root ``dim`` is dim B_f.  Raises
     UsageError naming a violated constraint when w is not in k B_f, and
     InvariantViolation (with diagnostics) if an internal guarantee fails.
     """
     w = tuple(w)
     _require_membership(f, w, k)
     if f.ground.n == 1:
-        terms, trace = _leaf(f, 0, 1, w, k, None)
+        trace = _leaf(f, 0, 1, w, k, None)
     elif (fs := face_structure(f)).t == 1:
-        terms, trace = _decompose_rec(f, w, k, None)
+        trace = _decompose_rec(f, w, k, None)
     else:
-        terms, trace = _chain_node("direct_sum", f, fs, w, k, fs.dim + f.ground.n, fs.dim)
-    return WeightedDecomposition.from_terms(terms, w, k), trace
+        trace = _chain_node("direct_sum", f, fs, w, k, fs.dim + f.ground.n, fs.dim)
+    return WeightedDecomposition.from_terms(_terms(trace), w, k), trace
 
 
 def _require_membership(f: SubmodularFn, x, k: int) -> None:
@@ -309,8 +312,7 @@ def _leaf(f: SubmodularFn, prev: int, block: int, w, k: int, parent_measure):
     value = f.values[prev | block] - f.values[prev]
     _check(w[0] == k * value, "leaf target is not k times the level")
     _check_measure(1, parent_measure)
-    trace = DecompositionTrace("leaf", f.ground.names_of(block), w, k, dim=0)
-    return [(k, (value,))], trace
+    return DecompositionTrace("leaf", f.ground.names_of(block), w, k, dim=0)
 
 
 def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
@@ -352,12 +354,8 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
         face = _face_of(f_side, x, mult)
         _check(face.t >= 2, "point face did not factor")
         sides.append(_chain_node("point_face", f_side, face, x, mult, measure, face.dim))
-    (left_terms, left_trace), (right_terms, right_trace) = sides
-    _check(left_trace.dim + right_trace.dim <= n - 2, "split faces are not complementary")
-
-    trace = DecompositionTrace("split", ground.elements, w, k, [left_trace, right_trace],
-                               fn=f, dim=dim)
-    return _bounded(_normalize_terms(left_terms + right_terms), dim), trace
+    _check(sides[0].dim + sides[1].dim <= n - 2, "split faces are not complementary")
+    return DecompositionTrace("split", ground.elements, w, k, sides, fn=f, dim=dim)
 
 
 def _face_of(f_base: SubmodularFn, x, k: int) -> FaceStructure:
@@ -373,29 +371,21 @@ def _face_of(f_base: SubmodularFn, x, k: int) -> FaceStructure:
 
 def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int,
                 measure, dim: int, fn: SubmodularFn | None = None):
-    """(terms, trace) for w in a face of k B_{f_base} factored along its chain.
+    """The trace node of w in a face of k B_{f_base} factored along its chain.
 
     A one-element block is a leaf whose level is read from f_base's table.
     Larger blocks are restrictions of the unscaled f_base so that each
-    block decomposes at the original multiplicity k.  The interleaved
-    block terms must number at most ``dim`` + 1.
+    block decomposes at the original multiplicity k.
     """
-    parts: list[Terms] = []
     children = []
     for i, (prev, block) in enumerate(zip(face.chain, face.blocks)):
         block_w = face.restrict_vector(w, i)
         if len(block_w) == 1:
-            block_terms, child = _leaf(f_base, prev, block, block_w, k, measure)
+            children.append(_leaf(f_base, prev, block, block_w, k, measure))
         else:
             block_fn = f_base.block_restrict(prev, block)
-            block_terms, child = _decompose_rec(block_fn, block_w, k, measure)
-        parts.append(block_terms)
-        children.append(child)
-    terms = _normalize_terms(
-        [(wt, face.scatter(combo)) for wt, combo in _interleave(parts, k)]
-    )
-    trace = DecompositionTrace(case, f_base.ground.elements, w, k, children, face.chain, fn, dim)
-    return _bounded(terms, dim), trace
+            children.append(_decompose_rec(block_fn, block_w, k, measure))
+    return DecompositionTrace(case, f_base.ground.elements, w, k, children, face, fn, dim)
 
 
 def _check(ok: bool, message: str) -> None:
@@ -410,10 +400,24 @@ def _check_measure(measure: int, parent) -> None:
         )
 
 
-def _bounded(terms: Terms, dim: int) -> Terms:
-    if len(terms) > dim + 1:
+def _terms(node: DecompositionTrace) -> Terms:
+    """The distinct weighted points of a trace node, at most ``dim`` + 1 of them.
+
+    A split merges its children's terms; a block node interleaves its
+    blocks' terms and places each point with its face's ``scatter``.
+    """
+    if node.case == "leaf":
+        terms = [(node.k, (node.w[0] // node.k,))]
+    elif node.case == "split":
+        terms = _normalize_terms(_terms(node.children[0]) + _terms(node.children[1]))
+    else:
+        parts = [_terms(child) for child in node.children]
+        terms = _normalize_terms(
+            [(wt, node.face.scatter(combo)) for wt, combo in _interleave(parts, node.k)]
+        )
+    if len(terms) > node.dim + 1:
         raise InvariantViolation(
-            f"{len(terms)} distinct points exceed the bound dim + 1 = {dim + 1}"
+            f"{len(terms)} distinct points exceed the bound dim + 1 = {node.dim + 1}"
         )
     return terms
 
@@ -460,52 +464,36 @@ def verify(f: SubmodularFn, dec: WeightedDecomposition):
 def replay(trace: DecompositionTrace) -> WeightedDecomposition:
     """Rebuild the decomposition from a trace by pure arithmetic.
 
-    No function evaluations and no LP solves: leaf values, interleavings
-    and the split concatenation are recomputed and cross-checked, so a
-    tampered trace raises InvariantViolation.
+    No function evaluations and no LP solves.  Every node is first checked
+    against its children, so by induction each node's terms sum to its
+    ``w`` at weight ``k``; the terms are then read off the trace as
+    ``decompose`` reads them, bound included.  A tampered trace raises
+    InvariantViolation or UsageError.
     """
-    terms = _replay_terms(trace)
-    return WeightedDecomposition.from_terms(terms, trace.w, trace.k)
+    _check_node(trace)
+    return WeightedDecomposition.from_terms(_terms(trace), trace.w, trace.k)
 
 
-def _replay_terms(node: DecompositionTrace) -> Terms:
+def _check_node(node: DecompositionTrace) -> None:
+    _check(isinstance(node.dim, int), f"trace node dim {node.dim!r} is not an integer")
     if node.case == "leaf":
-        _check(node.k > 0 and node.w[0] % node.k == 0, "corrupt leaf in trace")
-        return [(node.k, (node.w[0] // node.k,))]
-    if node.case == "split":
+        _check(len(node.w) == 1 and node.k > 0 and node.w[0] % node.k == 0,
+               "corrupt leaf in trace")
+    elif node.case == "split":
         _check(len(node.children) == 2, "split node needs two children")
         left, right = node.children
-        _check(
-            tuple(a + b for a, b in zip(left.w, right.w)) == node.w,
-            "split parts do not sum to the target",
-        )
+        _check(len(left.w) == len(right.w) == len(node.w)
+               and tuple(a + b for a, b in zip(left.w, right.w)) == node.w,
+               "split parts do not sum to the target")
         _check(left.k + right.k == node.k, "split multiplicities mismatch")
-        terms = _normalize_terms(_replay_terms(left) + _replay_terms(right))
-        _total_check(terms, node)
-        return terms
-    if node.case in ("direct_sum", "face_drop", "point_face"):
-        _check(node.chain is not None and node.children, "corrupt block node")
-        blocks = [tuple(bits(cur & ~prev)) for prev, cur in zip(node.chain, node.chain[1:])]
-        _check(len(blocks) == len(node.children), "chain/children mismatch")
-        parts = [_replay_terms(child) for child in node.children]
-        out = []
-        for wt, combo in _interleave(parts, node.k):
-            point = [0] * len(node.ground)
-            for positions, part_point in zip(blocks, combo):
-                _check(len(positions) == len(part_point), "block width mismatch")
-                for p, v in zip(positions, part_point):
-                    point[p] = v
-            out.append((wt, tuple(point)))
-        terms = _normalize_terms(out)
-        _total_check(terms, node)
-        return terms
-    raise InvariantViolation(f"unknown trace case {node.case!r}")
-
-
-def _total_check(terms: Terms, node: DecompositionTrace) -> None:
-    _check(sum(wt for wt, _ in terms) == node.k, "replayed weights mismatch")
-    for i in range(len(node.w)):
-        _check(
-            sum(wt * p[i] for wt, p in terms) == node.w[i],
-            "replayed sum mismatch",
-        )
+    elif node.case in ("direct_sum", "face_drop", "point_face"):
+        face = node.face
+        _check(face is not None and face.ground.n == len(node.w)
+               and len(node.children) == face.t, "corrupt block node")
+        for i, child in enumerate(node.children):
+            _check(child.k == node.k and child.w == face.restrict_vector(node.w, i),
+                   "block child does not match its block of the target")
+    else:
+        raise InvariantViolation(f"unknown trace case {node.case!r}")
+    for child in node.children:
+        _check_node(child)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from polybase import decompose, load_instance, replay
 from polybase.cli import main
 
 K3_DOC = {
@@ -136,11 +137,19 @@ class TestDecompose:
         assert main(["decompose", write(U24_DOC)]) == 1
 
     def test_trace_attached_and_replayable(self, write, capsys):
-        code = main(["decompose", write(K3_DOC), "--trace"])
+        path = write(K3_DOC)
+        code = main(["decompose", path, "--trace"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["trace"]["case"] in ("split", "face_drop", "direct_sum")
         assert doc["trace"]["w"] == [2, 2, 2]
+        # the printed tree is the library's trace, and replaying that trace
+        # gives the printed terms
+        inst = load_instance(path)
+        _, trace = decompose(inst.fn, inst.w, inst.k)
+        assert trace.to_dict() == doc["trace"]
+        printed = [(t["weight"], tuple(t["point"])) for t in doc["terms"]]
+        assert list(replay(trace).terms) == printed
 
     def test_byte_determinism(self, write, capsys):
         path = write(K3_DOC)
@@ -211,11 +220,29 @@ class TestExitCodes:
         {"type": "partition", "blocks": ["ab"], "caps": [1]},
         {"type": "block_restrict", "a_prev": ["a"], "block": ["a", "b"],
          "inner": {"type": "uniform", "rank": 1}},
+        {"type": "partition", "blocks": [["a"], ["a", "b"]], "caps": [1, 1]},
+        {"type": "partition", "blocks": [["a"]], "caps": [1]},
+        {"type": "partition", "blocks": [["a"], ["b"]], "caps": [1]},
+        {"type": "table", "values": {"": 5, "a": 1, "b": 1, "a,b": 1}},
+        {"type": "block_restrict", "a_prev": ["a"], "block": [],
+         "inner": {"type": "uniform", "rank": 1}},
     ])
     def test_malformed_node_exits_two(self, write, capsys, f):
         doc = {"ground": ["a", "b"], "w": [1, 0], "k": 1, "f": f}
         assert main(["decompose", write(doc)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_missing_instance_exits_two(self, tmp_path, capsys):
+        assert main(["decompose", str(tmp_path / "absent.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot read" in err
+
+    def test_non_integer_target_exits_one(self, write, capsys):
+        assert main(["decompose", write(K3_DOC), "--w", "1,x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--w must be comma-separated integers" in err
 
     def test_non_submodular_exits_one_naming_pair(self, write, capsys):
         doc = dict(BAD_TABLE_DOC, w=[1, 0], k=1)

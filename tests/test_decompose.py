@@ -290,6 +290,36 @@ class TestTrace:
         with pytest.raises((InvariantViolation, UsageError)):
             replay(trace)
 
+    @pytest.mark.parametrize("tamper", [
+        "block_child_w", "block_child_k", "leaf_w", "split_parts",
+        "lost_child", "unknown_case", "dim_below_terms", "dim_none",
+    ])
+    def test_tampered_inner_node_rejected(self, tamper):
+        # a forced split of k3: the root splits into two point faces of leaves
+        dec, trace = decompose(k3(), (2, 2, 2), 3)
+        block = _collect(trace, "point_face")[0]
+        left, right = _collect(trace, "split")[0].children
+        leaf = _collect(trace, "leaf")[0]
+        if tamper == "block_child_w":
+            block.children[0].w = _bump(block.children[0].w, 0, 1)
+        elif tamper == "block_child_k":
+            block.children[0].k += 1
+        elif tamper == "leaf_w":
+            leaf.w = _bump(leaf.w, 0, leaf.k)
+        elif tamper == "split_parts":
+            left.w, right.w = _bump(left.w, 0, 1), _bump(right.w, 0, -1)
+        elif tamper == "lost_child":
+            block.children.pop()
+        elif tamper == "unknown_case":
+            block.case = "mystery"
+        elif tamper == "dim_below_terms":
+            trace.dim = dec.distinct_count - 2
+        else:
+            block.dim = None
+        error = InvariantViolation if tamper == "dim_none" else (InvariantViolation, UsageError)
+        with pytest.raises(error):
+            replay(trace)
+
     def test_serializes_to_json(self):
         _, trace = decompose(k3(), (3, 2, 1), 3)
         doc = trace.to_dict()
@@ -303,7 +333,7 @@ class TestTrace:
         f = TableFn(ground(4), [0, 1, 1, 1, 2, 3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3])
         _, trace = decompose(f, (1, 0, 1, 1), 1)
         assert trace.case == "direct_sum"
-        assert trace.chain == (0, 0b0011, 0b1111)
+        assert trace.face.chain == (0, 0b0011, 0b1111)
         assert trace.to_dict()["chain"] == [[], ["a", "b"], ["a", "b", "c", "d"]]
 
     def test_split_node_records_parts(self):
@@ -390,6 +420,11 @@ def _parse_on(f, fn_doc, node):
     fn = parse_fn(f.ground, fn_doc)
     assert fn.ground.elements == node.ground
     return fn.values
+
+
+def _bump(w, i, by):
+    """w with ``by`` added at coordinate i."""
+    return tuple(v + by * (j == i) for j, v in enumerate(w))
 
 
 def _collect(trace, case):

@@ -8,6 +8,8 @@ import pytest
 from corpus import flat_corpus, ground, k3, sample_target, tiny_instances
 from polybase import (
     ParseError,
+    PartitionRank,
+    UniformRank,
     decompose,
     load_instance,
     materialize,
@@ -113,8 +115,6 @@ class TestNodeKinds:
         }
         f = parse_fn(ground(3), node)
         expect = ground(3)
-        from polybase import UniformRank
-
         reference = UniformRank(expect, 2).dual().shift((1, 0, -1)).scale(2)
         assert all(f(m) == reference(m) for m in range(8))
 
@@ -144,10 +144,27 @@ class TestNodeKinds:
             parse_fn(ground(2), node)
 
     def test_round_trip_through_node_dict(self):
-        f = materialize(k3().dual().shift((1, 1, 1)))
-        doc = f.to_node_dict()
-        again = parse_fn(ground(3), doc)
-        assert all(again(m) == f(m) for m in range(8))
+        # one node of each of the ten types, the wrappers over a small rank
+        # function; a block_restrict parses on its inner node's ground
+        g = ground(3)
+        rank = k3()
+        nodes = [
+            materialize(rank.dual().shift((1, 1, 1))),
+            UniformRank(g, 2),
+            PartitionRank(g, [0b011, 0b100], [1, 1]),
+            rank,
+            rank.dual(),
+            rank.shift((1, 0, 2)),
+            rank.reduce((1, 1, 0)),
+            rank.reduce_at("a", 0),
+            rank.scale(3),
+            rank.block_restrict(0b001, 0b110),
+        ]
+        kinds = {fn.to_node_dict()["type"] for fn in nodes}
+        assert len(kinds) == len(nodes) == 10
+        for fn in nodes:
+            again = parse_fn(g, fn.to_node_dict())
+            assert again.ground == fn.ground and again.values == fn.values
 
     def test_block_restrict_lives_on_the_block(self):
         inst = parse_instance({

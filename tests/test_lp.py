@@ -325,22 +325,22 @@ class TestLexMaxOracle:
 
 def engine_pairs(monkeypatch, seed):
     """The (ground, f table, g table) triples decompose and split_into_k_bases
-    build LP systems of.
+    take integer vertices of, recorded at their one vertex step.
 
     Every fifth acceptance-corpus instance (n = 2..8), one decomposition and
     one split each at a seeded k in 2..6.
     """
     engine = sys.modules["polybase.decompose"]
-    build = engine.build_intersection_system
+    vertex = engine._integer_vertex
     pairs = []
 
-    def recording(ground, f_values, g_values):
+    def recording(ground, f_values, g_values, empty):
         pairs.append((ground, f_values, g_values))
-        return build(ground, f_values, g_values)
+        return vertex(ground, f_values, g_values, empty)
 
     rng = random.Random(seed)
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "build_intersection_system", recording)
+        patch.setattr(engine, "_integer_vertex", recording)
         for _, f in acceptance_corpus()[::5]:
             k = rng.randint(2, 6)
             decompose(f, sample_target(f, k, rng), k)
