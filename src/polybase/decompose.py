@@ -465,17 +465,28 @@ def replay(trace: DecompositionTrace) -> WeightedDecomposition:
     """Rebuild the decomposition from a trace by pure arithmetic.
 
     No function evaluations and no LP solves.  Every node is first checked
-    against its children, so by induction each node's terms sum to its
-    ``w`` at weight ``k``; the terms are then read off the trace as
-    ``decompose`` reads them, bound included.  A tampered trace raises
-    InvariantViolation or UsageError.
+    against its place in the tree and its children: its case must be one
+    the recursion builds there, only ``face_drop`` and ``split`` nodes hold
+    a function, and a split's first child is x1, at multiplicity r.  By
+    induction each node's terms sum to its ``w`` at weight ``k``; the terms
+    are then read off the trace as ``decompose`` reads them, bound
+    included.  A tampered trace raises InvariantViolation or UsageError.
     """
     _check_node(trace)
     return WeightedDecomposition.from_terms(_terms(trace), trace.w, trace.k)
 
 
-def _check_node(node: DecompositionTrace) -> None:
+# the cases a node may take: at the root, below a block node, below a split
+_ROOT_CASES = ("leaf", "direct_sum", "face_drop", "split")
+_BLOCK_CASES = ("leaf", "face_drop", "split")
+
+
+def _check_node(node: DecompositionTrace, cases=_ROOT_CASES) -> None:
+    _check(node.case in cases, f"trace case {node.case!r} where one of {cases} belongs")
     _check(isinstance(node.dim, int), f"trace node dim {node.dim!r} is not an integer")
+    has_fn = node.case in ("face_drop", "split")
+    _check(isinstance(node.fn, SubmodularFn) if has_fn else node.fn is None,
+           f"{node.case} node {'lacks' if has_fn else 'holds'} a function")
     if node.case == "leaf":
         _check(len(node.w) == 1 and node.k > 0 and node.w[0] % node.k == 0,
                "corrupt leaf in trace")
@@ -486,14 +497,17 @@ def _check_node(node: DecompositionTrace) -> None:
                and tuple(a + b for a, b in zip(left.w, right.w)) == node.w,
                "split parts do not sum to the target")
         _check(left.k + right.k == node.k, "split multiplicities mismatch")
-    elif node.case in ("direct_sum", "face_drop", "point_face"):
+        # the left child is x1, the vertex at multiplicity r with x1(e) = r (q+1)
+        q, r = divmod(node.w[0], node.k)
+        _check(left.k == r and left.w[0] == r * (q + 1), "split children out of order")
+        cases = ("point_face",)
+    else:
         face = node.face
         _check(face is not None and face.ground.n == len(node.w)
                and len(node.children) == face.t, "corrupt block node")
         for i, child in enumerate(node.children):
             _check(child.k == node.k and child.w == face.restrict_vector(node.w, i),
                    "block child does not match its block of the target")
-    else:
-        raise InvariantViolation(f"unknown trace case {node.case!r}")
+        cases = _BLOCK_CASES
     for child in node.children:
-        _check_node(child)
+        _check_node(child, cases)

@@ -4,6 +4,8 @@ import copy
 import itertools
 import pickle
 import random
+from operator import add, le, sub
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 
 import polybase.core as core
 from corpus import (
+    acceptance_corpus,
     coverage_table,
     cut_table,
+    flat_corpus,
     ground,
     k3,
     random_instance,
@@ -493,6 +497,43 @@ def local_scan_is_submodular(f):
     return True, None
 
 
+def slice_sweep_is_submodular(f):
+    """The slice sweep is_submodular ran before the packed test, kept as a
+    differential oracle; it leaves the memo alone.  For every element j the
+    marginal table f(S+j) - f(S) must not increase along any bit i < j."""
+    v = f.values
+    n = f.ground.n
+    size = len(v)
+    for j in range(n):
+        d = [0] * (size // 2)
+        for lo, hi, half in core._halves(size, 1 << j):
+            d[half] = map(sub, v[hi], v[lo])
+        for i in range(j):
+            for lo, hi, _ in core._halves(size // 2, 1 << i):
+                if not all(map(le, d[hi], d[lo])):
+                    return False, core._first_local_violation(v, n)
+    return True, None
+
+
+def checks_agree(values, g=None):
+    """is_submodular on a fresh table of values (memo unset) against both
+    references; returns the common (ok, pair)."""
+    f = TableFn(g or ground((len(values) - 1).bit_length()), values)
+    expected = local_scan_is_submodular(f)
+    assert slice_sweep_is_submodular(f) == expected
+    assert is_submodular(f) == expected
+    assert f.submodular is (True if expected[0] else None)
+    return expected
+
+
+def nudge(values, rng, count, sizes=(-2, -1, 1, 2)):
+    """values with count random nonempty masks moved by one of sizes."""
+    values = list(values)
+    for _ in range(count):
+        values[rng.randrange(1, len(values))] += rng.choice(sizes)
+    return values
+
+
 def one_mask_is_matroid_rank(f):
     """Reference matroid-rank test, one mask at a time."""
     v = f.values
@@ -525,28 +566,83 @@ def test_local_submodularity_test_matches_pair_scan(f, bump, data):
     # nudge one value so near-submodular functions get tested too
     f = nudged(f, data, bump)
     ok, pair = is_submodular(f)
-    assert (ok, pair) == local_scan_is_submodular(f)
+    assert (ok, pair) == local_scan_is_submodular(f) == slice_sweep_is_submodular(f)
     assert ok == pair_scan_is_submodular(f)[0]
     if not ok:
         a, b = pair
         assert f(a) + f(b) < f(a | b) + f(a & b)
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 10])
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12])
 def test_local_submodularity_matches_scan_on_large_tables(n):
-    # at n = 7..10 the sweeps split low bits by stride and high bits by
-    # chunk, on the table and on its half-size marginals
+    # the packed test, the slice sweep (stride and chunk layouts) and the
+    # mask-by-mask scan agree, failing pair included
     rng = random.Random(900 + n)
     outcomes = set()
-    for trial in range(12):
-        values = list(random_table(ground(n), rng).values)
-        for _ in range(trial % 3):
-            values[rng.randrange(1, 1 << n)] += rng.choice((-2, -1, 1, 2))
-        f = TableFn(ground(n), values)
-        result = is_submodular(f)
-        assert result == local_scan_is_submodular(f)
-        outcomes.add(result[0])
+    for trial in range(12 if n <= 10 else 3):
+        values = nudge(random_table(ground(n), rng).values, rng, trial % 3)
+        outcomes.add(checks_agree(values)[0])
     assert outcomes == {True, False}
+
+
+def test_packed_check_matches_references_on_small_tables():
+    # GroundSet refuses an empty ground, so n = 0 runs on a stand-in
+    empty = SimpleNamespace(ground=SimpleNamespace(n=0), values=(0,), submodular=None)
+    assert is_submodular(empty) == local_scan_is_submodular(empty) == (True, None)
+    rng = random.Random(1400)
+    outcomes = set()
+    for n in range(1, 7):
+        for trial in range(30):
+            values = nudge(random_table(ground(n), rng).values, rng, trial % 3)
+            outcomes.add(checks_agree(values)[0])
+    assert outcomes == {True, False}
+
+
+def test_packed_check_matches_references_on_the_corpora():
+    rng = random.Random(1401)
+    outcomes = set()
+    for _, f in acceptance_corpus() + flat_corpus():
+        assert checks_agree(f.values, f.ground) == (True, None)
+        outcomes.add(checks_agree(nudge(f.values, rng, 1, (-1, 1)), f.ground)[0])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("scale", [1, 2**62, 2**200, 9 * 10**4299])
+def test_packed_check_matches_references_on_wide_values(scale):
+    # fields far wider than a machine word, negative values and modular
+    # shifts of +-10^40, whose spread dwarfs the local differences
+    rng = random.Random(1402)
+    outcomes = set()
+    for n in range(1, 5):
+        g = ground(n)
+        for trial in range(12):
+            f = random_table(g, rng)
+            if trial % 4 == 1:
+                f = f.dual()
+            elif trial % 4 == 2:
+                f = f.shift([rng.choice((-1, 1)) * 10**40 for _ in range(n)])
+            elif trial % 4 == 3:
+                f = f.scale(3).shift([-(10**40)] * n)
+            values = [scale * v for v in f.values]
+            outcomes.add(checks_agree(nudge(values, rng, trial % 3, (-1, 1, -scale)), g)[0])
+            # -f is supermodular: it fails wherever f is not modular
+            checks_agree([-v for v in values], g)
+    assert outcomes == {True, False}
+
+
+def test_packed_check_at_the_field_width_edges():
+    # values in {-M, 0, M} with M = 2^b - 1, f(ab) also off by one: spreads
+    # of about 2M, b + 1 bits, marginals of about +-2M and local differences
+    # of 0 and +-1, so every spread from 2 to 73 bits meets each way a field
+    # can sit against its width (two spare bits or nine)
+    rng = random.Random(1403)
+    for b in range(1, 72):
+        m = (1 << b) - 1
+        near = [v + e for v in (-m, 0, m) for e in (-1, 0, 1)]
+        for rest in itertools.product((-m, 0, m), (-m, 0, m), near):
+            checks_agree([0, *rest])
+        for _ in range(8):
+            checks_agree([0] + [rng.choice((-m, 0, m)) for _ in range(7)])
 
 
 @pytest.mark.parametrize("n", [7, 10])
@@ -556,6 +652,10 @@ def test_every_bit_pair_violation_is_found(n):
         both = 1 << i | 1 << j
         f = TableFn(ground(n), [int(m & both == both) for m in range(1 << n)])
         assert is_submodular(f) == (False, (1 << i, 1 << j))
+        # the same table scaled to a wide field and shifted by a modular +-10^40
+        shift = [(-1) ** b * 10**40 for b in range(n)]
+        wide = TableFn(ground(n), map(add, [2**62 * v for v in f.values], subset_sums(shift)))
+        assert is_submodular(wide) == (False, (1 << i, 1 << j))
 
 
 @settings(max_examples=150, deadline=None)
@@ -671,3 +771,14 @@ def test_memo_is_set_by_the_check_and_passed_on():
     )
     assert all(node.submodular is True for node in built)
     assert materialize(f).submodular is None
+
+
+def test_set_memo_skips_the_check():
+    # f(ab) > f(a) + f(b): only a memo that is trusted can pass this table
+    trusted = TableFn(ground(2), [0, 0, 0, 1])
+    trusted.submodular = True
+    assert is_submodular(trusted) == (True, None)
+    fresh = TableFn(ground(2), [0, 0, 0, 1])
+    assert fresh.submodular is None
+    assert is_submodular(fresh) == (False, (0b01, 0b10))
+    assert fresh.submodular is None

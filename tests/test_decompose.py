@@ -293,6 +293,7 @@ class TestTrace:
     @pytest.mark.parametrize("tamper", [
         "block_child_w", "block_child_k", "leaf_w", "split_parts",
         "lost_child", "unknown_case", "dim_below_terms", "dim_none",
+        "point_face_as_face_drop", "point_face_as_direct_sum", "split_children_reversed",
     ])
     def test_tampered_inner_node_rejected(self, tamper):
         # a forced split of k3: the root splits into two point faces of leaves
@@ -314,10 +315,36 @@ class TestTrace:
             block.case = "mystery"
         elif tamper == "dim_below_terms":
             trace.dim = dec.distinct_count - 2
+        elif tamper == "point_face_as_face_drop":
+            # the children still sum up, but a face_drop without fn cannot print
+            block.case = "face_drop"
+        elif tamper == "point_face_as_direct_sum":
+            block.case = "direct_sum"
+        elif tamper == "split_children_reversed":
+            trace.children.reverse()
         else:
             block.dim = None
-        error = InvariantViolation if tamper == "dim_none" else (InvariantViolation, UsageError)
+        strict = ("dim_none", "point_face_as_face_drop", "point_face_as_direct_sum",
+                  "split_children_reversed")
+        error = InvariantViolation if tamper in strict else (InvariantViolation, UsageError)
         with pytest.raises(error):
+            replay(trace)
+
+    @pytest.mark.parametrize("case", ["leaf", "direct_sum", "point_face", "split"])
+    def test_relabelled_face_drop_root_rejected(self, case):
+        dec, trace = decompose(k3(), (3, 3, 0), 3)
+        assert trace.case == "face_drop" and replay(trace) == dec
+        trace.case = case
+        with pytest.raises(InvariantViolation):
+            replay(trace)
+
+    @pytest.mark.parametrize("case", ["leaf", "face_drop", "point_face", "split"])
+    def test_relabelled_direct_sum_root_rejected(self, case):
+        f = TableFn(ground(4), [0, 1, 1, 1, 2, 3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3])
+        dec, trace = decompose(f, (1, 0, 1, 1), 1)
+        assert trace.case == "direct_sum" and replay(trace) == dec
+        trace.case = case
+        with pytest.raises(InvariantViolation):
             replay(trace)
 
     def test_serializes_to_json(self):
