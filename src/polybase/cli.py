@@ -129,8 +129,11 @@ def cmd_decompose(args, inst) -> int:
             raise InvariantViolation(
                 "certificate failed verification: " + "; ".join(failures)
             )
-    shown = trace if args.trace else None
-    print(to_json(certificate_dict(w, k, dec, trace.dim, shown)))
+    try:  # the trace wraps f in more nodes than the document held
+        text = to_json(certificate_dict(w, k, dec, trace.dim, trace if args.trace else None))
+    except RecursionError:
+        raise ParseError(f"{args.path} nests too deeply to print its trace") from None
+    print(text)
     return EXIT_OK
 
 

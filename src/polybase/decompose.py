@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import Frozen, GroundSet, SubmodularFn, bits, is_submodular, subset_sums, vector_sum
+from .core import Frozen, GroundSet, SubmodularFn, bits, is_submodular, subset_sums
 from .core import _check_int, _check_int_vector
 from .errors import InvariantViolation, UsageError
 from .lp import assert_integral, build_intersection_system, find_vertex
@@ -283,16 +283,14 @@ def _require_membership(f: SubmodularFn, x, k: int) -> None:
     _check_int(k, "multiplicity must be a positive integer", 1)
     _check_int_vector(x, f.ground.n, "vector")
     require_submodular(f)
-    full = f.ground.full_mask
-    if vector_sum(x, full) != k * f(full):
-        raise UsageError(
-            f"x(E) = {vector_sum(x, full)} != {k * f(full)} = {k} * f(E)"
-        )
+    total = k * f.values[-1]
+    if sum(x) != total:
+        raise UsageError(f"x(E) = {sum(x)} != {total} = {k} * f(E)")
     ok, violated = in_extended_polymatroid(f, x, k)
     if not ok:
         names = ",".join(f.ground.names_of(violated))
         raise UsageError(
-            f"violated x({{{names}}}) <= {k * f(violated)}: got {vector_sum(x, violated)}"
+            f"violated x({{{names}}}) <= {k * f(violated)}: got {subset_sums(x)[violated]}"
         )
 
 

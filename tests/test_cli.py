@@ -1,5 +1,6 @@
 """End-to-end CLI tests: verbs, exit codes, byte determinism, start-up."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -287,6 +288,28 @@ class TestExitCodes:
         path.write_text(_scale_chain(3000))
         assert main(["decompose", str(path)]) == 2
 
+    def test_deep_trace_exits_with_a_documented_code(self, tmp_path, capsys):
+        # the printed trace wraps f in shift, scale, dual and reduce_at
+        # nodes, so it nests deeper than the document; every depth up to
+        # the first one parsing refuses exits 0 (1 for an odd number of
+        # duals, whose f(E) < 0) or 2, never with a traceback
+        path = tmp_path / "deep.json"
+        refused_print = 0
+        for depth in itertools.count(800):
+            path.write_text(_dual_chain(depth))
+            code = main(["decompose", str(path), "--trace"])
+            err = capsys.readouterr().err
+            assert code in (depth % 2, 2), err
+            assert "Traceback" not in err
+            if "to parse" in err:
+                break
+            refused_print += "nests too deeply to print its trace" in err
+        assert refused_print
+        # without --trace the deepest document that parses still decomposes
+        depth -= 2 - depth % 2
+        path.write_text(_dual_chain(depth))
+        assert main(["decompose", str(path)]) == 0
+
     def test_deep_scale_chain_decomposes(self, tmp_path, capsys):
         path = tmp_path / "chain.json"
         path.write_text(_scale_chain(600))
@@ -303,6 +326,12 @@ def _scale_chain(depth: int) -> str:
     leaf = json.dumps(K3_DOC["f"])
     f = '{"type": "scale", "r": 1, "inner": ' * depth + leaf + "}" * depth
     return f'{{"ground": ["a", "b", "c"], "w": [2, 2, 2], "k": 3, "f": {f}}}'
+
+
+def _dual_chain(depth: int) -> str:
+    """A uniform rank-2 instance on four elements inside depth dual nodes."""
+    f = '{"type": "dual", "inner": ' * depth + '{"type": "uniform", "rank": 2}' + "}" * depth
+    return f'{{"ground": ["a", "b", "c", "d"], "w": [2, 2, 1, 1], "k": 3, "f": {f}}}'
 
 
 class TestOracle:

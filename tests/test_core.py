@@ -511,7 +511,7 @@ def slice_sweep_is_submodular(f):
         for i in range(j):
             for lo, hi, _ in core._halves(size // 2, 1 << i):
                 if not all(map(le, d[hi], d[lo])):
-                    return False, core._first_local_violation(v, n)
+                    return False, local_scan_is_submodular(f)[1]
     return True, None
 
 
@@ -643,6 +643,27 @@ def test_packed_check_at_the_field_width_edges():
             checks_agree([0, *rest])
         for _ in range(8):
             checks_agree([0] + [rng.choice((-m, 0, m)) for _ in range(7)])
+
+
+def test_packed_check_names_the_first_failing_s_not_the_first_failing_pair():
+    # f(U) = [b, c in U] + [U = E] on abcd: pair (a, b) fails only at
+    # S = {c, d}, pair (b, c) already at S = {}, so the first violation in
+    # canonical order comes from the later pair
+    values = [int(m & 0b0110 == 0b0110) + int(m == 0b1111) for m in range(16)]
+    assert checks_agree(values) == (False, (0b0010, 0b0100))
+
+
+def test_packed_check_finds_a_violation_at_the_last_s():
+    # f(U) = |U & ab| + c(|U - ab|) with c strictly concave is submodular,
+    # with slack 0 on pair (a, b) and 2 on pairs outside ab; one more on
+    # f(E - ab) breaks only the local test at S = E - ab, the last S in
+    # canonical order
+    rest = (1 << 12) - 4
+    values = [(m & 3).bit_count() + 20 * (t := (m & rest).bit_count()) - t * t
+              for m in range(1 << 12)]
+    assert checks_agree(values) == (True, None)
+    values[rest] += 1
+    assert checks_agree(values) == (False, (rest | 1, rest | 2))
 
 
 @pytest.mark.parametrize("n", [7, 10])

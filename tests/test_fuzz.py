@@ -2,7 +2,8 @@
 
 Every document, well formed or not, must end in a documented outcome:
 ``parse_instance`` raises only ParseError or UsageError, and
-``polybase decompose`` exits 0, 1 or 2 with no traceback on stderr.
+``polybase decompose``, with and without ``--trace``, exits 0, 1 or 2
+with no traceback on stderr.
 Documents are free-form JSON, or valid instances (n <= 4) with one field
 replaced (by free-form JSON, or a small integer or a known name where the
 field held one) or deleted.
@@ -118,14 +119,14 @@ def mutated_instances(draw):
 documents = json_values | mutated_instances()
 
 
-def run_decompose(doc):
+def run_decompose(doc, *flags):
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w") as handle:
             json.dump(doc, handle)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["decompose", path])
+            code = main(["decompose", path, *flags])
     finally:
         os.unlink(path)
     return code, err.getvalue()
@@ -148,6 +149,7 @@ def test_parse_instance_raises_only_documented_errors(doc):
 @settings(max_examples=150, deadline=None)
 @given(doc=documents)
 def test_decompose_exits_with_a_documented_code(doc):
-    code, err = run_decompose(doc)
-    assert code in (0, 1, 2), err
-    assert "Traceback" not in err
+    for flags in ((), ("--trace",)):
+        code, err = run_decompose(doc, *flags)
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err

@@ -137,7 +137,9 @@ class TestNodeKinds:
         with pytest.raises(ParseError, match="integer"):
             parse_fn(ground(2), node)
 
-    @pytest.mark.parametrize("blocks", [["ab"], "ab", [["a"], "b"], [["a", 1]]])
+    @pytest.mark.parametrize(
+        "blocks", [["ab"], "ab", [["a"], "b"], [["a", 1]], [["a", "a"], ["b"]]]
+    )
     def test_partition_blocks_must_be_name_arrays(self, blocks):
         node = {"type": "partition", "blocks": blocks, "caps": [1] * len(blocks)}
         with pytest.raises(ParseError, match="blocks"):
@@ -177,7 +179,10 @@ class TestNodeKinds:
         assert inst.ground.elements == ("b", "c")
         assert inst.fn.values == (0, 1, 1, 1)
 
-    @pytest.mark.parametrize("a_prev, block", [("ab", ["c"]), (["a"], "c"), (["a", 1], ["c"])])
+    @pytest.mark.parametrize("a_prev, block", [
+        ("ab", ["c"]), (["a"], "c"), (["a", 1], ["c"]), (["a", "a"], ["b", "c", "b"]),
+        (["a"], ["b", "c", "b"]),
+    ])
     def test_block_restrict_masks_must_be_name_arrays(self, a_prev, block):
         node = {"type": "block_restrict", "a_prev": a_prev, "block": block,
                 "inner": {"type": "uniform", "rank": 1}}
