@@ -23,7 +23,6 @@ from .core import (
     is_matroid_rank,
     is_submodular,
     materialize,
-    set_ground_limit,
 )
 from .decompose import (
     DecompositionTrace,
@@ -124,7 +123,6 @@ __all__ = [
     "parse_instance",
     "point_tight_family",
     "replay",
-    "set_ground_limit",
     "split_into_k_bases",
     "tight_sets",
     "verify",

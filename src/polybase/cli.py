@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("path", help="instance JSON file (or directory of them)")
-        p.add_argument("--limit-n", type=int, default=None,
+        p.add_argument("--limit-n", type=int, default=core.DEFAULT_GROUND_LIMIT,
                        help="override the ground-set size cap")
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for directory inputs")
@@ -181,7 +181,7 @@ _set_digit_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 def _run_single(args) -> int:
     try:
-        inst = load_instance(args.path)
+        inst = load_instance(args.path, args.limit_n)
         previous = _get_digit_cap()
         _set_digit_cap(0)
         try:
@@ -212,11 +212,7 @@ def _run_capture(args) -> tuple[int, str, str]:
 
 
 def _worker(args):
-    # a worker process need not inherit the parent's cap, so set it again
-    if args.limit_n is not None:
-        core.set_ground_limit(args.limit_n)
-    code, out, err = _run_capture(args)
-    return args.path, code, out, err
+    return (args.path, *_run_capture(args))
 
 
 def _run_directory(args) -> int:
@@ -250,8 +246,6 @@ def _run_directory(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run = _run_directory if Path(args.path).is_dir() else _run_single
-    # the cap holds for this run only; the caller's override comes back after
-    previous = core.set_ground_limit(args.limit_n) if args.limit_n is not None else None
     try:
         code = run(args)
         sys.stdout.flush()  # so a closed stdout shows up here, not at exit
@@ -260,9 +254,6 @@ def main(argv=None) -> int:
         # the recipe in the signal module's docs: later writes, the flush at exit too, go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
-    finally:
-        if args.limit_n is not None:
-            core.set_ground_limit(previous)
 
 
 if __name__ == "__main__":

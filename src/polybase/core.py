@@ -31,7 +31,6 @@ may still be shared freely, across threads.
 
 from __future__ import annotations
 
-import os
 from functools import cache
 from itertools import repeat
 from operator import add, itemgetter, le, mul, sub
@@ -39,27 +38,6 @@ from operator import add, itemgetter, le, mul, sub
 from .errors import UsageError
 
 DEFAULT_GROUND_LIMIT = 12
-
-_limit_override: int | None = None
-
-
-def set_ground_limit(n: int | None) -> int | None:
-    """Override the ground-set size cap (None restores env/default); returns the old one."""
-    global _limit_override
-    previous, _limit_override = _limit_override, n
-    return previous
-
-
-def ground_limit() -> int:
-    if _limit_override is not None:
-        return _limit_override
-    env = os.environ.get("POLYBASE_LIMIT_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"POLYBASE_LIMIT_N is not an integer: {env!r}")
-    return DEFAULT_GROUND_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +108,25 @@ class GroundSet(Frozen):
     """An ordered finite set of named elements.
 
     The construction order is canonical: it fixes bit positions, subset
-    iteration order and every tie-break in the package.
+    iteration order and every tie-break in the package.  ``limit`` caps the
+    size, since every table holds 2^n values.  It is checked, not stored: a
+    copy of this ground, or a ground derived from it, passes this size.
     """
 
     __slots__ = ("elements",)
 
-    def __init__(self, elements):
+    def __init__(self, elements, limit: int = DEFAULT_GROUND_LIMIT):
+        if limit < 1:
+            raise UsageError(f"ground set size limit must be at least 1, got {limit}")
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise UsageError(f"ground elements are not distinct: {elements}")
-        limit = ground_limit()
         if not 1 <= len(elements) <= limit:
             raise UsageError(f"ground set size {len(elements)} outside [1, {limit}]")
         super().__init__(elements)
+
+    def __reduce__(self):
+        return GroundSet, (self.elements, len(self.elements))
 
     @property
     def n(self) -> int:
@@ -521,7 +505,7 @@ class BlockRestrictFn(SubmodularFn):
         if a_prev & ~full or block & ~full:
             raise UsageError("block restriction masks out of range")
         positions = tuple(bits(block))
-        ground = GroundSet(inner.ground.elements[i] for i in positions)
+        ground = GroundSet((inner.ground.elements[i] for i in positions), inner.ground.n)
         # the parent mask of a block mask is a_prev plus its elements' bits
         parent_masks = map(add, subset_sums([1 << p for p in positions]), repeat(a_prev))
         values = itemgetter(*parent_masks)(inner.values)

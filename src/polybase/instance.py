@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 
 from .core import (
+    DEFAULT_GROUND_LIMIT,
     Frozen,
     GraphicRank,
     GroundSet,
@@ -128,12 +129,13 @@ def _parse_table(ground: GroundSet, values) -> TableFn:
     return TableFn(ground, table)
 
 
-def parse_instance(doc) -> InstanceFile:
+def parse_instance(doc, limit: int = DEFAULT_GROUND_LIMIT) -> InstanceFile:
+    """The instance in a decoded document; its ground may hold at most ``limit`` elements."""
     if not isinstance(doc, dict):
         raise ParseError("instance must be a JSON object")
     names = _names(_need(doc, "ground", "instance"), "ground")
     try:
-        ground = GroundSet(tuple(names))
+        ground = GroundSet(names, limit)
     except UsageError as exc:
         raise ParseError(str(exc)) from exc
     fn = parse_fn(ground, _need(doc, "f", "instance"))
@@ -147,7 +149,7 @@ def parse_instance(doc) -> InstanceFile:
     return InstanceFile(ground, fn, w, k)
 
 
-def load_instance(path) -> InstanceFile:
+def load_instance(path, limit: int = DEFAULT_GROUND_LIMIT) -> InstanceFile:
     try:
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -156,6 +158,6 @@ def load_instance(path) -> InstanceFile:
             raise ParseError(f"cannot read {path}: {exc}") from exc
         except ValueError as exc:  # also not UTF-8, or an integer past the digit limit
             raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-        return parse_instance(doc)
+        return parse_instance(doc, limit)
     except RecursionError:
         raise ParseError(f"{path} nests too deeply to parse") from None

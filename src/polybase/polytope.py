@@ -92,7 +92,8 @@ def tight_sets(f: SubmodularFn) -> list[int]:
     # E - U is full - U as a mask, so f(E - U) reads the table backwards; the
     # family is closed under complement, so the masks without the top bit suffice
     low = [m for m, (a, b) in enumerate(zip(v[:len(v) // 2], reversed(v))) if a + b == fe]
-    return low + [f.ground.full_mask ^ m for m in reversed(low)]
+    full = f.ground.full_mask
+    return low + [full ^ m for m in reversed(low)]
 
 
 class FaceStructure(Frozen):

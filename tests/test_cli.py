@@ -510,21 +510,17 @@ class TestLimitFlag:
         assert main(["check", write(doc), "--limit-n", "3"]) == 2
 
     def test_limit_lasts_for_one_run(self, write):
-        import polybase.core as core
-        from polybase import GroundSet, UsageError
+        u24 = write(U24_DOC)
+        assert main(["check", u24, "--limit-n", "3"]) == 2
+        assert main(["check", u24]) == 0
+        assert load_instance(u24).ground.n == 4
+        u13 = write({"ground": [f"e{i}" for i in range(13)], "f": {"type": "uniform", "rank": 1}},
+                    "u13.json")
+        assert main(["check", u13, "--limit-n", "13"]) == 0
+        assert main(["check", u13]) == 2
 
-        assert main(["check", write(U24_DOC), "--limit-n", "3"]) == 2
-        assert GroundSet("abcd").n == 4
-        core.set_ground_limit(5)
-        try:
-            assert main(["check", write(U24_DOC), "--limit-n", "3"]) == 2
-            with pytest.raises(UsageError, match="outside"):
-                GroundSet("abcdef")
-            assert GroundSet("abcde").n == 5
-        finally:
-            core.set_ground_limit(None)
-
-    def test_env_var_respected(self, write, monkeypatch):
-        monkeypatch.setenv("POLYBASE_LIMIT_N", "2")
-        doc = {"ground": ["a", "b", "c"], "f": {"type": "uniform", "rank": 1}}
-        assert main(["check", write(doc)]) == 2
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_limit_below_one_exits_two(self, write, capsys, limit):
+        assert main(["check", write(U24_DOC), "--limit-n", limit]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ground set size limit must be at least 1, got {limit}\n"

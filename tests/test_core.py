@@ -1,10 +1,12 @@
 """Unit tests for the submodular function algebra."""
 
+import ast
 import copy
 import itertools
 import pickle
 import random
 from operator import add, le, sub
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -41,7 +43,6 @@ from polybase import (
     is_matroid_rank,
     is_submodular,
     materialize,
-    set_ground_limit,
 )
 from polybase.core import subset_sums
 
@@ -234,18 +235,22 @@ class TestGroundSet:
             GroundSet(("a", "a"))
 
     def test_limit_enforced(self):
-        set_ground_limit(3)
-        try:
-            with pytest.raises(UsageError):
-                ground(4)
-            ground(3)
-        finally:
-            set_ground_limit(None)
+        with pytest.raises(UsageError, match=r"size 4 outside \[1, 3\]"):
+            GroundSet("abcd", 3)
+        assert GroundSet("abc", 3).n == 3
+        assert ground(4).n == 4  # the default cap again, nothing was left set
+        with pytest.raises(UsageError, match="size 13 outside"):
+            GroundSet(range(13))
+        with pytest.raises(UsageError, match="limit must be at least 1, got 0$"):
+            GroundSet("a", 0)
 
-    def test_env_limit(self, monkeypatch):
-        monkeypatch.setenv("POLYBASE_LIMIT_N", "2")
-        with pytest.raises(UsageError):
-            ground(3)
+    def test_derived_grounds_keep_a_raised_limit(self):
+        names = [f"e{i}" for i in range(14)]
+        f = UniformRank(GroundSet(names, limit=14), 2)
+        block = f.block_restrict(1, f.ground.full_mask ^ 1)
+        assert block.ground.elements == tuple(names[1:])
+        for g in (f.ground, block.ground):
+            assert copy.deepcopy(g) == g and pickle.loads(pickle.dumps(g)) == g
 
     def test_mask_round_trip(self):
         g = ground(4)
@@ -803,3 +808,20 @@ def test_set_memo_skips_the_check():
     assert fresh.submodular is None
     assert is_submodular(fresh) == (False, (0b01, 0b10))
     assert fresh.submodular is None
+
+
+def test_package_holds_no_process_state():
+    # settings reach polybase as arguments: no module reads the environment
+    # or rebinds a module global
+    src = Path(core.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno} global")
+            elif isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} os.{a.name}" for a in node.names
+                          if a.name in ("environ", "getenv")]
+    assert len(list(src.glob("*.py"))) > 5 and found == []

@@ -2,6 +2,7 @@
 
 import json
 import random
+import threading
 
 import pytest
 
@@ -30,7 +31,52 @@ def table_doc():
     }
 
 
+U24_DOC = {"ground": ["a", "b", "c", "d"], "f": {"type": "uniform", "rank": 2}}
+
+
 class TestParseInstance:
+    def test_limit_is_an_argument(self):
+        with pytest.raises(ParseError, match=r"size 4 outside \[1, 3\]"):
+            parse_instance(U24_DOC, 3)
+        assert parse_instance(U24_DOC).ground.n == 4
+
+    def test_threads_parse_with_their_own_limits(self):
+        # thread a stops on reading its ground until thread b, under limit 3,
+        # reads its own, so a cap held in process state would refuse a's ground
+        b_reading, a_done = threading.Event(), threading.Event()
+
+        class Doc(dict):
+            def __init__(self, on_ground):
+                super().__init__(U24_DOC)
+                self.on_ground = on_ground
+
+            def __getitem__(self, key):
+                if key == "ground":
+                    self.on_ground()
+                return super().__getitem__(key)
+
+        results = {}
+
+        def run(name, doc, limit):
+            try:
+                results[name] = parse_instance(doc, limit).ground.n
+            except ParseError as exc:
+                results[name] = str(exc)
+            finally:
+                if name == "a":
+                    a_done.set()
+
+        threads = [
+            threading.Thread(target=run, args=("a", Doc(lambda: b_reading.wait(10)), 4)),
+            threading.Thread(target=run, args=(
+                "b", Doc(lambda: (b_reading.set(), a_done.wait(10))), 3)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results == {"a": 4, "b": "ground set size 4 outside [1, 3]"}
+
     def test_table_with_defaulted_empty_set(self):
         inst = parse_instance(table_doc())
         assert inst.fn(0) == 0
