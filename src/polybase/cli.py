@@ -245,6 +245,9 @@ def _run_directory(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_PARSE
     run = _run_directory if Path(args.path).is_dir() else _run_single
     try:
         code = run(args)

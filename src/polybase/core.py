@@ -566,8 +566,9 @@ def is_submodular(f: SubmodularFn):
     low = min(v)
     nbytes = ((max(v) - low).bit_length() + 9) // 8
     w = 8 * nbytes
-    fields = map(int.to_bytes, map(sub, v, repeat(low)), repeat(nbytes), repeat("little"))
-    u = int.from_bytes(b"".join(fields), "little")
+    fields = map(sub, v, repeat(low))
+    u = int.from_bytes(bytes(fields) if nbytes == 1 else b"".join(
+        map(int.to_bytes, fields, repeat(nbytes), repeat("little"))), "little")
     top = bytes(nbytes - 1) + b"\x80"
     high = int.from_bytes(top * size, "little")
     # without[i]: the top bits of the fields of the masks without bit i

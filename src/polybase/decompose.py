@@ -30,7 +30,9 @@ Three constructive pieces:
       most |E| - 2, so the two branch counts total at most dim + 1.
 
 Membership in k B_f and its faces read f's own table, and the vertex step
-reads plain value tables, so no scaled, dual or shifted node is built.
+reads plain value tables, so no scaled, dual or shifted node is built.  A
+point's subset sums are built once, where the point is made (x2's as w's
+less x1's), and handed as ``sums=`` to the query that reads them.
 
 The recursion builds only a ``DecompositionTrace``, and ``decompose`` reads
 the terms off it as ``replay`` does.  ``verify`` re-checks a finished
@@ -40,6 +42,7 @@ decomposition from scratch, independent of the trace.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import sub
 
 from .core import Frozen, GroundSet, SubmodularFn, bits, is_submodular, subset_sums
 from .core import _check_int, _check_int_vector
@@ -78,12 +81,16 @@ class WeightedDecomposition(Frozen):
         for wt, point in merged:
             _check_int(wt, "term weight must be a positive integer", 1)
             _check_int_vector(point, len(target), "term point")
-        if sum(wt for wt, _ in merged) != multiplicity:
+        return cls._summed(merged, target, multiplicity)
+
+    @classmethod
+    def _summed(cls, terms: Terms, target: tuple, multiplicity: int) -> "WeightedDecomposition":
+        if sum(wt for wt, _ in terms) != multiplicity:
             raise UsageError("term weights do not sum to the multiplicity")
         for i in range(len(target)):
-            if sum(wt * p[i] for wt, p in merged) != target[i]:
+            if sum(wt * p[i] for wt, p in terms) != target[i]:
                 raise UsageError(f"terms do not sum to the target at coordinate {i}")
-        return cls(tuple(merged), target, multiplicity)
+        return cls(tuple(terms), target, multiplicity)
 
     @property
     def distinct_count(self) -> int:
@@ -166,27 +173,28 @@ class DecompositionTrace:
 def split_into_k_bases(f: SubmodularFn, x, k: int) -> list[tuple[int, ...]]:
     """Write x in k B_f as an ordered list of k integer points of B_f."""
     x = tuple(x)
-    _require_membership(f, x, k)
+    sums = _require_membership(f, x, k)
     result: list[tuple[int, ...]] = []
     cur = x
     for j in range(k, 1, -1):
         point = _integer_vertex(
-            f.ground, f.values, _mirror_values(cur, j - 1, f),
+            f.ground, f.values, _mirror_values(sums, j - 1, f),
             "empty intersection while splitting; decomposition theory violated",
         )
         result.append(point)
-        cur = tuple(c - p for c, p in zip(cur, point))
-    if not in_base_polytope(f, cur):
+        cur = tuple(map(sub, cur, point))
+        sums = subset_sums(cur)
+    if not in_base_polytope(f, cur, sums=sums):
         raise InvariantViolation("split residue left the base polytope")
     result.append(cur)
     return result
 
 
-def _mirror_values(x, m: int, g: SubmodularFn) -> list[int]:
-    """The table whose base polytope is x - m B_g: U -> x(U) - m (g(E) - g(E - U))."""
+def _mirror_values(sums, m: int, g: SubmodularFn) -> list[int]:
+    """The table of x - m B_g from x's sums: U -> x(U) - m (g(E) - g(E - U))."""
     top = g.values[-1]
     # E - U = full - U, so g(E - U) runs through the table backwards
-    return [s - m * (top - v) for s, v in zip(subset_sums(x), reversed(g.values))]
+    return [s - m * (top - v) for s, v in zip(sums, reversed(g.values))]
 
 
 def _integer_vertex(ground: GroundSet, f_values, g_values, empty: str) -> tuple[int, ...]:
@@ -269,29 +277,32 @@ def decompose(f: SubmodularFn, w, k: int):
     InvariantViolation (with diagnostics) if an internal guarantee fails.
     """
     w = tuple(w)
-    _require_membership(f, w, k)
+    sums = _require_membership(f, w, k)
     if f.ground.n == 1:
         trace = _leaf(f, 0, 1, w, k, None)
     elif (fs := face_structure(f)).t == 1:
-        trace = _decompose_rec(f, w, k, None)
+        trace = _decompose_rec(f, w, k, None, sums)
     else:
         trace = _chain_node("direct_sum", f, fs, w, k, fs.dim + f.ground.n, fs.dim)
-    return WeightedDecomposition.from_terms(_terms(trace), w, k), trace
+    return WeightedDecomposition._summed(_terms(trace), w, k), trace
 
 
-def _require_membership(f: SubmodularFn, x, k: int) -> None:
+def _require_membership(f: SubmodularFn, x, k: int) -> list[int]:
+    """Check x in k B_f (f submodular first) and return x's subset sums."""
     _check_int(k, "multiplicity must be a positive integer", 1)
-    _check_int_vector(x, f.ground.n, "vector")
+    x = _check_int_vector(x, f.ground.n, "vector")
     require_submodular(f)
     total = k * f.values[-1]
     if sum(x) != total:
         raise UsageError(f"x(E) = {sum(x)} != {total} = {k} * f(E)")
-    ok, violated = in_extended_polymatroid(f, x, k)
+    sums = subset_sums(x)
+    ok, violated = in_extended_polymatroid(f, x, k, sums=sums)
     if not ok:
         names = ",".join(f.ground.names_of(violated))
         raise UsageError(
-            f"violated x({{{names}}}) <= {k * f(violated)}: got {subset_sums(x)[violated]}"
+            f"violated x({{{names}}}) <= {k * f(violated)}: got {sums[violated]}"
         )
+    return sums
 
 
 def require_submodular(f: SubmodularFn) -> None:
@@ -310,10 +321,10 @@ def _leaf(f: SubmodularFn, prev: int, block: int, w, k: int, parent_measure):
     value = f.values[prev | block] - f.values[prev]
     _check(w[0] == k * value, "leaf target is not k times the level")
     _check_measure(1, parent_measure)
-    return DecompositionTrace("leaf", f.ground.names_of(block), w, k, dim=0)
+    return DecompositionTrace("leaf", (f.ground.elements[block.bit_length() - 1],), w, k, dim=0)
 
 
-def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
+def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
     ground = f.ground
     n = ground.n
     full = ground.full_mask
@@ -330,7 +341,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
         capped = f.reduce_at(e_name, q)
         _check(capped(full) == f(full), "cap at q changed the level")
         _check(k * capped(1) == w[0], "x(e) = q is not tight for w under the cap")
-        face = _face_of(capped, w, k)
+        face = _face_of(capped, w, k, sums)
         _check(face.chain[1] == 1, "fixed element does not start the tight chain")
         return _chain_node("face_drop", capped, face, w, k, measure, dim, fn=capped)
 
@@ -340,29 +351,31 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure):
     _check(upper(full) == f(full), "cap at q+1 changed the level")
     _check(lower(full) == f(full), "cap at q changed the level")
     x1 = _integer_vertex(
-        ground, [r * v for v in upper.values], _mirror_values(w, k - r, lower),
+        ground, [r * v for v in upper.values], _mirror_values(sums, k - r, lower),
         "empty split intersection; decomposition theory violated",
     )
     x2 = tuple(wi - xi for wi, xi in zip(w, x1))
     _check(x1[0] == r * (q + 1), "x'(e) != r (q+1)")
     _check(x2[0] == (k - r) * q, "x''(e) != (k-r) q")
+    sums1 = subset_sums(x1)
+    sums2 = list(map(sub, sums, sums1))
 
     sides = []
-    for f_side, x, mult in ((upper, x1, r), (lower, x2, k - r)):
-        face = _face_of(f_side, x, mult)
+    for f_side, x, x_sums, mult in ((upper, x1, sums1, r), (lower, x2, sums2, k - r)):
+        face = _face_of(f_side, x, mult, x_sums)
         _check(face.t >= 2, "point face did not factor")
         sides.append(_chain_node("point_face", f_side, face, x, mult, measure, face.dim))
     _check(sides[0].dim + sides[1].dim <= n - 2, "split faces are not complementary")
     return DecompositionTrace("split", ground.elements, w, k, sides, fn=f, dim=dim)
 
 
-def _face_of(f_base: SubmodularFn, x, k: int) -> FaceStructure:
+def _face_of(f_base: SubmodularFn, x, k: int, sums) -> FaceStructure:
     """The minimal face of k B_{f_base} holding x, a point the engine derived.
 
     Such a point outside k B_{f_base} is a defect, not a usage error.
     """
     try:
-        return minimal_face_of_point(f_base, x, k)
+        return minimal_face_of_point(f_base, x, k, sums=sums)
     except UsageError as exc:
         raise InvariantViolation(f"derived point left its polytope: {exc}") from exc
 
@@ -382,7 +395,7 @@ def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int,
             children.append(_leaf(f_base, prev, block, block_w, k, measure))
         else:
             block_fn = f_base.block_restrict(prev, block)
-            children.append(_decompose_rec(block_fn, block_w, k, measure))
+            children.append(_decompose_rec(block_fn, block_w, k, measure, subset_sums(block_w)))
     return DecompositionTrace(case, f_base.ground.elements, w, k, children, face, fn, dim)
 
 

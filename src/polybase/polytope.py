@@ -9,43 +9,46 @@ definitional "x(U) = f(U) for every point" because the minimum of x(U)
 over B_f is f(E) - f(E-U), attained by a greedy vertex that fills E-U
 first.  The test suite validates this against vertex enumeration.
 
-Membership and faces of k B_f = B_{kf} read f's own table: the queries
-taking a multiplicity k compare x(U) with k f(U) inside their one pass.
+Membership and faces of k B_f = B_{kf} read f's own table, scaled by k
+once per query.  A query builds x's subset sums from the checked x unless
+the caller, as ``decompose`` does, hands in the sums it built with x.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from operator import eq, gt, indexOf, le, mul
+from operator import add, eq, gt, indexOf, le, mul, xor
 
 from .core import Frozen, SubmodularFn, _check_int_vector, bits, subset_sums
 from .errors import UsageError
 
 
-def in_extended_polymatroid(f: SubmodularFn, x, k: int = 1):
+def in_extended_polymatroid(f: SubmodularFn, x, k: int = 1, *, sums=None):
     """Check x(U) <= k f(U) for all U: membership in k EP_f.
 
     Returns (True, None) or (False, U) with the first violating subset
-    mask in canonical order.
+    mask in canonical order.  ``sums``, if given, must be subset_sums(x)
+    of an already checked x; only its length is checked.
     """
-    sums = _subset_sums_of(f, x)
-    if all(map(le, sums, _times(f.values, k))):
+    sums = _subset_sums_of(f, x, sums)
+    kf = _times(f.values, k)
+    if all(map(le, sums, kf)):
         return True, None
-    return False, indexOf(map(gt, sums, _times(f.values, k)), True)
+    return False, indexOf(map(gt, sums, kf), True)
 
 
-def in_base_polytope(f: SubmodularFn, x) -> bool:
-    """Membership in B_f: extended-polymatroid membership with x(E) = f(E)."""
-    return _in_base(_subset_sums_of(f, x), f.values)
+def in_base_polytope(f: SubmodularFn, x, *, sums=None) -> bool:
+    """Membership in B_f: EP_f membership with x(E) = f(E), ``sums`` as there."""
+    return _in_base(_subset_sums_of(f, x, sums), f.values)
 
 
-def _in_base(sums, values, k: int = 1) -> bool:
-    return sums[-1] == k * values[-1] and all(map(le, sums, _times(values, k)))
+def _in_base(sums, values) -> bool:
+    return sums[-1] == values[-1] and all(map(le, sums, values))
 
 
 def _times(values, k: int):
-    """k times a value table, lazily; the table itself when k = 1."""
-    return values if k == 1 else map(mul, values, repeat(k))
+    """k times a value table; the table itself when k = 1."""
+    return values if k == 1 else list(map(mul, values, repeat(k)))
 
 
 def bounding_box(f: SubmodularFn):
@@ -88,12 +91,10 @@ def tight_sets(f: SubmodularFn) -> list[int]:
     set and E and is closed under union and intersection.
     """
     v = f.values
-    fe = v[-1]
     # E - U is full - U as a mask, so f(E - U) reads the table backwards; the
     # family is closed under complement, so the masks without the top bit suffice
-    low = [m for m, (a, b) in enumerate(zip(v[:len(v) // 2], reversed(v))) if a + b == fe]
-    full = f.ground.full_mask
-    return low + [full ^ m for m in reversed(low)]
+    low = list(compress(count(), map(eq, map(add, v[:len(v) // 2], reversed(v)), repeat(v[-1]))))
+    return low + list(map(xor, reversed(low), repeat(f.ground.full_mask)))
 
 
 class FaceStructure(Frozen):
@@ -151,13 +152,16 @@ def _structure_from_chain(f: SubmodularFn, chain) -> FaceStructure:
 
 def face_structure(f: SubmodularFn) -> FaceStructure:
     """Factor B_f itself along a maximal chain of its tight sets."""
-    chain = _maximal_chain(tight_sets(f), f.ground.full_mask)
-    return _structure_from_chain(f, chain)
+    return _structure_from_chain(f, _tight_chain(f))
 
 
 def dimension(f: SubmodularFn) -> int:
-    """dim B_f = n - (length of a maximal tight chain)."""
-    return face_structure(f).dim
+    """dim B_f = n - (number of blocks of a maximal tight chain)."""
+    return f.ground.n + 1 - len(_tight_chain(f))
+
+
+def _tight_chain(f: SubmodularFn) -> tuple:
+    return _maximal_chain(tight_sets(f), f.ground.full_mask)
 
 
 def point_tight_family(f: SubmodularFn, x) -> list[int]:
@@ -165,22 +169,24 @@ def point_tight_family(f: SubmodularFn, x) -> list[int]:
     return list(compress(count(), map(eq, _subset_sums_of(f, x), f.values)))
 
 
-def _subset_sums_of(f: SubmodularFn, x) -> list[int]:
-    return subset_sums(_check_int_vector(x, f.ground.n, "vector"))
+def _subset_sums_of(f: SubmodularFn, x, sums=None) -> list[int]:
+    if sums is not None and len(sums) != len(f.values):
+        raise UsageError(f"got {len(sums)} subset sums for {len(f.values)} subsets")
+    return subset_sums(_check_int_vector(x, f.ground.n, "vector")) if sums is None else sums
 
 
-def minimal_face_of_point(f: SubmodularFn, x, k: int = 1) -> FaceStructure:
+def minimal_face_of_point(f: SubmodularFn, x, k: int = 1, *, sums=None) -> FaceStructure:
     """The inclusionwise minimal face of k B_f containing x, factored.
 
     The subsets U tight at x (x(U) = k f(U)) form a union/intersection-closed
     family; a maximal chain inside it yields the face as a direct sum of
     block base polytopes, each scaled by k.  The subset sums of x serve
-    both membership and tightness.
+    both membership and tightness; ``sums`` is as for in_extended_polymatroid.
     """
     x = tuple(x)
-    sums = _subset_sums_of(f, x)
-    if not _in_base(sums, f.values, k):
+    sums = _subset_sums_of(f, x, sums)
+    kf = _times(f.values, k)
+    if not _in_base(sums, kf):
         raise UsageError(f"point {x} is not in the base polytope")
-    tight = compress(count(), map(eq, sums, _times(f.values, k)))
-    chain = _maximal_chain(list(tight), f.ground.full_mask)
-    return _structure_from_chain(f, chain)
+    tight = compress(count(), map(eq, sums, kf))
+    return _structure_from_chain(f, _maximal_chain(list(tight), f.ground.full_mask))

@@ -189,7 +189,7 @@ class TestDecompose:
 
         engine = sys.modules["polybase.decompose"]
 
-        def outside(f, x, k=1):
+        def outside(f, x, k=1, *, sums=None):
             raise UsageError("outside")
 
         monkeypatch.setattr(engine, "minimal_face_of_point", outside)
@@ -446,6 +446,16 @@ class TestDirectoryMode:
         code = main([verb, str(tmp_path), *rest, "--jobs", jobs])
         assert capsys.readouterr().out.splitlines() == expected
         assert code == worst
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("target", ["file", "directory"])
+    def test_jobs_below_one_exits_two(self, tmp_path, capsys, jobs, target):
+        (tmp_path / "u24.json").write_text(json.dumps(U24_DOC))
+        path = tmp_path if target == "directory" else tmp_path / "u24.json"
+        assert main(["check", str(path), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
 
     def test_jobs_capped_at_file_count(self, tmp_path, monkeypatch):
         # a pool forks all its workers at the first submit, so --jobs 5000

@@ -587,11 +587,11 @@ class TestLeaves:
         assert leaves > len(block_builds)
 
 
-def _outside(f, x, k=1):
+def _outside(f, x, k=1, *, sums=None):
     raise UsageError("outside")
 
 
-def _one_block(f, x, k=1):
+def _one_block(f, x, k=1, *, sums=None):
     return _structure_from_chain(f, (0, f.ground.full_mask))
 
 
@@ -620,6 +620,27 @@ class TestChainStep:
         with pytest.raises(InvariantViolation) as err:
             decompose(k3(), (2, 2, 2), 3)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make, w, k, case", [
+    (u12, (2, 0), 2, "face_drop"),
+    (k3, (2, 2, 2), 3, "split"),
+    (part11, (2, 0, 1, 1), 2, "direct_sum"),
+])
+def test_root_subset_sums_are_built_once(monkeypatch, make, w, k, case):
+    from polybase.core import subset_sums
+
+    built = []
+
+    def counted(x):
+        x = tuple(x)
+        built.append(x)
+        return subset_sums(x)
+
+    for module in ("polybase.decompose", "polybase.polytope"):
+        monkeypatch.setattr(sys.modules[module], "subset_sums", counted)
+    assert decompose(make(), w, k)[1].case == case
+    assert built.count(w) == 1
 
 
 @settings(max_examples=30, deadline=None)

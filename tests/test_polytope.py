@@ -218,6 +218,47 @@ class TestMinimalFace:
                 assert (a | b) in family and (a & b) in family
 
 
+class TestHandedSums:
+    """A query handed a point's subset sums answers as it does from the point."""
+
+    @staticmethod
+    def _face_or_error(f, x, k, **sums):
+        try:
+            return minimal_face_of_point(f, x, k, **sums)
+        except UsageError as exc:
+            return str(exc)
+
+    def test_queries_match_with_and_without_sums(self):
+        rng = random.Random(53)
+        outside = 0
+        for name, f in acceptance_corpus() + flat_corpus():
+            k = rng.randint(1, 6)
+            x = sample_target(f, k, rng)
+            # one unit moved from the last coordinate to the first: often outside
+            moved = (x[0] + 1, *x[1:-1], x[-1] - 1)
+            for point in (x, moved):
+                sums = subset_sums(point)
+                member = in_extended_polymatroid(f, point, k)
+                assert in_extended_polymatroid(f, point, k, sums=sums) == member, (name, point)
+                face = self._face_or_error(f, point, k)
+                assert self._face_or_error(f, point, k, sums=sums) == face, (name, point)
+                outside += not member[0]
+            assert in_base_polytope(f, x, sums=subset_sums(x)) == in_base_polytope(f, x)
+        assert outside > 0
+
+    @pytest.mark.parametrize("cut", [slice(None, 1), slice(None, -1), slice(None, None, 2)])
+    def test_sums_of_the_wrong_length_are_refused(self, cut):
+        # (2, 0, 0) lies outside B_f; a short prefix of its sums would pass
+        f, x = u23(), (2, 0, 0)
+        for sums in (subset_sums(x)[cut], subset_sums(x) + [0]):
+            with pytest.raises(UsageError, match=f"got {len(sums)} subset sums for 8 subsets"):
+                in_extended_polymatroid(f, x, sums=sums)
+            with pytest.raises(UsageError, match="subset sums for 8 subsets"):
+                in_base_polytope(f, x, sums=sums)
+            with pytest.raises(UsageError, match="subset sums for 8 subsets"):
+                minimal_face_of_point(f, x, 2, sums=sums)
+
+
 class TestBlocksAreFullDimensional:
     """A block of a maximal tight chain has no proper tight set of its own:
     with one, U, the set A_{i-1} | U would be tight for the face and lie
