@@ -34,9 +34,10 @@ reads plain value tables, so no scaled, dual or shifted node is built.  A
 point's subset sums are built once, where the point is made (x2's as w's
 less x1's), and handed as ``sums=`` to the query that reads them.
 
-The recursion builds only a ``DecompositionTrace``, and ``decompose`` reads
-the terms off it as ``replay`` does.  ``verify`` re-checks a finished
-decomposition from scratch, independent of the trace.
+The recursion builds only a ``DecompositionTrace``.  ``decompose`` and
+``replay`` both read the terms off it with ``_terms`` and normalize them
+once, in ``WeightedDecomposition.from_terms``.  ``verify`` re-checks a
+finished decomposition from scratch, independent of the trace.
 """
 
 from __future__ import annotations
@@ -73,37 +74,30 @@ class WeightedDecomposition(Frozen):
 
     @classmethod
     def from_terms(cls, terms, target, multiplicity: int) -> "WeightedDecomposition":
+        """Merge equal points (summing weights), sort by point and check the
+        sums: the one constructor, and the one place terms are normalized."""
         target = tuple(target)
         _check_int_vector(target, len(target), "target")
-        merged = _normalize_terms(terms)
-        if not merged:
+        acc: dict[tuple[int, ...], int] = {}
+        for wt, point in terms:
+            point = tuple(point)
+            acc[point] = acc.get(point, 0) + wt
+        if not acc:
             raise UsageError("a decomposition needs at least one term")
+        merged = [(wt, point) for point, wt in sorted(acc.items(), key=lambda kv: kv[0])]
         for wt, point in merged:
             _check_int(wt, "term weight must be a positive integer", 1)
             _check_int_vector(point, len(target), "term point")
-        return cls._summed(merged, target, multiplicity)
-
-    @classmethod
-    def _summed(cls, terms: Terms, target: tuple, multiplicity: int) -> "WeightedDecomposition":
-        if sum(wt for wt, _ in terms) != multiplicity:
+        if sum(wt for wt, _ in merged) != multiplicity:
             raise UsageError("term weights do not sum to the multiplicity")
         for i in range(len(target)):
-            if sum(wt * p[i] for wt, p in terms) != target[i]:
+            if sum(wt * p[i] for wt, p in merged) != target[i]:
                 raise UsageError(f"terms do not sum to the target at coordinate {i}")
-        return cls(tuple(terms), target, multiplicity)
+        return cls(tuple(merged), target, multiplicity)
 
     @property
     def distinct_count(self) -> int:
         return len(self.terms)
-
-
-def _normalize_terms(terms) -> Terms:
-    """Merge equal points (summing weights) and sort lexicographically."""
-    acc: dict[tuple[int, ...], int] = {}
-    for wt, point in terms:
-        point = tuple(point)
-        acc[point] = acc.get(point, 0) + wt
-    return [(wt, point) for point, wt in sorted(acc.items(), key=lambda kv: kv[0])]
 
 
 class DecompositionTrace:
@@ -284,7 +278,7 @@ def decompose(f: SubmodularFn, w, k: int):
         trace = _decompose_rec(f, w, k, None, sums)
     else:
         trace = _chain_node("direct_sum", f, fs, w, k, fs.dim + f.ground.n, fs.dim)
-    return WeightedDecomposition._summed(_terms(trace), w, k), trace
+    return WeightedDecomposition.from_terms(_terms(trace), w, k), trace
 
 
 def _require_membership(f: SubmodularFn, x, k: int) -> list[int]:
@@ -412,20 +406,24 @@ def _check_measure(measure: int, parent) -> None:
 
 
 def _terms(node: DecompositionTrace) -> Terms:
-    """The distinct weighted points of a trace node, at most ``dim`` + 1 of them.
+    """The weighted points of a trace node, at most ``dim`` + 1 of them.
 
-    A split merges its children's terms; a block node interleaves its
-    blocks' terms and places each point with its face's ``scatter``.
+    A split lists x1's terms, then x2's; a block node interleaves its
+    blocks' terms and places each point with its face's ``scatter``.  The
+    points come out distinct, in strictly decreasing lex order, so no node
+    merges or sorts: a split's x1 side has q + 1 at e and its x2 side q;
+    an interleave advances at least one block at every breakpoint and
+    never goes back, and ``scatter`` keeps each block's coordinates in
+    ground order.  Interleaving every block in reverse pairs the same
+    points, so the sorted terms equal those of lex-sorted blocks.
     """
     if node.case == "leaf":
         terms = [(node.k, (node.w[0] // node.k,))]
     elif node.case == "split":
-        terms = _normalize_terms(_terms(node.children[0]) + _terms(node.children[1]))
+        terms = _terms(node.children[0]) + _terms(node.children[1])
     else:
         parts = [_terms(child) for child in node.children]
-        terms = _normalize_terms(
-            [(wt, node.face.scatter(combo)) for wt, combo in _interleave(parts, node.k)]
-        )
+        terms = [(wt, node.face.scatter(combo)) for wt, combo in _interleave(parts, node.k)]
     if len(terms) > node.dim + 1:
         raise InvariantViolation(
             f"{len(terms)} distinct points exceed the bound dim + 1 = {node.dim + 1}"
