@@ -76,6 +76,7 @@ class WeightedDecomposition(Frozen):
     def from_terms(cls, terms, target, multiplicity: int) -> "WeightedDecomposition":
         """Merge equal points (summing weights), sort by point and check the
         sums: the one constructor, and the one place terms are normalized."""
+        _check_int(multiplicity, "multiplicity must be a positive integer", 1)
         target = tuple(target)
         _check_int_vector(target, len(target), "target")
         acc: dict[tuple[int, ...], int] = {}
@@ -435,17 +436,33 @@ def _terms(node: DecompositionTrace) -> Terms:
 # certificate checking and trace replay
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def verify(f: SubmodularFn, dec: WeightedDecomposition):
     """Re-check a decomposition from scratch; returns (ok, failures).
 
-    Independent of any trace: arithmetic, distinctness, per-point
-    base-polytope membership and the cardinality bound.
+    Independent of any trace: integer types, arithmetic, distinctness,
+    per-point base-polytope membership and the cardinality bound.  A point
+    that is not n integers raises UsageError.
     """
     failures: list[str] = []
+    k, n = dec.multiplicity, f.ground.n
+    if not _is_int(k) or k < 1:
+        failures.append(f"multiplicity {k!r} is not a positive integer")
+    if not dec.terms:
+        failures.append("no terms")
+    if len(dec.target) != n or not all(map(_is_int, dec.target)):
+        failures.append(f"target {dec.target!r} is not {n} integers")
     total_weight = 0
-    sums = [0] * len(dec.target)
+    sums = [0] * n
     seen = set()
     for wt, point in dec.terms:
+        # first, so a point that is not n integers raises UsageError before it is summed
+        member = in_base_polytope(f, point)
+        if not _is_int(wt):
+            failures.append(f"weight {wt!r} is not an integer")
         if wt <= 0:
             failures.append(f"nonpositive weight {wt}")
         total_weight += wt
@@ -454,7 +471,7 @@ def verify(f: SubmodularFn, dec: WeightedDecomposition):
         if point in seen:
             failures.append(f"duplicate point {point}")
         seen.add(point)
-        if not in_base_polytope(f, point):
+        if not member:
             failures.append(f"point {point} is not in the base polytope")
     if total_weight != dec.multiplicity:
         failures.append(

@@ -93,6 +93,12 @@ def _budgeted_base_points(f: SubmodularFn) -> list[tuple[int, ...]]:
     return list(base)
 
 
+def _require_int(k) -> None:
+    """Refuse a multiplicity that is not an int; its range is checked apart."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise UsageError(f"multiplicity must be a positive integer, got {k!r}")
+
+
 def min_decomposition_size(f: SubmodularFn, w, k: int):
     """Fewest distinct base points expressing w with total multiplicity k.
 
@@ -100,6 +106,7 @@ def min_decomposition_size(f: SubmodularFn, w, k: int):
     value is provably minimal.  Returns None when w has no expression at
     multiplicity k.
     """
+    _require_int(k)
     if k < 1 or k > MIN_DEC_MAX_K:
         raise BudgetExceeded(f"k = {k} outside oracle budget 1..{MIN_DEC_MAX_K}")
     w = tuple(w)
@@ -114,6 +121,7 @@ def cr_exact(f: SubmodularFn, k_max: int) -> int:
     Report results as "cr >= value", never as the exact rank, since the
     attaining multiplicity is not bounded a priori.
     """
+    _require_int(k_max)
     if k_max < 1:
         raise UsageError("k_max must be positive")
     if k_max > MIN_DEC_MAX_K:

@@ -10,8 +10,9 @@ over B_f is f(E) - f(E-U), attained by a greedy vertex that fills E-U
 first.  The test suite validates this against vertex enumeration.
 
 Membership and faces of k B_f = B_{kf} read f's own table, scaled by k
-once per query.  A query builds x's subset sums from the checked x unless
-the caller, as ``decompose`` does, hands in the sums it built with x.
+once per query; k must be a positive int, not a bool.  A query builds x's
+subset sums from the checked x unless the caller, as ``decompose`` does,
+hands in the sums it built with x.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from itertools import compress, count, repeat
 from operator import add, eq, gt, indexOf, le, mul, xor
 
-from .core import Frozen, SubmodularFn, _check_int_vector, bits, subset_sums
+from .core import Frozen, SubmodularFn, _check_int, _check_int_vector, bits, subset_sums
 from .errors import UsageError
 
 
@@ -48,6 +49,7 @@ def _in_base(sums, values) -> bool:
 
 def _times(values, k: int):
     """k times a value table; the table itself when k = 1."""
+    _check_int(k, "multiplicity must be a positive integer", 1)
     return values if k == 1 else list(map(mul, values, repeat(k)))
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -267,6 +268,35 @@ class TestVerify:
                 WeightedDecomposition.from_terms([(2, (0.5, 0.5))], (1, 1), 2),
             )
 
+    def test_non_integer_certificates_reported(self):
+        f = UniformRank(ground(3), 2)
+        half = Fraction(1, 2)
+        bases = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+        cases = [
+            (WeightedDecomposition(tuple((half, b) for b in bases), (1, 1, 1), Fraction(3, 2)),
+             ["multiplicity Fraction(3, 2) is not a positive integer"]
+             + ["weight Fraction(1, 2) is not an integer"] * 3),
+            (WeightedDecomposition((), (), 0),
+             ["multiplicity 0 is not a positive integer", "no terms",
+              "target () is not 3 integers", "target sum mismatch: (0, 0, 0) != ()"]),
+            (WeightedDecomposition(((True, (1, 1, 0)),), (1, 1, 0), 1),
+             ["weight True is not an integer"]),
+        ]
+        for dec, failures in cases:
+            assert verify(f, dec) == (False, failures)
+
+    @pytest.mark.parametrize("k", [1.0, True, Fraction(1), 0])
+    def test_from_terms_refuses_a_multiplicity_that_is_not_a_positive_int(self, k):
+        with pytest.raises(UsageError) as err:
+            WeightedDecomposition.from_terms([(1, (1, 0))], (1, 0), k)
+        assert str(err.value) == f"multiplicity must be a positive integer, got {k!r}"
+
+    @pytest.mark.parametrize("point", [(1, 1, 0, 0), (1, 1)])
+    def test_points_of_the_wrong_length_refused(self, point):
+        dec = WeightedDecomposition(((1, point),), (1, 1, 0), 1)
+        with pytest.raises(UsageError, match=f"vector has length {len(point)}, expected 3"):
+            verify(u23(), dec)
+
     def test_foreign_point_reported(self):
         # right level, but (2,0,0) violates x({a}) <= 1
         bad = WeightedDecomposition.from_terms([(2, (2, 0, 0))], (4, 0, 0), 2)
@@ -454,11 +484,88 @@ def _bump(w, i, by):
     return tuple(v + by * (j == i) for j, v in enumerate(w))
 
 
-def _collect(trace, case):
-    out = [trace] if trace.case == case else []
+def _nodes(trace):
+    """Every node of a trace, in pre-order."""
+    out = [trace]
     for child in trace.children:
-        out.extend(_collect(child, case))
+        out.extend(_nodes(child))
     return out
+
+
+def _collect(trace, case):
+    return [node for node in _nodes(trace) if node.case == case]
+
+
+class TestTermsOffTheTrace:
+    """``_terms`` lists every node's points in strictly decreasing lex order,
+    so they are distinct with no merging, and a decomposition's terms are
+    normalized once, in ``WeightedDecomposition.from_terms``."""
+
+    def test_every_node_yields_distinct_points(self, monkeypatch):
+        engine = sys.modules["polybase.decompose"]
+        terms_of = engine._terms
+        listed = []
+
+        def recording(node):
+            terms = terms_of(node)
+            listed.append((node, terms))
+            return terms
+
+        monkeypatch.setattr(engine, "_terms", recording)
+        rng = random.Random(71)
+        several = set()
+        for name, f in acceptance_corpus() + flat_corpus():
+            for _ in range(2):
+                k = rng.randint(1, 8)
+                listed.clear()
+                dec, trace = decompose(f, sample_target(f, k, rng), k)
+                assert len(listed) == len(_nodes(trace))
+                for node, terms in listed:
+                    points = [point for _, point in terms]
+                    assert all(a > b for a, b in zip(points, points[1:])), (name, node.case)
+                    if len(points) > 1:
+                        several.add(node.case)
+                # the root's terms are already distinct: sorting only reverses them
+                assert dec.terms == tuple(reversed(listed[-1][1]))
+        assert several == {"direct_sum", "face_drop", "split", "point_face"}
+
+    def test_one_normalization_per_decompose(self, monkeypatch):
+        build = WeightedDecomposition.from_terms.__func__
+        calls = []
+
+        def counted(cls, terms, target, multiplicity):
+            calls.append(target)
+            return build(cls, terms, target, multiplicity)
+
+        monkeypatch.setattr(WeightedDecomposition, "from_terms", classmethod(counted))
+        runs = [
+            (UniformRank(ground(1), 1), (3,), 3, "leaf"),
+            (u12(), (2, 0), 2, "face_drop"),
+            (k3(), (2, 2, 2), 3, "split"),
+            (part11(), (2, 0, 1, 1), 2, "direct_sum"),
+        ]
+        for f, w, k, case in runs:
+            calls.clear()
+            dec, trace = decompose(f, w, k)
+            assert trace.case == case and calls == [w]
+            calls.clear()
+            assert replay(trace) == dec and calls == [w]
+
+    def test_bound_is_checked_at_every_inner_node(self):
+        rng = random.Random(73)
+        tampered = set()
+        for _, f in tiny_instances() + flat_corpus()[:10]:
+            k = rng.randint(2, 6)
+            dec, trace = decompose(f, sample_target(f, k, rng), k)
+            for node in _nodes(trace)[1:]:
+                dim = node.dim
+                node.dim = -1
+                with pytest.raises(InvariantViolation, match="exceed the bound dim [+] 1 = 0"):
+                    replay(trace)
+                node.dim = dim
+                tampered.add(node.case)
+            assert replay(trace) == dec
+        assert tampered == {"leaf", "face_drop", "split", "point_face"}
 
 
 class TestScaledNodes:

@@ -1,4 +1,5 @@
-"""Fuzz the instance parser and the decompose verb with arbitrary JSON.
+"""Fuzz the instance parser and the decompose verb with arbitrary JSON,
+and ``verify`` with malformed certificates.
 
 Every document, well formed or not, must end in a documented outcome:
 ``parse_instance`` raises only ParseError or UsageError, and
@@ -7,6 +8,8 @@ with no traceback on stderr.
 Documents are free-form JSON, or valid instances (n <= 4) with one field
 replaced (by free-form JSON, or a small integer or a known name where the
 field held one) or deleted.
+A certificate with a weight or multiplicity that is not an int, no terms
+or a short target fails ``verify`` without raising.
 """
 
 import contextlib
@@ -15,11 +18,20 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polybase import ParseError, UsageError, parse_instance
+from polybase import (
+    GroundSet,
+    ParseError,
+    UniformRank,
+    UsageError,
+    WeightedDecomposition,
+    parse_instance,
+    verify,
+)
 from polybase.cli import main
 
 # keys and names the parser looks for, so that mutations reach deep branches
@@ -153,3 +165,34 @@ def test_decompose_exits_with_a_documented_code(doc):
         code, err = run_decompose(doc, *flags)
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
+
+
+U24 = UniformRank(GroundSet("abcd"), 2)
+U24_CERTIFICATE = WeightedDecomposition(
+    ((1, (0, 1, 1, 0)), (1, (1, 0, 0, 1)), (1, (1, 1, 0, 0))), (2, 2, 1, 1), 3)
+not_ints = (st.booleans() | st.floats() | st.fractions()
+            | st.integers().map(float) | st.integers().map(Fraction))
+
+
+@st.composite
+def malformed_certificates(draw):
+    terms, target, k = U24_CERTIFICATE.terms, U24_CERTIFICATE.target, U24_CERTIFICATE.multiplicity
+    flaw = draw(st.sampled_from(["weight", "multiplicity", "no terms", "short target"]))
+    if flaw == "weight":
+        i = draw(st.integers(0, len(terms) - 1))
+        terms = terms[:i] + ((draw(not_ints), terms[i][1]),) + terms[i + 1:]
+    elif flaw == "multiplicity":
+        k = draw(not_ints)
+    elif flaw == "no terms":
+        terms = ()
+    else:
+        target = target[:draw(st.integers(0, len(target) - 1))]
+    return WeightedDecomposition(terms, target, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dec=malformed_certificates())
+def test_verify_fails_malformed_certificates(dec):
+    assert verify(U24, U24_CERTIFICATE) == (True, [])
+    ok, failures = verify(U24, dec)
+    assert ok is False and failures

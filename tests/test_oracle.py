@@ -1,6 +1,7 @@
 """Unit tests for the exhaustive oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from corpus import ground, k3, random_table, tiny_instances, u12, u23, u24
 from polybase import (
     BudgetExceeded,
     UniformRank,
+    UsageError,
     cr_exact,
     enumerate_base_points,
     enumerate_vertices,
@@ -132,6 +134,17 @@ class TestCrExact:
             if f.ground.n > 3:
                 continue
             assert cr_exact(f, 3) <= dimension(f) + 1
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, Fraction(2), True])
+def test_oracles_refuse_a_non_integer_multiplicity(k):
+    message = f"multiplicity must be a positive integer, got {k!r}"
+    with pytest.raises(UsageError) as err:
+        min_decomposition_size(u12(), (1, 1), k)
+    assert str(err.value) == message
+    with pytest.raises(UsageError) as err:
+        cr_exact(u12(), k)
+    assert str(err.value) == message
 
 
 class TestPointSetContract:

@@ -259,6 +259,15 @@ class TestHandedSums:
                 minimal_face_of_point(f, x, 2, sums=sums)
 
 
+@pytest.mark.parametrize("k", [0.5, 1.0, Fraction(1), True, 0, -2])
+def test_polytope_queries_refuse_a_multiplicity_that_is_not_a_positive_int(k):
+    message = f"multiplicity must be a positive integer, got {k!r}"
+    for query in (in_extended_polymatroid, minimal_face_of_point):
+        with pytest.raises(UsageError) as err:
+            query(u12(), (1, 0), k)
+        assert str(err.value) == message
+
+
 class TestBlocksAreFullDimensional:
     """A block of a maximal tight chain has no proper tight set of its own:
     with one, U, the set A_{i-1} | U would be tight for the face and lie

@@ -1,15 +1,21 @@
-"""The benchmark's tracer must still find every name it wraps.
+"""The benchmark's tracer must still find every name it wraps, and the
+benchmark must still print the pinned certificates.
 
 ``bench/tracing.py`` replaces functions under the names polybase's modules
 bind; a refactor that unbinds one would otherwise only show up as a crash
-of a traced benchmark run.
+of a traced benchmark run.  A refactor that changes any certificate of a
+seeded benchmark run changes that run's digest.
 """
 
 import importlib
 import importlib.util
+import json
 import random
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import polybase.cli  # noqa: F401  (loads every module the tracer wraps)
 import polybase.core as core
@@ -104,3 +110,25 @@ def test_trace_walk_counts_node_cases():
         engine.decompose(k3(), (2, 2, 2), 3)
     assert tracer.nodes["split"] >= 1 and tracer.nodes["leaf"] >= 1
     assert tracer.depth_max >= 2
+
+
+# certificate digests of ``bench/run.py --workload W --seed 5 --rounds 2``; the
+# cli workload (about 5 s) is left to a manual run
+BENCH_DIGESTS = {
+    "corpus": "84a51aae15aa208d6085fdb77ad296f0163b9979901128c84f8265eb106a2277",
+    "face-drop": "4374886beee83e063e6b3651055372eaa8fae564e8d48fe25ea0f76d027b22b8",
+    "idp-split": "159b7a8df98cb2f76bd8832ea582b51ddf4af162ce9c59c11d339e4781a7347d",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_DIGESTS))
+def test_benchmark_certificates_are_pinned(workload):
+    cmd = [sys.executable, str(BENCH / "run.py"), "--workload", workload,
+           "--seed", "5", "--rounds", "2"]
+    proc = subprocess.run(cmd, cwd=BENCH.parent, capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert f"  certificate digest {BENCH_DIGESTS[workload]}" in lines
+    summary = json.loads(lines[-1])
+    assert summary["correct"] and summary["failed"] == 0
