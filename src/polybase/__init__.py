@@ -34,7 +34,7 @@ from .decompose import (
     verify,
 )
 from .errors import BudgetExceeded, InvariantViolation, ParseError, UsageError
-from .instance import InstanceFile, load_instance, parse_fn, parse_instance
+from .instance import InstanceFile, load_instance, node_dict, parse_fn, parse_instance
 from .lp import (
     ConstraintSystem,
     assert_integral,
@@ -119,6 +119,7 @@ __all__ = [
     "merge_direct_sum",
     "min_decomposition_size",
     "minimal_face_of_point",
+    "node_dict",
     "parse_fn",
     "parse_instance",
     "point_tight_family",

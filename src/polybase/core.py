@@ -153,17 +153,6 @@ class GroundSet(Frozen):
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.elements[i] for i in bits(mask))
 
-    def table_keys(self) -> list[str]:
-        """keys[mask]: the sorted names of mask joined by commas, built by doubling."""
-        names = sorted(self.elements)
-        keys = [""]
-        for name in names:
-            if not name or "," in name:
-                raise UsageError(f"table keys cannot spell element {name!r}: empty or holds ','")
-            keys += [name] + [f"{key},{name}" for key in keys[1:]]
-        rank = {name: r for r, name in enumerate(names)}
-        return list(itemgetter(*subset_sums([1 << rank[e] for e in self.elements]))(keys))
-
     def subsets(self):
         """All subset masks in canonical (increasing bitmask) order."""
         return range(1 << self.n)
@@ -270,11 +259,6 @@ class SubmodularFn:
     def block_restrict(self, a_prev: int, block: int) -> "SubmodularFn":
         return BlockRestrictFn(self, a_prev, block)
 
-    # -- serialization ------------------------------------------------
-
-    def to_node_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class TableFn(SubmodularFn):
     """Explicit table of all 2^n values."""
@@ -285,9 +269,6 @@ class TableFn(SubmodularFn):
             raise UsageError(f"table value on the empty set must be 0, got {values[0]}")
         super().__init__(ground, values)
 
-    def to_node_dict(self) -> dict:
-        return {"type": "table", "values": dict(zip(self.ground.table_keys(), self.values))}
-
 
 class UniformRank(SubmodularFn):
     """Rank function of the uniform matroid: min(|U|, r)."""
@@ -296,9 +277,6 @@ class UniformRank(SubmodularFn):
         _check_int(rank, "uniform rank must be a nonnegative integer", 0)
         super().__init__(ground, [min(m.bit_count(), rank) for m in ground.subsets()])
         self.rank = rank
-
-    def to_node_dict(self) -> dict:
-        return {"type": "uniform", "rank": self.rank}
 
 
 class PartitionRank(SubmodularFn):
@@ -325,13 +303,6 @@ class PartitionRank(SubmodularFn):
         self.blocks = blocks
         self.caps = caps
 
-    def to_node_dict(self) -> dict:
-        return {
-            "type": "partition",
-            "blocks": [list(self.ground.names_of(b)) for b in self.blocks],
-            "caps": list(self.caps),
-        }
-
 
 class GraphicRank(SubmodularFn):
     """Rank function of a graphic matroid.
@@ -355,13 +326,6 @@ class GraphicRank(SubmodularFn):
         super().__init__(ground, _forest_sizes(ground.n, edges))
         self.vertices = vertices
         self.edges = edges
-
-    def to_node_dict(self) -> dict:
-        return {
-            "type": "graphic",
-            "vertices": self.vertices,
-            "edges": [list(e) for e in self.edges],
-        }
 
 
 def _forest_sizes(n: int, edges) -> list[int]:
@@ -407,9 +371,6 @@ class DualFn(SubmodularFn):
         super().__init__(inner.ground, map(sub, reversed(v), repeat(v[-1])), inner.submodular)
         self.inner = inner
 
-    def to_node_dict(self) -> dict:
-        return {"type": "dual", "inner": self.inner.to_node_dict()}
-
 
 class ShiftFn(SubmodularFn):
     """(f + a)(U) = f(U) + a(U) for an integer vector a."""
@@ -419,9 +380,6 @@ class ShiftFn(SubmodularFn):
         super().__init__(inner.ground, map(add, inner.values, subset_sums(a)), inner.submodular)
         self.inner = inner
         self.a = a
-
-    def to_node_dict(self) -> dict:
-        return {"type": "shift", "a": list(self.a), "inner": self.inner.to_node_dict()}
 
 
 class ReduceFn(SubmodularFn):
@@ -451,9 +409,6 @@ class ReduceFn(SubmodularFn):
         self.inner = inner
         self.a = a
 
-    def to_node_dict(self) -> dict:
-        return {"type": "reduce", "a": list(self.a), "inner": self.inner.to_node_dict()}
-
 
 class ReduceAtFn(ReduceFn):
     """f | (e0, c): cap coordinate e0 at c, all others at f({e})."""
@@ -467,14 +422,6 @@ class ReduceAtFn(ReduceFn):
         self.element = element
         self.cap = cap
 
-    def to_node_dict(self) -> dict:
-        return {
-            "type": "reduce_at",
-            "e": self.element,
-            "c": self.cap,
-            "inner": self.inner.to_node_dict(),
-        }
-
 
 class ScaleFn(SubmodularFn):
     """(r f)(U) = r * f(U) for a positive integer r."""
@@ -484,9 +431,6 @@ class ScaleFn(SubmodularFn):
         super().__init__(inner.ground, map(mul, inner.values, repeat(r)), inner.submodular)
         self.r = r
         self.inner = inner
-
-    def to_node_dict(self) -> dict:
-        return {"type": "scale", "r": self.r, "inner": self.inner.to_node_dict()}
 
 
 class BlockRestrictFn(SubmodularFn):
@@ -513,15 +457,6 @@ class BlockRestrictFn(SubmodularFn):
         self.inner = inner
         self.a_prev = a_prev
         self.block = block
-
-    def to_node_dict(self) -> dict:
-        parent = self.inner.ground
-        return {
-            "type": "block_restrict",
-            "a_prev": list(parent.names_of(self.a_prev)),
-            "block": list(parent.names_of(self.block)),
-            "inner": self.inner.to_node_dict(),
-        }
 
 
 # ---------------------------------------------------------------------------

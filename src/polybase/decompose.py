@@ -48,6 +48,7 @@ from operator import sub
 from .core import Frozen, GroundSet, SubmodularFn, bits, is_submodular, subset_sums
 from .core import _check_int, _check_int_vector
 from .errors import InvariantViolation, UsageError
+from .instance import node_dict
 from .lp import assert_integral, build_intersection_system, find_vertex
 from .polytope import (
     FaceStructure,
@@ -144,7 +145,7 @@ class DecompositionTrace:
         if self.face is not None:
             out["chain"] = [[self.ground[i] for i in bits(m)] for m in self.face.chain]
         if self.case == "face_drop":
-            out.update(e=self.ground[0], q=self.w[0] // self.k, fn_reduced=self.fn.to_node_dict())
+            out.update(e=self.ground[0], q=self.w[0] // self.k, fn_reduced=node_dict(self.fn))
         elif self.case == "split":
             e = self.ground[0]
             q, r = divmod(self.w[0], self.k)
@@ -152,8 +153,8 @@ class DecompositionTrace:
             left, right = self.children
             out.update(
                 e=e, q=q, r=r,
-                fn_left=upper.scale(r).to_node_dict(),
-                fn_right=lower.dual().scale(self.k - r).shift(self.w).to_node_dict(),
+                fn_left=node_dict(upper.scale(r)),
+                fn_right=node_dict(lower.dual().scale(self.k - r).shift(self.w)),
                 x1=list(left.w), x2=list(right.w),
             )
         if self.children:

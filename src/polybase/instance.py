@@ -1,4 +1,4 @@
-"""JSON instance files: parsing and validation.
+"""JSON instance files: the one reader and writer of function nodes.
 
 An instance document is ``{"ground": [names...], "f": <node>}`` plus an
 optional target ``"w"`` (integer array) and multiplicity ``"k"``.  Nodes
@@ -7,22 +7,32 @@ shift, reduce, reduce_at, scale, block_restrict) around an inner node; a
 block_restrict node lives on its ``block``, which like ``a_prev`` names
 elements of the inner node's ground.  Table keys are comma-joined
 alphabetically sorted element names; the empty-set key may be omitted
-(it is zero), every other subset key is required.
+(it is zero), every other subset key is required.  ``parse_fn`` reads a
+node and ``node_dict`` writes one, which ``parse_fn`` reads back as the
+same function; ``table_keys`` is the one spelling of table keys.
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .core import (
     DEFAULT_GROUND_LIMIT,
+    BlockRestrictFn,
+    DualFn,
     Frozen,
     GraphicRank,
     GroundSet,
     PartitionRank,
+    ReduceAtFn,
+    ReduceFn,
+    ScaleFn,
+    ShiftFn,
     SubmodularFn,
     TableFn,
     UniformRank,
+    subset_sums,
 )
 from .errors import ParseError, UsageError
 
@@ -115,7 +125,7 @@ def parse_fn(ground: GroundSet, node) -> SubmodularFn:
 def _parse_table(ground: GroundSet, values) -> TableFn:
     if not isinstance(values, dict):
         raise ParseError("table values must be an object")
-    canonical = {key: mask for mask, key in enumerate(ground.table_keys())}
+    canonical = {key: mask for mask, key in enumerate(table_keys(ground))}
     table = [None] * (1 << ground.n)
     for key, value in values.items():
         if key not in canonical:
@@ -127,6 +137,55 @@ def _parse_table(ground: GroundSet, values) -> TableFn:
     if missing:
         raise ParseError(f"table is missing {len(missing)} subset keys, e.g. {missing[0]!r}")
     return TableFn(ground, table)
+
+
+def table_keys(ground: GroundSet) -> list[str]:
+    """keys[mask]: the sorted names of mask joined by commas, built by doubling."""
+    names = sorted(ground.elements)
+    keys = [""]
+    for name in names:
+        if not name or "," in name:
+            raise UsageError(f"table keys cannot spell element {name!r}: empty or holds ','")
+        keys += [name] + [f"{key},{name}" for key in keys[1:]]
+    rank = {name: r for r, name in enumerate(names)}
+    return list(itemgetter(*subset_sums([1 << rank[e] for e in ground.elements]))(keys))
+
+
+def node_dict(fn: SubmodularFn) -> dict:
+    """The node of fn that ``parse_fn`` reads back as fn, on fn's ground.
+
+    A wrapper writes its inner node last, under ``"inner"``.  Only the ten
+    node classes of ``core`` have a node type; any other class, a subclass
+    of one included, raises TypeError.
+    """
+    cls = type(fn)
+    if cls is TableFn:
+        return {"type": "table", "values": dict(zip(table_keys(fn.ground), fn.values))}
+    if cls is UniformRank:
+        return {"type": "uniform", "rank": fn.rank}
+    if cls is PartitionRank:
+        blocks = [list(fn.ground.names_of(b)) for b in fn.blocks]
+        return {"type": "partition", "blocks": blocks, "caps": list(fn.caps)}
+    if cls is GraphicRank:
+        return {"type": "graphic", "vertices": fn.vertices, "edges": [list(e) for e in fn.edges]}
+    if cls is DualFn:
+        node = {"type": "dual"}
+    elif cls is ShiftFn:
+        node = {"type": "shift", "a": list(fn.a)}
+    elif cls is ReduceFn:
+        node = {"type": "reduce", "a": list(fn.a)}
+    elif cls is ReduceAtFn:
+        node = {"type": "reduce_at", "e": fn.element, "c": fn.cap}
+    elif cls is ScaleFn:
+        node = {"type": "scale", "r": fn.r}
+    elif cls is BlockRestrictFn:
+        parent = fn.inner.ground
+        node = {"type": "block_restrict", "a_prev": list(parent.names_of(fn.a_prev)),
+                "block": list(parent.names_of(fn.block))}
+    else:
+        raise TypeError(f"{cls.__name__} has no instance node type")
+    node["inner"] = node_dict(fn.inner)
+    return node
 
 
 def parse_instance(doc, limit: int = DEFAULT_GROUND_LIMIT) -> InstanceFile:

@@ -257,20 +257,6 @@ class TestGroundSet:
         assert g.mask_of(("b", "d")) == 0b1010
         assert g.names_of(0b1010) == ("b", "d")
 
-    def test_table_keys_spell_sorted_names_per_mask(self):
-        rng = random.Random(12)
-        for n in range(1, 11):
-            names = [f"{c}{rng.randint(0, 99)}" for c in "kcjafhbgdi"[:n]]
-            g = GroundSet(names)
-            assert g.table_keys() == [",".join(sorted(g.names_of(m))) for m in g.subsets()]
-
-    @pytest.mark.parametrize("names", [["a", "b", "a,b"], ["a", ""]])
-    def test_table_keys_refuse_names_they_cannot_spell(self, names):
-        # "a,b" would spell {a, b} twice and "" the empty set twice
-        g = GroundSet(names)
-        with pytest.raises(UsageError, match=f"cannot spell element {names[-1]!r}"):
-            materialize(UniformRank(g, 2)).to_node_dict()
-
     def test_frozen_value_semantics(self):
         from polybase import FaceStructure, PointSet, WeightedDecomposition
 

@@ -8,15 +8,21 @@ import pytest
 
 from corpus import flat_corpus, ground, k3, sample_target, tiny_instances
 from polybase import (
+    GroundSet,
     ParseError,
     PartitionRank,
+    SubmodularFn,
+    TableFn,
     UniformRank,
+    UsageError,
     decompose,
     load_instance,
     materialize,
+    node_dict,
     parse_fn,
     parse_instance,
 )
+from polybase.instance import table_keys
 
 
 def table_doc():
@@ -208,11 +214,30 @@ class TestNodeKinds:
             rank.scale(3),
             rank.block_restrict(0b001, 0b110),
         ]
-        kinds = {fn.to_node_dict()["type"] for fn in nodes}
+        kinds = {node_dict(fn)["type"] for fn in nodes}
         assert len(kinds) == len(nodes) == 10
         for fn in nodes:
-            again = parse_fn(g, fn.to_node_dict())
+            again = parse_fn(g, node_dict(fn))
             assert again.ground == fn.ground and again.values == fn.values
+
+    @pytest.mark.parametrize("cls", [SubmodularFn, type("CappedTable", (TableFn,), {})])
+    def test_node_dict_refuses_a_class_it_does_not_know(self, cls):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} has no instance node type$"):
+            node_dict(cls(ground(1), (0, 1)))
+
+    def test_table_keys_spell_sorted_names_per_mask(self):
+        rng = random.Random(12)
+        for n in range(1, 11):
+            names = [f"{c}{rng.randint(0, 99)}" for c in "kcjafhbgdi"[:n]]
+            g = GroundSet(names)
+            assert table_keys(g) == [",".join(sorted(g.names_of(m))) for m in g.subsets()]
+
+    @pytest.mark.parametrize("names", [["a", "b", "a,b"], ["a", ""]])
+    def test_table_keys_refuse_names_they_cannot_spell(self, names):
+        # "a,b" would spell {a, b} twice and "" the empty set twice
+        g = GroundSet(names)
+        with pytest.raises(UsageError, match=f"cannot spell element {names[-1]!r}"):
+            node_dict(materialize(UniformRank(g, 2)))
 
     def test_block_restrict_lives_on_the_block(self):
         inst = parse_instance({
@@ -246,7 +271,7 @@ class TestNodeKinds:
             for node in _nodes(trace):
                 if node.fn is None:
                     continue
-                doc = node.fn.to_node_dict()
+                doc = node_dict(node.fn)
                 again = parse_fn(f.ground, doc)
                 assert again.ground.elements == node.fn.ground.elements == node.ground
                 assert again.values == node.fn.values
