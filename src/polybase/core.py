@@ -10,10 +10,11 @@ index into the table, so evaluation never recurses through composed
 constructions (duals of reductions of scalings, ...).  All values are
 integers and f(empty) = 0 by construction.
 
-Whole-table kernels do not index the table one mask at a time.  Reduction,
-subset sums and the matroid-rank check work one bit at a time: ``_halves``
-splits a table on one bit into a few aligned slices, and each sweep works
-on whole slices with ``map``/``zip``/``all``; reduction stays O(n 2^n).
+Whole-table kernels do not index the table one mask at a time.  Subset
+sums are built by doubling.  Reduction and the matroid-rank check work one
+bit at a time: ``_halves`` splits a table on one bit into a few aligned
+slice pairs, and each sweep works on whole slices with
+``map``/``zip``/``all``; reduction stays O(n 2^n).
 The submodularity check packs the whole table into one integer, one
 fixed-width field per mask, and tests each element pair with a few
 big-integer operations over all 2^n fields at once: O(n^2 2^n) field
@@ -27,6 +28,9 @@ The one field written after construction is the memo ``submodular``:
 and every construction, all of which preserve submodularity, copies it
 from its inner node.  It only ever goes from None to True, so instances
 may still be shared freely, across threads.
+
+This module holds tables and constructions only: ``polybase.instance``
+reads and writes function nodes as instance-document nodes.
 """
 
 from __future__ import annotations
@@ -165,9 +169,13 @@ def _check_int(value, what: str, low: int | None = None) -> int:
     return value
 
 
-def _check_int_vector(a, n: int, what: str) -> tuple[int, ...]:
-    a = tuple(a)
-    if len(a) != n:
+def _check_int_vector(a, n: int | None, what: str) -> tuple[int, ...]:
+    """a as a tuple of ints, not bools, of length n unless n is None; else UsageError."""
+    try:
+        a = tuple(a)
+    except TypeError:
+        raise UsageError(f"{what} must be a sequence of integers, got {a!r}") from None
+    if n is not None and len(a) != n:
         raise UsageError(f"{what} has length {len(a)}, expected {n}")
     entries = f"{what} must have integer entries"
     for v in a:
@@ -189,28 +197,20 @@ def subset_sums(x) -> list:
 
 @cache
 def _halves(size: int, s: int) -> tuple:
-    """Split range(size) on the bit s into aligned slice triples.
+    """Split range(size) on the bit s into aligned slice pairs.
 
-    In each triple (lo, hi, half), ``lo`` and ``hi`` select masks without
-    the bit and the same masks with it, in the same order, and ``half``
-    selects where those masks go in a table of size // 2 indexed by the mask
-    with the bit deleted (bits below s keep their place).  For a low bit the
-    triples are stride slices, one per residue below s; for a high bit they
-    are contiguous runs, one per chunk of 2s masks.  Either way there are at
-    most sqrt(size / 2) triples, so a sweep over one bit takes a few dozen
-    slice operations.  The triples depend only on (size, s), so they are
+    In each pair (lo, hi), ``lo`` and ``hi`` select masks without the bit
+    and the same masks with it, in the same order.  For a low bit the pairs
+    are stride slices, one per residue below s; for a high bit they are
+    contiguous runs, one per chunk of 2s masks.  Either way there are at
+    most sqrt(size / 2) pairs, so a sweep over one bit takes a few dozen
+    slice operations.  The pairs depend only on (size, s), so they are
     built once and shared as a tuple.
     """
     step = 2 * s
     if s * s <= size // 2:
-        return tuple(
-            (slice(r, size, step), slice(r + s, size, step), slice(r, size // 2, s))
-            for r in range(s)
-        )
-    return tuple(
-        (slice(c, c + s), slice(c + s, c + step), slice(c // 2, c // 2 + s))
-        for c in range(0, size, step)
-    )
+        return tuple((slice(r, size, step), slice(r + s, size, step)) for r in range(s))
+    return tuple((slice(c, c + s), slice(c + s, c + step)) for c in range(0, size, step))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ class ReduceFn(SubmodularFn):
         if inner.submodular:
             sweeps = [(i, ai) for i, ai in sweeps if ai < inner.values[1 << i]]
         for i, ai in sweeps:
-            for lo, hi, _ in _halves(len(h), 1 << i):
+            for lo, hi in _halves(len(h), 1 << i):
                 # a conditional beats map(min, ...): min parses its arguments per call
                 cands = map(add, h[lo], repeat(ai))
                 h[hi] = [u if u < c else c for u, c in zip(h[hi], cands)]
@@ -543,7 +543,7 @@ def is_matroid_rank(f: SubmodularFn) -> bool:
     return all(
         all(map(le, v[lo], v[hi]))
         for i in range(f.ground.n)
-        for lo, hi, _ in _halves(len(v), 1 << i)
+        for lo, hi in _halves(len(v), 1 << i)
     )
 
 

@@ -75,22 +75,27 @@ class WeightedDecomposition(Frozen):
 
     @classmethod
     def from_terms(cls, terms, target, multiplicity: int) -> "WeightedDecomposition":
-        """Merge equal points (summing weights), sort by point and check the
-        sums: the one constructor, and the one place terms are normalized."""
+        """Check each term, merge equal points (summing weights), sort by
+        point and check the sums: the one constructor, and the one place
+        terms are normalized."""
         _check_int(multiplicity, "multiplicity must be a positive integer", 1)
-        target = tuple(target)
-        _check_int_vector(target, len(target), "target")
+        target = _check_int_vector(target, None, "target")
+        try:
+            terms = list(terms)
+        except TypeError:
+            raise UsageError(f"terms must be (weight, point) pairs, got {terms!r}") from None
         acc: dict[tuple[int, ...], int] = {}
-        for wt, point in terms:
-            point = tuple(point)
+        for term in terms:
+            if not isinstance(term, (tuple, list)) or len(term) != 2:
+                raise UsageError(f"a term must be a (weight, point) pair, got {term!r}")
+            wt, point = term
+            _check_int(wt, "term weight must be a positive integer", 1)
+            point = _check_int_vector(point, len(target), "term point")
             acc[point] = acc.get(point, 0) + wt
         if not acc:
             raise UsageError("a decomposition needs at least one term")
-        merged = [(wt, point) for point, wt in sorted(acc.items(), key=lambda kv: kv[0])]
-        for wt, point in merged:
-            _check_int(wt, "term weight must be a positive integer", 1)
-            _check_int_vector(point, len(target), "term point")
-        if sum(wt for wt, _ in merged) != multiplicity:
+        merged = [(wt, point) for point, wt in sorted(acc.items())]
+        if sum(acc.values()) != multiplicity:
             raise UsageError("term weights do not sum to the multiplicity")
         for i in range(len(target)):
             if sum(wt * p[i] for wt, p in merged) != target[i]:
@@ -444,47 +449,56 @@ def _is_int(value) -> bool:
 def verify(f: SubmodularFn, dec: WeightedDecomposition):
     """Re-check a decomposition from scratch; returns (ok, failures).
 
-    Independent of any trace: integer types, arithmetic, distinctness,
-    per-point base-polytope membership and the cardinality bound.  A point
-    that is not n integers raises UsageError.
+    Independent of any trace: types, arithmetic, distinctness, per-point
+    base-polytope membership and the cardinality bound.  A malformed
+    certificate is reported, not raised on, but a tuple point that is not
+    n integers raises UsageError.  The weight and target sums are
+    compared only when every term pairs an integer weight with a point.
     """
     failures: list[str] = []
-    k, n = dec.multiplicity, f.ground.n
+    k, n, terms, target = dec.multiplicity, f.ground.n, dec.terms, dec.target
     if not _is_int(k) or k < 1:
         failures.append(f"multiplicity {k!r} is not a positive integer")
-    if not dec.terms:
+    summable = isinstance(terms, (tuple, list))
+    if not summable:
+        failures.append(f"terms {terms!r} are not a tuple or list")
+        terms = ()
+    elif not terms:
         failures.append("no terms")
-    if len(dec.target) != n or not all(map(_is_int, dec.target)):
-        failures.append(f"target {dec.target!r} is not {n} integers")
+    if not isinstance(target, tuple) or len(target) != n or not all(map(_is_int, target)):
+        failures.append(f"target {target!r} is not {n} integers")
     total_weight = 0
     sums = [0] * n
     seen = set()
-    for wt, point in dec.terms:
+    for term in terms:
+        if not isinstance(term, tuple) or len(term) != 2 or not isinstance(term[1], tuple):
+            failures.append(f"term {term!r} is not a (weight, point tuple) pair")
+            summable = False
+            continue
+        wt, point = term
         # first, so a point that is not n integers raises UsageError before it is summed
         member = in_base_polytope(f, point)
         if not _is_int(wt):
             failures.append(f"weight {wt!r} is not an integer")
-        if wt <= 0:
-            failures.append(f"nonpositive weight {wt}")
-        total_weight += wt
-        for i, v in enumerate(point):
-            sums[i] += wt * v
+            summable = False
+        else:
+            if wt <= 0:
+                failures.append(f"nonpositive weight {wt}")
+            total_weight += wt
+            for i, v in enumerate(point):
+                sums[i] += wt * v
         if point in seen:
             failures.append(f"duplicate point {point}")
         seen.add(point)
         if not member:
             failures.append(f"point {point} is not in the base polytope")
-    if total_weight != dec.multiplicity:
-        failures.append(
-            f"weight sum mismatch: {total_weight} != {dec.multiplicity}"
-        )
-    if tuple(sums) != dec.target:
-        failures.append(f"target sum mismatch: {tuple(sums)} != {dec.target}")
+    if summable and total_weight != k:
+        failures.append(f"weight sum mismatch: {total_weight} != {k}")
+    if summable and tuple(sums) != target:
+        failures.append(f"target sum mismatch: {tuple(sums)} != {target}")
     bound = dimension(f) + 1
-    if dec.distinct_count > bound:
-        failures.append(
-            f"cardinality bound exceeded: {dec.distinct_count} > dim + 1 = {bound}"
-        )
+    if len(terms) > bound:
+        failures.append(f"cardinality bound exceeded: {len(terms)} > dim + 1 = {bound}")
     return not failures, failures
 
 

@@ -5,7 +5,7 @@ import copy
 import itertools
 import pickle
 import random
-from operator import add, le, sub
+from operator import add, le
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -496,11 +496,11 @@ def slice_sweep_is_submodular(f):
     n = f.ground.n
     size = len(v)
     for j in range(n):
-        d = [0] * (size // 2)
-        for lo, hi, half in core._halves(size, 1 << j):
-            d[half] = map(sub, v[hi], v[lo])
+        b = 1 << j
+        # d is indexed by the mask with bit j deleted: bits below j keep their place
+        d = [v[m | b] - v[m] for m in range(size) if not m & b]
         for i in range(j):
-            for lo, hi, _ in core._halves(size // 2, 1 << i):
+            for lo, hi in core._halves(size // 2, 1 << i):
                 if not all(map(le, d[hi], d[lo])):
                     return False, local_scan_is_submodular(f)[1]
     return True, None

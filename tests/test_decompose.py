@@ -272,6 +272,7 @@ class TestVerify:
         f = UniformRank(ground(3), 2)
         half = Fraction(1, 2)
         bases = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+        ones = tuple((1, b) for b in bases)
         cases = [
             (WeightedDecomposition(tuple((half, b) for b in bases), (1, 1, 1), Fraction(3, 2)),
              ["multiplicity Fraction(3, 2) is not a positive integer"]
@@ -281,6 +282,16 @@ class TestVerify:
               "target () is not 3 integers", "target sum mismatch: (0, 0, 0) != ()"]),
             (WeightedDecomposition(((True, (1, 1, 0)),), (1, 1, 0), 1),
              ["weight True is not an integer"]),
+            # malformed certificates are reported too, not raised on
+            (WeightedDecomposition(((1, [0, 1, 1]),) + ones[1:], (2, 2, 2), 3),
+             ["term (1, [0, 1, 1]) is not a (weight, point tuple) pair"]),
+            (WeightedDecomposition(((None, (0, 1, 1)),) + ones[1:], (2, 2, 2), 3),
+             ["weight None is not an integer"]),
+            (WeightedDecomposition(ones, None, 3),
+             ["target None is not 3 integers", "target sum mismatch: (2, 2, 2) != None"]),
+            (WeightedDecomposition(None, (2, 2, 2), 3), ["terms None are not a tuple or list"]),
+            (WeightedDecomposition(((1, (0, 1, 1), 0),) + ones[1:], (2, 2, 2), 3),
+             ["term (1, (0, 1, 1), 0) is not a (weight, point tuple) pair"]),
         ]
         for dec, failures in cases:
             assert verify(f, dec) == (False, failures)
@@ -290,6 +301,21 @@ class TestVerify:
         with pytest.raises(UsageError) as err:
             WeightedDecomposition.from_terms([(1, (1, 0))], (1, 0), k)
         assert str(err.value) == f"multiplicity must be a positive integer, got {k!r}"
+
+    @pytest.mark.parametrize("terms, target, message", [
+        # each weight and point is checked before equal points merge
+        ([(1, (1, 1)), (1, (1, 1.0))], (2, 2), "term point must have integer entries, got 1.0"),
+        ([(True, (1, 1)), (1, (1, 1))], (2, 2), "term weight must be a positive integer, got True"),
+        ([(1, (1, 1)), (True, (1, 1))], (2, 2), "term weight must be a positive integer, got True"),
+        ([(2, (1, 1), 0)], (2, 2), "a term must be a (weight, point) pair, got (2, (1, 1), 0)"),
+        (None, (2, 2), "terms must be (weight, point) pairs, got None"),
+        ([(2, (1, 1))], None, "target must be a sequence of integers, got None"),
+    ], ids=["float-entry-merged", "bool-weight-first", "bool-weight-merged", "triple",
+            "no-terms-list", "no-target"])
+    def test_from_terms_refuses_malformed_terms_in_any_order(self, terms, target, message):
+        with pytest.raises(UsageError) as err:
+            WeightedDecomposition.from_terms(terms, target, 2)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("point", [(1, 1, 0, 0), (1, 1)])
     def test_points_of_the_wrong_length_refused(self, point):

@@ -8,8 +8,10 @@ with no traceback on stderr.
 Documents are free-form JSON, or valid instances (n <= 4) with one field
 replaced (by free-form JSON, or a small integer or a known name where the
 field held one) or deleted.
-A certificate with a weight or multiplicity that is not an int, no terms
-or a short target fails ``verify`` without raising.
+A certificate with a weight or multiplicity that is not an int, no terms,
+terms that are not a tuple or list, a term that is not a pair, a point
+given as a list, or a target that is short or not a tuple fails
+``verify`` without raising.
 """
 
 import contextlib
@@ -177,16 +179,28 @@ not_ints = (st.booleans() | st.floats() | st.fractions()
 @st.composite
 def malformed_certificates(draw):
     terms, target, k = U24_CERTIFICATE.terms, U24_CERTIFICATE.target, U24_CERTIFICATE.multiplicity
-    flaw = draw(st.sampled_from(["weight", "multiplicity", "no terms", "short target"]))
+    flaw = draw(st.sampled_from(["weight", "multiplicity", "no terms", "short target",
+                                 "list point", "not a pair", "terms", "target"]))
+    i = draw(st.integers(0, len(terms) - 1))
     if flaw == "weight":
-        i = draw(st.integers(0, len(terms) - 1))
-        terms = terms[:i] + ((draw(not_ints), terms[i][1]),) + terms[i + 1:]
+        wt = draw(not_ints | st.none() | st.text(max_size=2))
+        terms = terms[:i] + ((wt, terms[i][1]),) + terms[i + 1:]
     elif flaw == "multiplicity":
         k = draw(not_ints)
     elif flaw == "no terms":
         terms = ()
-    else:
+    elif flaw == "short target":
         target = target[:draw(st.integers(0, len(target) - 1))]
+    elif flaw == "list point":
+        terms = terms[:i] + ((terms[i][0], list(terms[i][1])),) + terms[i + 1:]
+    elif flaw == "not a pair":
+        bad = draw(st.none() | st.integers() | st.tuples() | st.tuples(st.integers())
+                   | st.just(terms[i] + (0,)) | st.just(list(terms[i])))
+        terms = terms[:i] + (bad,) + terms[i + 1:]
+    elif flaw == "terms":
+        terms = draw(st.none() | st.integers() | st.just(set(terms)))
+    else:
+        target = draw(st.none() | st.integers() | st.just(list(target)))
     return WeightedDecomposition(terms, target, k)
 
 
