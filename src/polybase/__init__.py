@@ -34,7 +34,7 @@ from .decompose import (
     verify,
 )
 from .errors import BudgetExceeded, InvariantViolation, ParseError, UsageError
-from .instance import InstanceFile, load_instance, node_dict, parse_fn, parse_instance
+from .instance import InstanceFile, load_instance, node_dict, parse_fn, parse_instance, trace_dict
 from .lp import (
     ConstraintSystem,
     assert_integral,
@@ -126,5 +126,6 @@ __all__ = [
     "replay",
     "split_into_k_bases",
     "tight_sets",
+    "trace_dict",
     "verify",
 ]

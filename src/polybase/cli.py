@@ -25,7 +25,7 @@ from .decompose import decompose as run_decompose
 from .decompose import require_submodular
 from .decompose import verify as run_verify
 from .errors import BudgetExceeded, InvariantViolation, ParseError, UsageError
-from .instance import load_instance
+from .instance import load_instance, trace_dict
 from .polytope import bounding_box, dimension
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def certificate_dict(w, k, dec, dim: int, trace=None) -> dict:
         "bound_ok": dec.distinct_count <= dim + 1,
     }
     if trace is not None:
-        doc["trace"] = trace.to_dict()
+        doc["trace"] = trace_dict(trace)
     return doc
 
 

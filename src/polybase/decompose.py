@@ -45,10 +45,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import sub
 
-from .core import Frozen, GroundSet, SubmodularFn, bits, is_submodular, subset_sums
+from .core import Frozen, GroundSet, SubmodularFn, is_submodular, subset_sums
 from .core import _check_int, _check_int_vector
 from .errors import InvariantViolation, UsageError
-from .instance import node_dict
 from .lp import assert_integral, build_intersection_system, find_vertex
 from .polytope import (
     FaceStructure,
@@ -110,27 +109,20 @@ class WeightedDecomposition(Frozen):
 class DecompositionTrace:
     """One node of the recursion tree; the decomposition is read off it.
 
-    A block node (``direct_sum``, ``face_drop``, ``point_face``) holds the
-    ``face`` it factors along, one child per block; ``to_dict`` prints the
-    face's tight chain as name lists.
-    ``face_drop`` and ``split`` fix the first element e = ground[0] and
-    divide w(e) = k q + r; ``to_dict`` prints e, q and, for a split, r,
-    all read from ``ground``, ``w`` and ``k``.  A ``face_drop``'s ``fn`` is
-    f capped at q, printed as ``fn_reduced``; a ``split``'s is f, printed
-    as the vertex step's operands r (f capped at q+1) and
-    w - (k-r) B_{f capped at q} (``fn_left``, ``fn_right``).  A split's
-    parts x1 and x2 are its two children's ``w``.  The node has at most
-    ``dim`` + 1 distinct terms: ``dim`` is dim B_f in every case but
-    ``point_face``, where it is the dimension of the minimal face holding
-    the node's point.  ``to_dict`` leaves it out.
+    ``polybase.instance.trace_dict`` prints it.  A block node (``direct_sum``,
+    ``face_drop``, ``point_face``) holds the ``face`` it factors along, one
+    child per block.  ``face_drop`` and ``split`` fix the first element
+    e = ground[0] and divide w(e) = k q + r.  A ``face_drop``'s ``fn`` is f
+    capped at q; a ``split``'s is f itself, and its parts x1 and x2 are its
+    two children's ``w``.  At most ``dim`` + 1 distinct terms: ``dim`` is dim
+    B_f but at a ``point_face``, the dimension of the minimal face of its point.
     """
 
     __slots__ = ("case", "ground", "w", "k", "children", "face", "fn", "dim")
 
     def __init__(self, case: str, ground: tuple[str, ...], w: tuple[int, ...], k: int,
-                 children: list[DecompositionTrace] | None = None,
-                 face: FaceStructure | None = None, fn: SubmodularFn | None = None,
-                 dim: int | None = None):
+                 children: list | None = None, face: FaceStructure | None = None,
+                 fn: SubmodularFn | None = None, dim: int | None = None):
         self.case = case
         self.ground = ground
         self.w = w
@@ -139,32 +131,6 @@ class DecompositionTrace:
         self.face = face
         self.fn = fn
         self.dim = dim
-
-    def to_dict(self) -> dict:
-        out = {
-            "case": self.case,
-            "ground": list(self.ground),
-            "w": list(self.w),
-            "k": self.k,
-        }
-        if self.face is not None:
-            out["chain"] = [[self.ground[i] for i in bits(m)] for m in self.face.chain]
-        if self.case == "face_drop":
-            out.update(e=self.ground[0], q=self.w[0] // self.k, fn_reduced=node_dict(self.fn))
-        elif self.case == "split":
-            e = self.ground[0]
-            q, r = divmod(self.w[0], self.k)
-            upper, lower = (self.fn.reduce_at(e, c) for c in (q + 1, q))
-            left, right = self.children
-            out.update(
-                e=e, q=q, r=r,
-                fn_left=node_dict(upper.scale(r)),
-                fn_right=node_dict(lower.dual().scale(self.k - r).shift(self.w)),
-                x1=list(left.w), x2=list(right.w),
-            )
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
 
 
 # ---------------------------------------------------------------------------

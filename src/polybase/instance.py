@@ -9,7 +9,8 @@ elements of the inner node's ground.  Table keys are comma-joined
 alphabetically sorted element names; the empty-set key may be omitted
 (it is zero), every other subset key is required.  ``parse_fn`` reads a
 node and ``node_dict`` writes one, which ``parse_fn`` reads back as the
-same function; ``table_keys`` is the one spelling of table keys.
+same function; ``table_keys`` is the one spelling of table keys, and
+``trace_dict`` writes a decomposition's ``--trace`` tree.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     SubmodularFn,
     TableFn,
     UniformRank,
+    bits,
     subset_sums,
 )
 from .errors import ParseError, UsageError
@@ -169,23 +171,54 @@ def node_dict(fn: SubmodularFn) -> dict:
     if cls is GraphicRank:
         return {"type": "graphic", "vertices": fn.vertices, "edges": [list(e) for e in fn.edges]}
     if cls is DualFn:
-        node = {"type": "dual"}
+        kind, params = "dual", {}
     elif cls is ShiftFn:
-        node = {"type": "shift", "a": list(fn.a)}
+        kind, params = "shift", {"a": list(fn.a)}
     elif cls is ReduceFn:
-        node = {"type": "reduce", "a": list(fn.a)}
+        kind, params = "reduce", {"a": list(fn.a)}
     elif cls is ReduceAtFn:
-        node = {"type": "reduce_at", "e": fn.element, "c": fn.cap}
+        kind, params = "reduce_at", {"e": fn.element, "c": fn.cap}
     elif cls is ScaleFn:
-        node = {"type": "scale", "r": fn.r}
+        kind, params = "scale", {"r": fn.r}
     elif cls is BlockRestrictFn:
         parent = fn.inner.ground
-        node = {"type": "block_restrict", "a_prev": list(parent.names_of(fn.a_prev)),
-                "block": list(parent.names_of(fn.block))}
+        kind, params = "block_restrict", {"a_prev": list(parent.names_of(fn.a_prev)),
+                                          "block": list(parent.names_of(fn.block))}
     else:
         raise TypeError(f"{cls.__name__} has no instance node type")
-    node["inner"] = node_dict(fn.inner)
-    return node
+    return _wrap(kind, node_dict(fn.inner), **params)
+
+
+def _wrap(kind: str, inner: dict, **params) -> dict:
+    """A wrapper node: its type, then its parameters, then its inner node."""
+    return {"type": kind, **params, "inner": inner}
+
+
+def trace_dict(trace) -> dict:
+    """The ``--trace`` tree of a ``DecompositionTrace``, children included.
+
+    A block node prints its tight chain as name lists, a ``face_drop`` its
+    capped function, and a split its parts x1 and x2 and the vertex step's
+    operands r (f capped at q+1) and w - (k-r) B_{f capped at q}: wrappers
+    around f's one node, so printing builds no function.  ``dim`` is left out.
+    """
+    out = {"case": trace.case, "ground": list(trace.ground), "w": list(trace.w), "k": trace.k}
+    if trace.face is not None:
+        out["chain"] = [[trace.ground[i] for i in bits(m)] for m in trace.face.chain]
+    if trace.case == "face_drop":
+        out.update(e=trace.ground[0], q=trace.w[0] // trace.k, fn_reduced=node_dict(trace.fn))
+    elif trace.case == "split":
+        e, k = trace.ground[0], trace.k
+        q, r = divmod(trace.w[0], k)
+        f = node_dict(trace.fn)
+        left = _wrap("scale", _wrap("reduce_at", f, e=e, c=q + 1), r=r)
+        lower = _wrap("dual", _wrap("reduce_at", f, e=e, c=q))
+        right = _wrap("shift", _wrap("scale", lower, r=k - r), a=list(trace.w))
+        x1, x2 = (list(child.w) for child in trace.children)
+        out.update(e=e, q=q, r=r, fn_left=left, fn_right=right, x1=x1, x2=x2)
+    if trace.children:
+        out["children"] = [trace_dict(child) for child in trace.children]
+    return out
 
 
 def parse_instance(doc, limit: int = DEFAULT_GROUND_LIMIT) -> InstanceFile:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from polybase import decompose, load_instance, replay
+from polybase import decompose, load_instance, replay, trace_dict
 from polybase.cli import main
 
 K3_DOC = {
@@ -148,7 +148,7 @@ class TestDecompose:
         # gives the printed terms
         inst = load_instance(path)
         _, trace = decompose(inst.fn, inst.w, inst.k)
-        assert trace.to_dict() == doc["trace"]
+        assert trace_dict(trace) == doc["trace"]
         printed = [(t["weight"], tuple(t["point"])) for t in doc["terms"]]
         assert list(replay(trace).terms) == printed
 

@@ -42,7 +42,7 @@ from polybase import (
 )
 from polybase.cli import certificate_dict, to_json
 from polybase.core import BlockRestrictFn, DualFn, ScaleFn, ShiftFn
-from polybase.instance import parse_fn
+from polybase.instance import parse_fn, trace_dict
 from polybase.polytope import _structure_from_chain
 
 
@@ -223,7 +223,7 @@ class TestDecompose:
         first, t1 = decompose(f, (3, 2, 1), 3)
         second, t2 = decompose(f, (3, 2, 1), 3)
         assert first == second
-        assert t1.to_dict() == t2.to_dict()
+        assert trace_dict(t1) == trace_dict(t2)
 
 
 class TestVerify:
@@ -405,7 +405,7 @@ class TestTrace:
 
     def test_serializes_to_json(self):
         _, trace = decompose(k3(), (3, 2, 1), 3)
-        doc = trace.to_dict()
+        doc = trace_dict(trace)
         text = json.dumps(doc, sort_keys=True)
         assert '"case"' in text
         parsed = json.loads(text)
@@ -417,14 +417,14 @@ class TestTrace:
         _, trace = decompose(f, (1, 0, 1, 1), 1)
         assert trace.case == "direct_sum"
         assert trace.face.chain == (0, 0b0011, 0b1111)
-        assert trace.to_dict()["chain"] == [[], ["a", "b"], ["a", "b", "c", "d"]]
+        assert trace_dict(trace)["chain"] == [[], ["a", "b"], ["a", "b", "c", "d"]]
 
     def test_split_node_records_parts(self):
         _, trace = decompose(k3(), (2, 2, 2), 3)
         split_nodes = _collect(trace, "split")
         assert split_nodes, "expected at least one split in a forced 3-term run"
         node = split_nodes[0]
-        doc = node.to_dict()
+        doc = trace_dict(node)
         assert doc["e"] == "a"
         assert tuple(a + b for a, b in zip(doc["x1"], doc["x2"])) == node.w
         assert node.fn is not None and "fn_left" in doc and "fn_right" in doc
@@ -453,7 +453,7 @@ class TestTrace:
             read.clear()
             _, trace = decompose(f, w, k)
             printed = []
-            for node, doc in _with_dicts(trace, trace.to_dict()):
+            for node, doc in _with_dicts(trace, trace_dict(trace)):
                 if node.case not in ("split", "face_drop"):
                     assert not {"fn_left", "fn_right", "fn_reduced"} & set(doc)
                     continue
