@@ -120,8 +120,7 @@ class GroundSet(Frozen):
     __slots__ = ("elements",)
 
     def __init__(self, elements, limit: int = DEFAULT_GROUND_LIMIT):
-        if limit < 1:
-            raise UsageError(f"ground set size limit must be at least 1, got {limit}")
+        _check_int(limit, "ground set size limit must be at least 1", 1)
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise UsageError(f"ground elements are not distinct: {elements}")
@@ -441,6 +440,8 @@ class BlockRestrictFn(SubmodularFn):
     """
 
     def __init__(self, inner: SubmodularFn, a_prev: int, block: int):
+        for mask in (a_prev, block):
+            _check_int(mask, "block restriction masks must be integers")
         if block == 0:
             raise UsageError("block restriction needs a nonempty block")
         if a_prev & block:

@@ -33,6 +33,7 @@ from .core import (
     SubmodularFn,
     TableFn,
     UniformRank,
+    _check_int,
     bits,
     subset_sums,
 )
@@ -143,6 +144,9 @@ def _parse_table(ground: GroundSet, values) -> TableFn:
 
 def table_keys(ground: GroundSet) -> list[str]:
     """keys[mask]: the sorted names of mask joined by commas, built by doubling."""
+    for name in ground.elements:
+        if not isinstance(name, str):
+            raise UsageError(f"table keys cannot spell element {name!r}: not a string")
     names = sorted(ground.elements)
     keys = [""]
     for name in names:
@@ -226,6 +230,7 @@ def parse_instance(doc, limit: int = DEFAULT_GROUND_LIMIT) -> InstanceFile:
     if not isinstance(doc, dict):
         raise ParseError("instance must be a JSON object")
     names = _names(_need(doc, "ground", "instance"), "ground")
+    _check_int(limit, "ground set size limit must be an integer")
     try:
         ground = GroundSet(names, limit)
     except UsageError as exc:

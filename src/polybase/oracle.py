@@ -1,9 +1,15 @@
-"""Independent exhaustive-search oracles for small instances.
+"""Exhaustive-search oracles for small instances.
 
 Everything here is deliberately naive: box scans, permutation sweeps and
-depth-first multiset search.  The oracles validate the main algorithms,
-so they share no code path with them.  Budgets are explicit; exceeding
-one raises BudgetExceeded rather than truncating silently.
+depth-first multiset search.  The oracles validate the main algorithms
+and share no code with the recursion or the LP, but they do share three
+``polytope`` helpers with the engine: ``bounding_box`` and
+``in_base_polytope`` (the membership test the engine runs on its input)
+in ``enumerate_base_points``, and ``greedy_vertex`` in
+``enumerate_vertices``.  A defect in one of those moves an oracle and
+the engine alike; ROADMAP item 6 plans their own copies.  Budgets are
+explicit; exceeding one raises BudgetExceeded rather than truncating
+silently.
 """
 
 from __future__ import annotations

@@ -194,6 +194,11 @@ class TestConstructions:
         ok, _ = is_submodular(sub)
         assert ok
 
+    @pytest.mark.parametrize("a_prev, block", [(1.0, 2), (0, "a"), (True, 2), (0, None)])
+    def test_block_restrict_refuses_masks_that_are_not_ints(self, a_prev, block):
+        with pytest.raises(UsageError, match="block restriction masks must be integers, got"):
+            k3().block_restrict(a_prev, block)
+
     def test_scale_requires_positive_integer(self):
         with pytest.raises(UsageError):
             u12().scale(0)
@@ -243,6 +248,9 @@ class TestGroundSet:
             GroundSet(range(13))
         with pytest.raises(UsageError, match="limit must be at least 1, got 0$"):
             GroundSet("a", 0)
+        for limit in ("x", 2.5, True, None):
+            with pytest.raises(UsageError, match=f"limit must be at least 1, got {limit!r}$"):
+                GroundSet("ab", limit)
 
     def test_derived_grounds_keep_a_raised_limit(self):
         names = [f"e{i}" for i in range(14)]
@@ -811,3 +819,27 @@ def test_package_holds_no_process_state():
                 found += [f"{path.name}:{node.lineno} os.{a.name}" for a in node.names
                           if a.name in ("environ", "getenv")]
     assert len(list(src.glob("*.py"))) > 5 and found == []
+
+
+def _front_end_imports(path: Path) -> list[str]:
+    """The lines of path that import polybase.instance or polybase.cli, in any spelling."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any({"instance", "cli"} & set(name.split(".")) for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_engine_modules_import_no_front_end():
+    # the engine reads and writes no documents: instance and cli sit on top of it
+    src = Path(core.__file__).parent
+    assert _front_end_imports(src / "cli.py")  # the scan sees cli's own import of instance
+    found = [line for name in ("core", "polytope", "lp", "decompose")
+             for line in _front_end_imports(src / f"{name}.py")]
+    assert found == []

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from corpus import flat_corpus, ground, k3, sample_target, tiny_instances
+from corpus import acceptance_corpus, flat_corpus, ground, k3, sample_target, tiny_instances
 from polybase import (
     GroundSet,
     ParseError,
@@ -21,6 +21,7 @@ from polybase import (
     node_dict,
     parse_fn,
     parse_instance,
+    trace_dict,
 )
 from polybase.instance import table_keys
 
@@ -45,6 +46,9 @@ class TestParseInstance:
         with pytest.raises(ParseError, match=r"size 4 outside \[1, 3\]"):
             parse_instance(U24_DOC, 3)
         assert parse_instance(U24_DOC).ground.n == 4
+        for limit in ("3", 2.5, True, None):
+            with pytest.raises(UsageError, match="ground set size limit must be an integer"):
+                parse_instance(U24_DOC, limit)
 
     def test_threads_parse_with_their_own_limits(self):
         # thread a stops on reading its ground until thread b, under limit 3,
@@ -232,9 +236,9 @@ class TestNodeKinds:
             g = GroundSet(names)
             assert table_keys(g) == [",".join(sorted(g.names_of(m))) for m in g.subsets()]
 
-    @pytest.mark.parametrize("names", [["a", "b", "a,b"], ["a", ""]])
+    @pytest.mark.parametrize("names", [["a", "b", "a,b"], ["a", ""], [1], ["a", 1]])
     def test_table_keys_refuse_names_they_cannot_spell(self, names):
-        # "a,b" would spell {a, b} twice and "" the empty set twice
+        # "a,b" would spell {a, b} twice, "" the empty set twice, and 1 is no name
         g = GroundSet(names)
         with pytest.raises(UsageError, match=f"cannot spell element {names[-1]!r}"):
             node_dict(materialize(UniformRank(g, 2)))
@@ -283,6 +287,33 @@ def _nodes(trace):
     yield trace
     for child in trace.children:
         yield from _nodes(child)
+
+
+def _printed(doc):
+    yield doc
+    for child in doc.get("children", ()):
+        yield from _printed(child)
+
+
+def test_printing_a_trace_builds_no_function(monkeypatch):
+    # a split prints its two vertex-step operands as wrapper nodes around
+    # f's one node, and a face_drop the capped function it already holds
+    rng = random.Random(1)
+    traces = []
+    for _, f in acceptance_corpus() + flat_corpus():
+        k = rng.randint(1, 25)
+        traces.append(decompose(f, sample_target(f, k, rng), k)[1])
+    built = []
+    init = SubmodularFn.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubmodularFn, "__init__", counting)
+    cases = [doc["case"] for trace in traces for doc in _printed(trace_dict(trace))]
+    assert built == []
+    assert cases.count("split") and cases.count("face_drop")
 
 
 def test_deep_nesting_is_a_parse_error(tmp_path):
