@@ -115,17 +115,23 @@ class GroundSet(Frozen):
     iteration order and every tie-break in the package.  ``limit`` caps the
     size, since every table holds 2^n values.  It is checked, not stored: a
     copy of this ground, or a ground derived from it, passes this size.
+    Names, checked after the size, are non-empty strs without ',' (a table key).
     """
 
     __slots__ = ("elements",)
 
     def __init__(self, elements, limit: int = DEFAULT_GROUND_LIMIT):
         _check_int(limit, "ground set size limit must be at least 1", 1)
-        elements = tuple(elements)
-        if len(set(elements)) != len(elements):
+        elements = _check_seq(elements, None, "ground elements", "a sequence of names")
+        # reprs, since a set cannot hold an unhashable element (no name: refused below)
+        if len(set(map(repr, elements))) != len(elements):
             raise UsageError(f"ground elements are not distinct: {elements}")
         if not 1 <= len(elements) <= limit:
             raise UsageError(f"ground set size {len(elements)} outside [1, {limit}]")
+        if bad := [name for name in elements if not isinstance(name, str)]:
+            raise UsageError(f"table keys cannot spell element {bad[0]!r}: not a string")
+        if bad := sorted(name for name in elements if not name or "," in name):
+            raise UsageError(f"table keys cannot spell element {bad[0]!r}: empty or holds ','")
         super().__init__(elements)
 
     def __reduce__(self):
@@ -147,14 +153,14 @@ class GroundSet(Frozen):
 
     def mask_of(self, names) -> int:
         m = 0
-        for name in names:
+        for name in _check_seq(names, None, "element names", "a sequence of names"):
             if m & (bit := 1 << self.index(name)):
                 raise UsageError(f"element names of subsets and blocks repeat {name!r}")
             m |= bit
         return m
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in bits(mask))
+        return tuple(self.elements[i] for i in bits(_check_mask(mask, self)))
 
     def subsets(self):
         """All subset masks in canonical (increasing bitmask) order."""
@@ -168,18 +174,31 @@ def _check_int(value, what: str, low: int | None = None) -> int:
     return value
 
 
-def _check_int_vector(a, n: int | None, what: str) -> tuple[int, ...]:
-    """a as a tuple of ints, not bools, of length n unless n is None; else UsageError."""
+def _check_seq(a, n: int | None, what: str, kind: str = "a sequence of integers") -> tuple:
+    """a as a tuple of length n unless n is None; else UsageError naming ``what``."""
     try:
         a = tuple(a)
     except TypeError:
-        raise UsageError(f"{what} must be a sequence of integers, got {a!r}") from None
+        raise UsageError(f"{what} must be {kind}, got {a!r}") from None
     if n is not None and len(a) != n:
         raise UsageError(f"{what} has length {len(a)}, expected {n}")
-    entries = f"{what} must have integer entries"
-    for v in a:
-        _check_int(v, entries)
     return a
+
+
+def _check_int_vector(a, n: int | None, what: str) -> tuple[int, ...]:
+    """a as a tuple of ints, not bools, of length n unless n is None; else UsageError."""
+    a = _check_seq(a, n, what)
+    if not {int}.issuperset(map(type, a)):  # one C-level pass; the loop names the culprit
+        for v in a:
+            _check_int(v, f"{what} must have integer entries")
+    return a
+
+
+def _check_mask(mask, ground: GroundSet) -> int:
+    """mask if it is an int, not a bool, of a subset of ground; else UsageError."""
+    if not 0 <= _check_int(mask, "a subset mask must be an integer") <= ground.full_mask:
+        raise UsageError(f"mask {mask:#x} out of range for ground set of size {ground.n}")
+    return mask
 
 
 def subset_sums(x) -> list:
@@ -220,23 +239,20 @@ class SubmodularFn:
     """Base class for integer set functions held as value tables.
 
     ``values[mask]`` is the value on the subset mask; calling an instance
-    with a mask returns it after a range check.  Construction helpers
-    (dual, shift, reduce, ...) build new nodes, each of which computes its
-    own table once from this node's table.  ``submodular`` is the one-way
-    submodularity memo described in the module docstring.
+    with a mask returns it after a type and range check.  Construction
+    helpers (dual, shift, reduce, ...) build new nodes, each of which
+    computes its own table once from this node's table; this constructor
+    checks the table's length, ``TableFn`` its entries.  ``submodular`` is
+    the one-way submodularity memo described in the module docstring.
     """
 
     def __init__(self, ground: GroundSet, values, submodular: bool | None = None):
         self.ground = ground
-        self.values: tuple[int, ...] = tuple(values)
+        self.values: tuple[int, ...] = _check_seq(values, 1 << ground.n, "table", "a sequence")
         self.submodular = submodular
 
     def __call__(self, mask: int) -> int:
-        if not 0 <= mask < len(self.values):
-            raise UsageError(
-                f"mask {mask:#x} out of range for ground set of size {self.ground.n}"
-            )
-        return self.values[mask]
+        return self.values[_check_mask(mask, self.ground)]
 
     # -- constructions ------------------------------------------------
 
@@ -282,13 +298,13 @@ class PartitionRank(SubmodularFn):
     """Rank function of a partition matroid: sum of per-block capped counts."""
 
     def __init__(self, ground: GroundSet, blocks, caps):
-        blocks = tuple(blocks)
-        caps = tuple(caps)
+        blocks = _check_seq(blocks, None, "partition blocks", "a sequence of masks")
+        caps = _check_seq(caps, None, "partition caps")
         if len(blocks) != len(caps):
             raise UsageError("partition blocks and caps must have equal length")
         seen = 0
         for b in blocks:
-            if b & seen:
+            if _check_int(b, "partition blocks must be integer masks") & seen:
                 raise UsageError("partition blocks overlap")
             seen |= b
         if seen != ground.full_mask:
@@ -311,12 +327,11 @@ class GraphicRank(SubmodularFn):
     """
 
     def __init__(self, ground: GroundSet, vertices: int, edges):
-        edges = tuple(tuple(e) for e in edges)
+        edges = _check_seq(edges, None, "graphic edges", "a sequence of (u, v) pairs")
         if len(edges) != ground.n:
-            raise UsageError(
-                f"got {len(edges)} edges for a ground set of {ground.n} elements"
-            )
+            raise UsageError(f"got {len(edges)} edges for a ground set of {ground.n} elements")
         _check_int(vertices, "graphic vertex count must be a positive integer", 1)
+        edges = tuple(_check_seq(e, 2, "graphic edge", "a (u, v) pair") for e in edges)
         for u, v in edges:
             _check_int(u, "edge endpoints must be integers")
             _check_int(v, "edge endpoints must be integers")

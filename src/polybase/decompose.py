@@ -46,7 +46,7 @@ from bisect import bisect_left
 from operator import sub
 
 from .core import Frozen, GroundSet, SubmodularFn, is_submodular, subset_sums
-from .core import _check_int, _check_int_vector
+from .core import _check_int, _check_int_vector, _check_seq
 from .errors import InvariantViolation, UsageError
 from .lp import assert_integral, build_intersection_system, find_vertex
 from .polytope import (
@@ -79,10 +79,7 @@ class WeightedDecomposition(Frozen):
         terms are normalized."""
         _check_int(multiplicity, "multiplicity must be a positive integer", 1)
         target = _check_int_vector(target, None, "target")
-        try:
-            terms = list(terms)
-        except TypeError:
-            raise UsageError(f"terms must be (weight, point) pairs, got {terms!r}") from None
+        terms = _check_seq(terms, None, "terms", "(weight, point) pairs")
         acc: dict[tuple[int, ...], int] = {}
         for term in terms:
             if not isinstance(term, (tuple, list)) or len(term) != 2:
@@ -139,8 +136,7 @@ class DecompositionTrace:
 
 def split_into_k_bases(f: SubmodularFn, x, k: int) -> list[tuple[int, ...]]:
     """Write x in k B_f as an ordered list of k integer points of B_f."""
-    x = tuple(x)
-    sums = _require_membership(f, x, k)
+    x, sums = _require_membership(f, x, k)
     result: list[tuple[int, ...]] = []
     cur = x
     for j in range(k, 1, -1):
@@ -243,8 +239,7 @@ def decompose(f: SubmodularFn, w, k: int):
     UsageError naming a violated constraint when w is not in k B_f, and
     InvariantViolation (with diagnostics) if an internal guarantee fails.
     """
-    w = tuple(w)
-    sums = _require_membership(f, w, k)
+    w, sums = _require_membership(f, w, k)
     if f.ground.n == 1:
         trace = _leaf(f, 0, 1, w, k, None)
     elif (fs := face_structure(f)).t == 1:
@@ -254,8 +249,8 @@ def decompose(f: SubmodularFn, w, k: int):
     return WeightedDecomposition.from_terms(_terms(trace), w, k), trace
 
 
-def _require_membership(f: SubmodularFn, x, k: int) -> list[int]:
-    """Check x in k B_f (f submodular first) and return x's subset sums."""
+def _require_membership(f: SubmodularFn, x, k: int):
+    """Check x in k B_f (f submodular first); return x as a tuple and its subset sums."""
     _check_int(k, "multiplicity must be a positive integer", 1)
     x = _check_int_vector(x, f.ground.n, "vector")
     require_submodular(f)
@@ -266,10 +261,8 @@ def _require_membership(f: SubmodularFn, x, k: int) -> list[int]:
     ok, violated = in_extended_polymatroid(f, x, k, sums=sums)
     if not ok:
         names = ",".join(f.ground.names_of(violated))
-        raise UsageError(
-            f"violated x({{{names}}}) <= {k * f(violated)}: got {sums[violated]}"
-        )
-    return sums
+        raise UsageError(f"violated x({{{names}}}) <= {k * f(violated)}: got {sums[violated]}")
+    return x, sums
 
 
 def require_submodular(f: SubmodularFn) -> None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .core import Frozen, GroundSet, bits, subset_sums
+from .core import Frozen, GroundSet, _check_int_vector, _check_seq, bits, subset_sums
 from .errors import InvariantViolation, UsageError
 
 # Running tallies for integrality auditing; single-threaded use only.
@@ -70,8 +70,10 @@ def build_intersection_system(ground: GroundSet, f_values, g_values) -> Constrai
     level equalities x(E) = f(E) and x(E) = g(E).  When f(E) != g(E) the
     equalities contradict and find_vertex reports Infeasible immediately.
     """
-    if not len(f_values) == len(g_values) == 1 << ground.n:
+    tables = [_check_seq(v, None, "intersection table") for v in (f_values, g_values)]
+    if not len(tables[0]) == len(tables[1]) == 1 << ground.n:
         raise UsageError(f"intersection tables need {1 << ground.n} values on this ground")
+    f_values, g_values = (_check_int_vector(v, None, "intersection table") for v in tables)
     full = ground.full_mask
     ineqs = tuple(enumerate(f_values)) + tuple(enumerate(g_values))
     eqs = ((full, f_values[full]), (full, g_values[full]))
@@ -349,7 +351,9 @@ def assert_integral(point, system: ConstraintSystem | None = None) -> tuple[int,
     carries a dump of the offending system.
     """
     out = []
-    for v in point:
+    for v in _check_seq(point, None, "vertex", "a sequence of numbers"):
+        if isinstance(v, bool) or not hasattr(v, "as_integer_ratio"):
+            raise UsageError(f"vertex coordinates must be numbers, got {v!r}")
         num, den = v.as_integer_ratio()
         if den != 1:
             stats["nonintegral_vertices"] += 1

@@ -2,14 +2,13 @@
 
 Everything here is deliberately naive: box scans, permutation sweeps and
 depth-first multiset search.  The oracles validate the main algorithms
-and share no code with the recursion or the LP, but they do share three
+and share no code with the recursion or the LP, but they share three
 ``polytope`` helpers with the engine: ``bounding_box`` and
-``in_base_polytope`` (the membership test the engine runs on its input)
-in ``enumerate_base_points``, and ``greedy_vertex`` in
-``enumerate_vertices``.  A defect in one of those moves an oracle and
-the engine alike; ROADMAP item 6 plans their own copies.  Budgets are
-explicit; exceeding one raises BudgetExceeded rather than truncating
-silently.
+``in_base_polytope`` (the engine's input membership test) in
+``enumerate_base_points``, and ``greedy_vertex`` in ``enumerate_vertices``.
+A defect in one of those moves an oracle and the engine alike; the ROADMAP
+plan for an independent ``verify`` gives the oracles their own copies too.
+Budgets are explicit; exceeding one raises BudgetExceeded, never truncates.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import Frozen, SubmodularFn
+from .core import Frozen, SubmodularFn, _check_int, _check_int_vector
 from .errors import BudgetExceeded, UsageError
 from .polytope import bounding_box, greedy_vertex, in_base_polytope
 
@@ -33,7 +32,7 @@ class PointSet(Frozen):
     __slots__ = ("points", "provenance")
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.points)
+        return _check_int_vector(p, None, "point") in self.points
 
     def __len__(self) -> int:
         return len(self.points)
@@ -99,12 +98,6 @@ def _budgeted_base_points(f: SubmodularFn) -> list[tuple[int, ...]]:
     return list(base)
 
 
-def _require_int(k) -> None:
-    """Refuse a multiplicity that is not an int; its range is checked apart."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise UsageError(f"multiplicity must be a positive integer, got {k!r}")
-
-
 def min_decomposition_size(f: SubmodularFn, w, k: int):
     """Fewest distinct base points expressing w with total multiplicity k.
 
@@ -112,10 +105,10 @@ def min_decomposition_size(f: SubmodularFn, w, k: int):
     value is provably minimal.  Returns None when w has no expression at
     multiplicity k.
     """
-    _require_int(k)
+    _check_int(k, "multiplicity must be a positive integer")
     if k < 1 or k > MIN_DEC_MAX_K:
         raise BudgetExceeded(f"k = {k} outside oracle budget 1..{MIN_DEC_MAX_K}")
-    w = tuple(w)
+    w = _check_int_vector(w, f.ground.n, "vector")
     return _multiset_sweep(_budgeted_base_points(f), k, f.ground.n).get(w)
 
 
@@ -127,7 +120,7 @@ def cr_exact(f: SubmodularFn, k_max: int) -> int:
     Report results as "cr >= value", never as the exact rank, since the
     attaining multiplicity is not bounded a priori.
     """
-    _require_int(k_max)
+    _check_int(k_max, "multiplicity must be a positive integer")
     if k_max < 1:
         raise UsageError("k_max must be positive")
     if k_max > MIN_DEC_MAX_K:
@@ -140,9 +133,7 @@ def cr_exact(f: SubmodularFn, k_max: int) -> int:
         for w in targets:
             size = table.get(w)
             if size is None:
-                raise UsageError(
-                    f"target {w} in {k} B_f has no multiplicity-{k} expression"
-                )
+                raise UsageError(f"target {w} in {k} B_f has no multiplicity-{k} expression")
             if size > best:
                 best = size
     return best

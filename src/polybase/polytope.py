@@ -10,9 +10,9 @@ over B_f is f(E) - f(E-U), attained by a greedy vertex that fills E-U
 first.  The test suite validates this against vertex enumeration.
 
 Membership and faces of k B_f = B_{kf} read f's own table, scaled by k
-once per query; k must be a positive int, not a bool.  A query builds x's
-subset sums from the checked x unless the caller, as ``decompose`` does,
-hands in the sums it built with x.
+once per query; k must be a positive int, not a bool, and x a sequence of
+n ints.  A query builds x's subset sums unless the caller, as
+``decompose`` does, hands in the sums it built with x.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 from itertools import compress, count, repeat
 from operator import add, eq, gt, indexOf, le, mul, xor
 
-from .core import Frozen, SubmodularFn, _check_int, _check_int_vector, bits, subset_sums
+from .core import Frozen, SubmodularFn, _check_int, _check_int_vector, _check_seq, bits
+from .core import subset_sums
 from .errors import UsageError
 
 
@@ -28,10 +29,10 @@ def in_extended_polymatroid(f: SubmodularFn, x, k: int = 1, *, sums=None):
     """Check x(U) <= k f(U) for all U: membership in k EP_f.
 
     Returns (True, None) or (False, U) with the first violating subset
-    mask in canonical order.  ``sums``, if given, must be subset_sums(x)
-    of an already checked x; only its length is checked.
+    mask in canonical order.  ``sums``, if given, must be subset_sums(x);
+    only its length is checked.
     """
-    sums = _subset_sums_of(f, x, sums)
+    sums = _subset_sums_of(f, x, sums)[1]
     kf = _times(f.values, k)
     if all(map(le, sums, kf)):
         return True, None
@@ -40,7 +41,7 @@ def in_extended_polymatroid(f: SubmodularFn, x, k: int = 1, *, sums=None):
 
 def in_base_polytope(f: SubmodularFn, x, *, sums=None) -> bool:
     """Membership in B_f: EP_f membership with x(E) = f(E), ``sums`` as there."""
-    return _in_base(_subset_sums_of(f, x, sums), f.values)
+    return _in_base(_subset_sums_of(f, x, sums)[1], f.values)
 
 
 def _in_base(sums, values) -> bool:
@@ -72,10 +73,8 @@ def greedy_vertex(f: SubmodularFn, order=None) -> tuple[int, ...]:
     omitted.  The output is an integer point of B_f for submodular f.
     """
     n = f.ground.n
-    if order is None:
-        order = range(n)
-    order = tuple(order)
-    if sorted(order) != list(range(n)):
+    order = range(n) if order is None else _check_seq(order, None, "order")
+    if not {int}.issuperset(map(type, order)) or sorted(order) != list(range(n)):
         raise UsageError(f"order {order} is not a permutation of 0..{n - 1}")
     x = [0] * n
     mask = 0
@@ -168,13 +167,14 @@ def _tight_chain(f: SubmodularFn) -> tuple:
 
 def point_tight_family(f: SubmodularFn, x) -> list[int]:
     """All U with x(U) = f(U), in canonical order (x must lie in B_f)."""
-    return list(compress(count(), map(eq, _subset_sums_of(f, x), f.values)))
+    return list(compress(count(), map(eq, _subset_sums_of(f, x)[1], f.values)))
 
 
-def _subset_sums_of(f: SubmodularFn, x, sums=None) -> list[int]:
+def _subset_sums_of(f: SubmodularFn, x, sums=None):
     if sums is not None and len(sums) != len(f.values):
         raise UsageError(f"got {len(sums)} subset sums for {len(f.values)} subsets")
-    return subset_sums(_check_int_vector(x, f.ground.n, "vector")) if sums is None else sums
+    x = _check_int_vector(x, f.ground.n, "vector")
+    return x, subset_sums(x) if sums is None else sums
 
 
 def minimal_face_of_point(f: SubmodularFn, x, k: int = 1, *, sums=None) -> FaceStructure:
@@ -185,8 +185,7 @@ def minimal_face_of_point(f: SubmodularFn, x, k: int = 1, *, sums=None) -> FaceS
     block base polytopes, each scaled by k.  The subset sums of x serve
     both membership and tightness; ``sums`` is as for in_extended_polymatroid.
     """
-    x = tuple(x)
-    sums = _subset_sums_of(f, x, sums)
+    x, sums = _subset_sums_of(f, x, sums)
     kf = _times(f.values, k)
     if not _in_base(sums, kf):
         raise UsageError(f"point {x} is not in the base polytope")

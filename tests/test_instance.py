@@ -239,9 +239,8 @@ class TestNodeKinds:
     @pytest.mark.parametrize("names", [["a", "b", "a,b"], ["a", ""], [1], ["a", 1]])
     def test_table_keys_refuse_names_they_cannot_spell(self, names):
         # "a,b" would spell {a, b} twice, "" the empty set twice, and 1 is no name
-        g = GroundSet(names)
         with pytest.raises(UsageError, match=f"cannot spell element {names[-1]!r}"):
-            node_dict(materialize(UniformRank(g, 2)))
+            node_dict(materialize(UniformRank(GroundSet(names), 2)))
 
     def test_block_restrict_lives_on_the_block(self):
         inst = parse_instance({
