@@ -16,6 +16,7 @@ same function; ``table_keys`` is the one spelling of table keys, and
 from __future__ import annotations
 
 import json
+from os import PathLike
 from operator import itemgetter
 
 from .core import (
@@ -242,6 +243,8 @@ def parse_instance(doc, limit: int = DEFAULT_GROUND_LIMIT) -> InstanceFile:
 
 
 def load_instance(path, limit: int = DEFAULT_GROUND_LIMIT) -> InstanceFile:
+    if not isinstance(path, (str, PathLike)):
+        raise UsageError(f"instance path must be a str or os.PathLike, got {path!r}")
     try:
         try:
             with open(path, "r", encoding="utf-8") as handle:

@@ -7,7 +7,7 @@ and share no code with the recursion or the LP, but they share three
 ``in_base_polytope`` (the engine's input membership test) in
 ``enumerate_base_points``, and ``greedy_vertex`` in ``enumerate_vertices``.
 A defect in one of those moves an oracle and the engine alike; the ROADMAP
-plan for an independent ``verify`` gives the oracles their own copies too.
+plan for an independent ``verify`` covers these shared paths as well.
 Budgets are explicit; exceeding one raises BudgetExceeded, never truncates.
 """
 

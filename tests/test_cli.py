@@ -106,6 +106,14 @@ class TestCheck:
         assert main(["check", write(doc)]) == 2
         assert "cannot spell element 'a,b'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["a,b", ""])
+    def test_unspellable_name_exits_two_under_every_node_type(self, write, capsys, name):
+        uniform = {"type": "uniform", "rank": 1}
+        graphic = {"type": "graphic", "vertices": 2, "edges": [[0, 1], [0, 1]]}
+        for f in (uniform, {"type": "dual", "inner": uniform}, graphic):
+            assert main(["check", write({"ground": ["c", name], "f": f})]) == 2
+            assert f"error: table keys cannot spell element {name!r}" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_certificate_shape(self, write, capsys):

@@ -199,6 +199,21 @@ class TestConstructions:
         with pytest.raises(UsageError, match="block restriction masks must be integers, got"):
             k3().block_restrict(a_prev, block)
 
+    @pytest.mark.parametrize("mask", [True, False, 1.0, "a", None])
+    def test_masks_that_are_not_ints_are_refused(self, mask):
+        # a bool is an int to Python, but True is no subset of {a, b, c}
+        with pytest.raises(UsageError, match=f"a subset mask must be an integer, got {mask!r}$"):
+            k3()(mask)
+        with pytest.raises(UsageError, match=f"a subset mask must be an integer, got {mask!r}$"):
+            k3().ground.names_of(mask)
+        assert k3()(1) == 1 and k3().ground.names_of(1) == ("a",)
+
+    @pytest.mark.parametrize("blocks", [[True, 6], [1, 2, True, 4], [1.0, 6], ["a", 6]])
+    def test_partition_blocks_that_are_not_ints_are_refused(self, blocks):
+        g = GroundSet("abc")
+        with pytest.raises(UsageError, match="partition blocks must be integer masks, got"):
+            PartitionRank(g, blocks, [1] * len(blocks))
+
     def test_scale_requires_positive_integer(self):
         with pytest.raises(UsageError):
             u12().scale(0)
@@ -259,6 +274,28 @@ class TestGroundSet:
         assert block.ground.elements == tuple(names[1:])
         for g in (f.ground, block.ground):
             assert copy.deepcopy(g) == g and pickle.loads(pickle.dumps(g)) == g
+
+    @pytest.mark.parametrize("names, message", [
+        ([1, 2, 3], "cannot spell element 1: not a string"),
+        (["a", None], "cannot spell element None: not a string"),
+        ([["a"], ["b"]], "cannot spell element ['a']: not a string"),
+        (["b,c", "a", "a,"], "cannot spell element 'a,': empty or holds ','"),
+        (["a", ""], "cannot spell element '': empty or holds ','"),
+    ])
+    def test_names_are_nonempty_strings_without_commas(self, names, message):
+        with pytest.raises(UsageError, match=f"^table keys {message}$".replace("[", r"\[")):
+            GroundSet(names)
+
+    def test_names_are_checked_after_distinctness_and_size(self):
+        with pytest.raises(UsageError, match=r"not distinct: \(1, 1\)$"):
+            GroundSet([1, 1])
+        with pytest.raises(UsageError, match=r"size 13 outside \[1, 12\]$"):
+            GroundSet([str(i) + "," for i in range(13)])
+
+    @pytest.mark.parametrize("elements", [None, 1.5, True, -1])
+    def test_elements_that_are_not_a_sequence_are_refused(self, elements):
+        with pytest.raises(UsageError, match="ground elements must be a sequence of names, got"):
+            GroundSet(elements)
 
     def test_mask_round_trip(self):
         g = ground(4)

@@ -12,6 +12,9 @@ A certificate with a weight or multiplicity that is not an int, no terms,
 terms that are not a tuple or list, a term that is not a pair, a point
 given as a list, or a target that is short or not a tuple fails
 ``verify`` without raising.
+Every public callable that takes values refuses a wrong one (None, a str,
+a float, a bool, -1, a list for a tuple, a tuple of the wrong length) with
+a documented error only.
 """
 
 import contextlib
@@ -22,11 +25,15 @@ import os
 import tempfile
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polybase
 from polybase import (
+    BudgetExceeded,
     GroundSet,
+    InvariantViolation,
     ParseError,
     UniformRank,
     UsageError,
@@ -210,3 +217,113 @@ def test_verify_fails_malformed_certificates(dec):
     assert verify(U24, U24_CERTIFICATE) == (True, [])
     ok, failures = verify(U24, dec)
     assert ok is False and failures
+
+
+# ---------------------------------------------------------------------------
+# the library's typed boundary
+# ---------------------------------------------------------------------------
+
+G3 = GroundSet("abc")
+U23 = UniformRank(G3, 2)
+W3, K3 = (2, 2, 2), 3
+TERMS3 = ((1, (0, 1, 1)), (1, (1, 0, 1)), (1, (1, 1, 0)))
+U23_DOC = {"ground": ["a", "b", "c"], "f": {"type": "uniform", "rank": 2}, "w": [2, 2, 2], "k": 3}
+INSTANCE_PATH = object()  # stands for the path of a file holding U23_DOC
+
+# public callable -> (the callable, one valid call's arguments, positions of its value arguments)
+VALUE_CALLS = {
+    "BlockRestrictFn": (polybase.BlockRestrictFn, (U23, 1, 6), (1, 2)),
+    "GraphicRank": (polybase.GraphicRank, (G3, 3, ((0, 1), (1, 2), (0, 2))), (1, 2)),
+    "GroundSet": (GroundSet, (("a", "b", "c"), 12), (0, 1)),
+    "GroundSet.index": (G3.index, ("a",), (0,)),
+    "GroundSet.mask_of": (G3.mask_of, (("a", "b"),), (0,)),
+    "GroundSet.names_of": (G3.names_of, (3,), (0,)),
+    "PartitionRank": (polybase.PartitionRank, (G3, (1, 6), (1, 1)), (1, 2)),
+    "PointSet.__contains__": (polybase.enumerate_base_points(U23).__contains__,
+                              ((1, 1, 0),), (0,)),
+    "ReduceAtFn": (polybase.ReduceAtFn, (U23, "a", 1), (1, 2)),
+    "ReduceFn": (polybase.ReduceFn, (U23, (1, 1, 1)), (1,)),
+    "ScaleFn": (polybase.ScaleFn, (2, U23), (0,)),
+    "ShiftFn": (polybase.ShiftFn, (U23, (1, 0, 0)), (1,)),
+    "SubmodularFn": (polybase.SubmodularFn, (G3, U23.values), (1,)),
+    "SubmodularFn.__call__": (U23, (3,), (0,)),
+    "SubmodularFn.block_restrict": (U23.block_restrict, (1, 6), (0, 1)),
+    "SubmodularFn.reduce": (U23.reduce, ((1, 1, 1),), (0,)),
+    "SubmodularFn.reduce_at": (U23.reduce_at, ("a", 1), (0, 1)),
+    "SubmodularFn.scale": (U23.scale, (2,), (0,)),
+    "SubmodularFn.shift": (U23.shift, ((1, 0, 0),), (0,)),
+    "TableFn": (polybase.TableFn, (G3, U23.values), (1,)),
+    "UniformRank": (UniformRank, (G3, 2), (1,)),
+    "WeightedDecomposition.from_terms": (WeightedDecomposition.from_terms,
+                                         (TERMS3, W3, K3), (0, 1, 2)),
+    "assert_integral": (polybase.assert_integral, ((1, 1, 0),), (0,)),
+    "build_intersection_system": (polybase.build_intersection_system,
+                                  (G3, U23.values, U23.values), (1, 2)),
+    "cr_exact": (polybase.cr_exact, (U23, 2), (1,)),
+    "decompose": (polybase.decompose, (U23, W3, K3), (1, 2)),
+    "greedy_vertex": (polybase.greedy_vertex, (U23, (2, 0, 1)), (1,)),
+    "in_base_polytope": (polybase.in_base_polytope, (U23, (1, 1, 0)), (1,)),
+    "in_extended_polymatroid": (polybase.in_extended_polymatroid, (U23, W3, K3), (1, 2)),
+    "load_instance": (polybase.load_instance, (INSTANCE_PATH, 12), (0, 1)),
+    "min_decomposition_size": (polybase.min_decomposition_size, (U23, W3, K3), (1, 2)),
+    "minimal_face_of_point": (polybase.minimal_face_of_point, (U23, W3, K3), (1, 2)),
+    "parse_fn": (polybase.parse_fn, (G3, U23_DOC["f"]), (1,)),
+    "parse_instance": (parse_instance, (U23_DOC, 12), (0, 1)),
+    "point_tight_family": (polybase.point_tight_family, (U23, (1, 1, 0)), (1,)),
+    "split_into_k_bases": (polybase.split_into_k_bases, (U23, W3, K3), (1, 2)),
+}
+# callables whose every argument is an object the library built (functions,
+# traces, systems, decompositions or a sequence of them): a wrong kind there
+# raises TypeError or AttributeError, as Python does
+OBJECT_CALLS = {
+    "DualFn", "bounding_box", "dimension", "dump_system", "enumerate_base_points",
+    "enumerate_vertices", "face_structure", "find_vertex", "is_matroid_rank", "is_submodular",
+    "materialize", "merge_direct_sum", "node_dict", "replay", "tight_sets", "trace_dict",
+    "verify",
+}
+# records hold the fields they are given; their checked constructor is
+# WeightedDecomposition.from_terms, and FaceStructure's methods are the
+# engine's own arithmetic on faces it derived
+RECORDS = {"ConstraintSystem", "DecompositionTrace", "FaceStructure", "InstanceFile",
+           "PointSet", "WeightedDecomposition"}
+NOT_CALLED = {"DEFAULT_GROUND_LIMIT", "BudgetExceeded", "InvariantViolation", "ParseError",
+              "UsageError"}
+BOUNDARY_CASES = [(name, pos) for name, (_, _, positions) in VALUE_CALLS.items()
+                  for pos in positions]
+
+
+def test_boundary_table_names_every_public_callable():
+    methods = {name for name in VALUE_CALLS if "." in name}
+    listed = (VALUE_CALLS.keys() - methods) | OBJECT_CALLS | RECORDS | NOT_CALLED
+    assert sorted(listed) == sorted(polybase.__all__)
+
+
+def wrong_values(valid):
+    """None, a str, a float, a bool and -1, and a list or a tuple of the wrong length."""
+    out = [None, "x", "", "a,b", 1.5, float("nan"), True, False, -1]
+    if isinstance(valid, tuple):
+        out += [list(valid), valid + valid[:1], valid[:-1]]
+    else:
+        out.append((valid, valid))
+    return out
+
+
+@pytest.fixture(scope="module")
+def instance_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("boundary") / "u23.json"
+    path.write_text(json.dumps(U23_DOC))
+    return str(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(BOUNDARY_CASES), data=st.data())
+def test_public_callables_refuse_wrong_values_with_documented_errors(instance_path, case, data):
+    name, pos = case
+    call, args, _ = VALUE_CALLS[name]
+    args = [instance_path if a is INSTANCE_PATH else a for a in args]
+    args[pos] = data.draw(st.sampled_from(wrong_values(args[pos])) | st.text(max_size=3)
+                          | st.floats() | st.integers(-9, -1), label=f"{name} argument {pos}")
+    try:
+        call(*args)
+    except (UsageError, ParseError, BudgetExceeded, InvariantViolation):
+        pass

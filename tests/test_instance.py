@@ -1,6 +1,7 @@
 """Unit tests for the JSON instance format."""
 
 import json
+import os
 import random
 import threading
 
@@ -242,6 +243,16 @@ class TestNodeKinds:
         with pytest.raises(UsageError, match=f"cannot spell element {names[-1]!r}"):
             node_dict(materialize(UniformRank(GroundSet(names), 2)))
 
+    def test_a_ground_of_non_names_is_refused_before_any_node(self):
+        # a partition over names 1, 2, 3 once wrote blocks parse_fn refuses, and
+        # decompose joined those names into a raw TypeError
+        with pytest.raises(UsageError, match="cannot spell element 1: not a string"):
+            decompose(PartitionRank(GroundSet([1, 2, 3]), [1, 6], [1, 1]), (1, 1, 2), 2)
+        with pytest.raises(UsageError, match="cannot spell element 1: not a string"):
+            node_dict(PartitionRank(GroundSet([1, 2, 3]), [1, 6], [1, 1]))
+        f = PartitionRank(GroundSet(["1", "2", "3"]), [1, 6], [1, 1])
+        assert parse_fn(f.ground, node_dict(f)).values == f.values
+
     def test_block_restrict_lives_on_the_block(self):
         inst = parse_instance({
             "ground": ["a", "b", "c"],
@@ -327,3 +338,26 @@ def test_deep_nesting_is_a_parse_error(tmp_path):
     )
     with pytest.raises(ParseError, match="nests too deeply"):
         load_instance(str(path))
+
+
+def test_load_instance_reads_no_file_descriptor(tmp_path):
+    # open() reads an int path as a descriptor and closes it on return; point
+    # stdin and stdout at /dev/null meanwhile, so the check can never block
+    saved = [os.dup(fd) for fd in (0, 1)]
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in (0, 1):
+            os.dup2(null, fd)
+        for path in (0, 1, True, False, -1, 1.5, None, b"inst.json"):
+            with pytest.raises(UsageError, match="instance path must be a str or os.PathLike"):
+                load_instance(path)
+        for fd in (0, 1):
+            os.fstat(fd)  # still open
+    finally:
+        for fd, copy in zip((0, 1), saved):
+            os.dup2(copy, fd)
+            os.close(copy)
+        os.close(null)
+    path = tmp_path / "u24.json"
+    path.write_text(json.dumps(U24_DOC))
+    assert load_instance(path).ground.n == 4
