@@ -21,7 +21,12 @@ big-integer operations over all 2^n fields at once: O(n^2 2^n) field
 operations, run at C speed.  Each field has two spare bits above the
 value spread, so the marginals and their differences never carry into or
 borrow from the next field.  A failing pair's lowest clear top bit names
-its first failing set, so a failure is located in the same pass.
+its first failing set, so a failure is located in the same pass.  A table
+of values in 0..63 is its own packed form, taken by one ``bytes`` call;
+the field masks of such tables (n <= 12, a few hundred KB in all) are
+built once per process, and a table packed wider than 256 KB is checked
+in slabs of at most that size, so the check's memory stays a few tables'
+worth however wide the values are.
 
 The one field written after construction is the memo ``submodular``:
 ``is_submodular`` sets it on success and returns at once when it is set,
@@ -36,8 +41,8 @@ reads and writes function nodes as instance-document nodes.
 from __future__ import annotations
 
 from functools import cache
-from itertools import repeat
-from operator import add, itemgetter, le, mul, sub
+from itertools import islice, repeat
+from operator import add, and_, itemgetter, le, mul, sub
 
 from .errors import UsageError
 
@@ -479,6 +484,13 @@ class BlockRestrictFn(SubmodularFn):
 # whole-function checks
 # ---------------------------------------------------------------------------
 
+# a table whose packed form exceeds this many bytes is checked slab by slab
+_SLAB_BYTES = 1 << 18
+# one-byte fields on at most 2^_CACHED_N masks keep their masks for the process
+_CACHED_N = 12
+_BELOW_64 = bytes(range(64))
+
+
 def is_submodular(f: SubmodularFn):
     """Exhaustive submodularity check by the local test.
 
@@ -498,6 +510,16 @@ def is_submodular(f: SubmodularFn):
     pair, O(n^2 2^n) field operations in all.  The cost per pair grows
     with w, so tables with spreads of many bits check more slowly.
 
+    A table of values in 0..63 already is its packed one-byte form, since
+    f(empty) = 0 puts its minimum at 0: ``bytes`` takes it in one C-level
+    pass, with no minimum, maximum or subtraction.
+    The top-bit masks depend only on n and w; those of one-byte fields
+    over at most 2^12 masks (a few hundred KB for every n together) are
+    built once per process, all others once per call.  A packed table
+    wider than ``_SLAB_BYTES`` is cut along its top bits into slabs of
+    2^s fields (``_slab_check``), so a call holds a few tables' worth of
+    integers however wide its values are.
+
     When the tested integer t fails, bad = m & ~t holds the top bits of
     the failing fields, and the lowest lies in the field of the pair's
     first failing S = ((bad & -bad).bit_length() - 1) // w.  Only a failing
@@ -513,36 +535,116 @@ def is_submodular(f: SubmodularFn):
         return True, None
     v = f.values
     n = f.ground.n
-    size = len(v)
-    low = min(v)
-    nbytes = ((max(v) - low).bit_length() + 9) // 8
+    try:
+        packed = bytes(v)  # ValueError: a value outside 0..255
+    except ValueError:
+        packed = None
+    if packed is not None and not packed.translate(None, _BELOW_64):
+        low, nbytes = 0, 1
+    else:
+        low = min(v)
+        nbytes = ((max(v) - low).bit_length() + 9) // 8
+        packed = None
+    # 2^s fields per slab: as many as fit in _SLAB_BYTES, at least one
+    s = min(n, (_SLAB_BYTES // nbytes or 1).bit_length() - 1)
+    if s < n:
+        first = _slab_check(v, n, low, nbytes, s)
+    else:
+        if packed is None:
+            fields = map(sub, v, repeat(low))
+            packed = bytes(fields) if nbytes == 1 else b"".join(
+                map(int.to_bytes, fields, repeat(nbytes), repeat("little")))
+        first = _packed_check(int.from_bytes(packed, "little"), n, nbytes)
+    if first:
+        return False, first[1:]
+    f.submodular = True
+    return True, None
+
+
+def _packed_check(u: int, n: int, nbytes: int):
+    """The least failing (S, S+i, S+j) of the table packed into u, or None."""
     w = 8 * nbytes
-    fields = map(sub, v, repeat(low))
-    u = int.from_bytes(bytes(fields) if nbytes == 1 else b"".join(
-        map(int.to_bytes, fields, repeat(nbytes), repeat("little"))), "little")
-    top = bytes(nbytes - 1) + b"\x80"
-    high = int.from_bytes(top * size, "little")
-    # without[i]: the top bits of the fields of the masks without bit i
-    without = [
-        int.from_bytes((top * (1 << i) + bytes(nbytes << i)) * (size >> i + 1), "little")
-        for i in range(n)
-    ]
+    if nbytes == 1 and n <= _CACHED_N:
+        high, rows = _byte_pair_masks(n)
+    else:
+        high, without = _field_masks(n, nbytes)
+        rows = (map(and_, repeat(wi), without[i + 1:]) for i, wi in enumerate(without))
     first = None
-    for i in range(n):
+    for i, row in enumerate(rows):
         d = (u >> (w << i)) + (high >> 1) - u
         dh = d + high
-        for j in range(i + 1, n):
-            m = without[i] & without[j]
+        for j, m in enumerate(row, i + 1):
             t = dh - (d >> (w << j))
             if t & m != m:
                 bad = m & ~t
                 s = ((bad & -bad).bit_length() - 1) // w
                 if first is None or s < first[0]:
                     first = s, s | 1 << i, s | 1 << j
-    if first:
-        return False, first[1:]
-    f.submodular = True
-    return True, None
+    return first
+
+
+def _slab_check(v, n: int, low: int, nbytes: int, s: int):
+    """``_packed_check`` on 2^(n-s) slabs of 2^s fields each.
+
+    Slab c packs the masks c 2^s .. c 2^s + 2^s - 1.  An element i < s
+    shifts fields within a slab, as in the whole table; an element i >= s
+    pairs slab c with slab c + 2^(i-s) field for field.  So d[c], the
+    marginal of i in slab c, is (u[c] >> w 2^i) + Q - u[c] or
+    u[c + 2^(i-s)] + Q - u[c], and a pair with j >= s compares d[c] with
+    d[c + 2^(j-s)] under the top bits of the fields without i (all fields
+    when i >= s too).  Slabs run in increasing order, so a pair's first
+    failing slab holds its least failing S.  At most u and d, each a
+    table's worth, and slab-sized masks are held at once.
+    """
+    w = 8 * nbytes
+    count = 1 << n - s
+    fields = map(int.to_bytes, map(sub, v, repeat(low)), repeat(nbytes), repeat("little"))
+    u = [int.from_bytes(b"".join(islice(fields, 1 << s)), "little") for _ in range(count)]
+    high, without = _field_masks(s, nbytes)
+    half = high >> 1
+    first = None
+    for i in range(n):
+        # for i >= s the slabs of masks holding i get no marginal (0): no pair reads them
+        ci, ki = (0, w << i) if i < s else (1 << i - s, 0)
+        d = [0 if c & ci else (u[c | ci] >> ki) + half - u[c] for c in range(count)]
+        for j in range(i + 1, n):
+            if j < s:
+                m, cj, kj = without[i] & without[j], 0, w << j
+            else:
+                m, cj, kj = without[i] if i < s else high, 1 << j - s, 0
+            for c in range(count):
+                if c & (ci | cj):
+                    continue
+                t = d[c] + high - (d[c | cj] >> kj)
+                if t & m != m:
+                    bad = m & ~t
+                    at = c << s | ((bad & -bad).bit_length() - 1) // w
+                    if first is None or at < first[0]:
+                        first = at, at | 1 << i, at | 1 << j
+                    break
+    return first
+
+
+def _field_masks(n: int, nbytes: int):
+    """(high, without) for fields of nbytes bytes over 2^n masks: high holds
+    the top bit of every field, without[i] that of the masks without bit i."""
+    top = bytes(nbytes - 1) + b"\x80"
+    size = 1 << n
+    high = int.from_bytes(top * size, "little")
+    without = [
+        int.from_bytes((top * (1 << i) + bytes(nbytes << i)) * (size >> i + 1), "little")
+        for i in range(n)
+    ]
+    return high, without
+
+
+@cache
+def _byte_pair_masks(n: int):
+    """(high, rows) for one-byte fields over 2^n masks, n <= _CACHED_N:
+    rows[i] holds the top bits of the masks without i and j, for j > i."""
+    high, without = _field_masks(n, 1)
+    return high, tuple(tuple(map(and_, repeat(wi), without[i + 1:]))
+                       for i, wi in enumerate(without))
 
 
 def is_matroid_rank(f: SubmodularFn) -> bool:

@@ -482,8 +482,17 @@ _BLOCK_CASES = ("leaf", "face_drop", "split")
 
 
 def _check_node(node: DecompositionTrace, cases=_ROOT_CASES) -> None:
+    # type the fields the arithmetic below reads, the children's included
+    _check(isinstance(node.children, list)
+           and all(isinstance(child, DecompositionTrace) for child in node.children),
+           "trace node children are not a list of trace nodes")
+    for typed in (node, *node.children):
+        _check(isinstance(typed.w, tuple) and all(map(_is_int, typed.w)),
+               f"trace node w {typed.w!r} is not a tuple of integers")
+        _check(_is_int(typed.k) and typed.k > 0,
+               f"trace node k {typed.k!r} is not a positive integer")
     _check(node.case in cases, f"trace case {node.case!r} where one of {cases} belongs")
-    _check(isinstance(node.dim, int), f"trace node dim {node.dim!r} is not an integer")
+    _check(_is_int(node.dim), f"trace node dim {node.dim!r} is not an integer")
     has_fn = node.case in ("face_drop", "split")
     _check(isinstance(node.fn, SubmodularFn) if has_fn else node.fn is None,
            f"{node.case} node {'lacks' if has_fn else 'holds'} a function")

@@ -354,7 +354,10 @@ def assert_integral(point, system: ConstraintSystem | None = None) -> tuple[int,
     for v in _check_seq(point, None, "vertex", "a sequence of numbers"):
         if isinstance(v, bool) or not hasattr(v, "as_integer_ratio"):
             raise UsageError(f"vertex coordinates must be numbers, got {v!r}")
-        num, den = v.as_integer_ratio()
+        try:
+            num, den = v.as_integer_ratio()
+        except (ValueError, OverflowError):  # NaN, or an infinity
+            raise UsageError(f"vertex coordinates must be finite, got {v!r}") from None
         if den != 1:
             stats["nonintegral_vertices"] += 1
             raise InvariantViolation(

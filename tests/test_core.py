@@ -3,8 +3,11 @@
 import ast
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from operator import add, le
 from pathlib import Path
 from types import SimpleNamespace
@@ -713,6 +716,151 @@ def test_every_bit_pair_violation_is_found(n):
         shift = [(-1) ** b * 10**40 for b in range(n)]
         wide = TableFn(ground(n), map(add, [2**62 * v for v in f.values], subset_sums(shift)))
         assert is_submodular(wide) == (False, (1 << i, 1 << j))
+
+
+def edge_table(g, top, rng):
+    """A submodular table of values in 0..top that reaches top: a coverage
+    function scaled past top and truncated at it, or a capped cardinality."""
+    if rng.random() < 0.25:
+        step = -(-top // rng.randint(1, g.n))
+        return [min(step * m.bit_count(), top) for m in g.subsets()]
+    base = coverage_table(g, rng).values
+    while not base[-1]:
+        base = coverage_table(g, rng).values
+    scale = -(-top // base[-1])
+    return [min(scale * v, top) for v in base]
+
+
+@pytest.mark.parametrize("top", [63, 64, 255, 256])
+def test_packed_check_at_the_one_byte_packing_edges(top):
+    # top = 63 is the largest table bytes() packs as is; 64 needs two-byte
+    # fields, 255 is still bytes() but not packable, 256 is not even bytes()
+    rng = random.Random(1404 + top)
+    outcomes = set()
+    for n in range(2, 8):
+        g = ground(n)
+        for trial in range(8):
+            values = edge_table(g, top, rng)
+            assert max(values) == top and min(values) == 0
+            outcomes.add(checks_agree(values, g)[0])
+            # moved inside 0..top, the full set keeps top
+            for _ in range(trial % 3 + 1):
+                m = rng.randrange(1, g.full_mask)
+                values[m] = min(top, max(0, values[m] + rng.choice((-1, 1))))
+            outcomes.add(checks_agree(values, g)[0])
+    assert outcomes == {True, False}
+
+
+def test_packed_check_with_a_single_negative_entry():
+    # one -1 among small values: bytes() refuses it and the general packing runs
+    rng = random.Random(1405)
+    outcomes = set()
+    for n in range(2, 8):
+        g = ground(n)
+        for _ in range(10):
+            values = edge_table(g, 63, rng)
+            values[rng.randrange(1, 1 << n)] = -1
+            outcomes.add(checks_agree(values, g)[0])
+    # lowering f(E) keeps every local inequality; lowering f({a}) below
+    # f({a, b}) - f({b}) breaks the first one
+    assert checks_agree([0, 1, 1, 1, 1, 2, 2, -1]) == (True, None)
+    assert checks_agree([0, -1, 1, 1]) == (False, (0b01, 0b10))
+    assert outcomes == {True, False}
+
+
+def pair_class(pair, s):
+    """How many of a failing pair's elements i < j lie at slab bit s or above."""
+    a, b = pair
+    low = a & b
+    return ((a ^ low).bit_length() > s) + ((b ^ low).bit_length() > s)
+
+
+@pytest.mark.parametrize("slab_bytes", [1, 2, 4, 8, 16])
+def test_slabs_match_references(monkeypatch, slab_bytes):
+    # slabs of 2^s one-byte fields, s = 0..4, on n = 4..8: pairs inside a
+    # slab, pairs across slabs with one element inside, and with none
+    slabbed = []
+    slab_check = core._slab_check
+    monkeypatch.setattr(core, "_SLAB_BYTES", slab_bytes)
+    monkeypatch.setattr(core, "_slab_check", lambda *a: slabbed.append(a[4]) or slab_check(*a))
+    s = slab_bytes.bit_length() - 1
+    rng = random.Random(1406 + slab_bytes)
+    classes = set()
+    for n in range(4, 9):
+        g = ground(n)
+        for trial in range(6):
+            values = nudge(random_table(g, rng).values, rng, trial % 3)
+            ok, pair = checks_agree(values, g)
+            if not ok:
+                classes.add(pair_class(pair, s))
+            # fields of 9 bytes: one per slab
+            checks_agree([2**62 * v for v in values], g)
+        for i, j in itertools.combinations(range(n), 2):
+            both = 1 << i | 1 << j
+            pair = (1 << i, 1 << j)
+            assert checks_agree([int(m & both == both) for m in g.subsets()], g) == (False, pair)
+            classes.add(pair_class(pair, s))
+    # the last S in canonical order, and a later pair that fails at an earlier S
+    test_packed_check_finds_a_violation_at_the_last_s()
+    test_packed_check_names_the_first_failing_s_not_the_first_failing_pair()
+    assert classes == ({0, 1, 2} if s >= 2 else {1, 2} if s else {2})
+    assert {s, 0} <= set(slabbed) <= set(range(s + 1))
+
+
+def test_slabs_at_their_own_size_match_references(monkeypatch):
+    # n = 10 tables scaled by 2^2100 pack into 1024 fields of about 265
+    # bytes, past the default slab size: two slabs of 2^9 fields
+    slabbed = []
+    slab_check = core._slab_check
+    monkeypatch.setattr(core, "_slab_check", lambda *a: slabbed.append(a[4]) or slab_check(*a))
+    rng = random.Random(1408)
+    g = ground(10)
+    outcomes = set()
+    for trial in range(3):
+        values = nudge(random_table(g, rng).values, rng, trial, (-1, 1))
+        outcomes.add(checks_agree([v << 2100 for v in values], g)[0])
+    assert outcomes == {True, False} and slabbed == [9, 9, 9]
+
+
+def test_mask_cache_holds_only_small_one_byte_shapes():
+    core._byte_pair_masks.cache_clear()
+    rng = random.Random(1407)
+    g10 = ground(10)
+    wide = TableFn(g10, [2**40 * v for v in random_table(g10, rng).values])
+    big_n = UniformRank(GroundSet(tuple(f"e{i}" for i in range(13)), 13), 6)
+    for f in (wide, big_n, TableFn(g10, [64 * v for v in UniformRank(g10, 5).values])):
+        assert is_submodular(f) == (True, None)
+    assert core._byte_pair_masks.cache_info().currsize == 0
+    for n in range(1, 13):
+        assert is_submodular(UniformRank(ground(n), n // 2)) == (True, None)
+        assert is_submodular(UniformRank(ground(n), n // 2)) == (True, None)
+    assert core._byte_pair_masks.cache_info().currsize == 12
+    # every shape the cache can hold, together
+    held = sum(sys.getsizeof(mask) for n in range(core._CACHED_N + 1)
+               for high, rows in [core._byte_pair_masks(n)]
+               for mask in (high, *itertools.chain.from_iterable(rows)))
+    assert held < 1 << 20
+
+
+def test_wide_check_memory_is_bounded_by_slabs():
+    # n = 12, values near 10^4000: without slabs the check held n masks as
+    # wide as the 6.8 MB packed table, about 150 MB over its start
+    code = (
+        "import resource\n"
+        "from polybase.core import GroundSet, TableFn, is_submodular\n"
+        "g = GroundSet(tuple('abcdefghijkl'))\n"
+        "values = [10**4000 * (3 * min(m.bit_count(), 7) + min((m & 0xf0).bit_count(), 2))\n"
+        "          + (m & 0x7).bit_count() for m in g.subsets()]\n"
+        "f = TableFn(g, values)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert is_submodular(f) == (True, None)\n"
+        "print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = Path(core.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120, check=True)
+    before, after = map(int, proc.stdout.split())  # KB on Linux
+    assert after - before < 64 * 1024
 
 
 @settings(max_examples=150, deadline=None)

@@ -24,6 +24,7 @@ from corpus import (
     u23,
 )
 from polybase import (
+    DecompositionTrace,
     InvariantViolation,
     TableFn,
     UniformRank,
@@ -385,6 +386,33 @@ class TestTrace:
         error = InvariantViolation if tamper in strict else (InvariantViolation, UsageError)
         with pytest.raises(error):
             replay(trace)
+
+    @pytest.mark.parametrize("field, value", [
+        ("w", None), ("w", [2]), ("w", ("2",)), ("w", (True,)),
+        ("k", "x"), ("k", 0), ("k", 2.0), ("k", None),
+        ("children", None), ("children", "ab"), ("children", [None]),
+        ("dim", True), ("dim", "1"),
+    ])
+    def test_wrong_typed_node_field_rejected(self, field, value):
+        # a field of the wrong type is refused before any arithmetic reads it
+        node = DecompositionTrace("leaf", ("a",), (2,), 2, dim=0)
+        assert replay(node).terms == ((2, (1,)),)
+        setattr(node, field, value)
+        with pytest.raises(InvariantViolation, match=f"trace node {field}"):
+            replay(node)
+        # below a block node and below a split, whose checks add and compare
+        for inner in (lambda t: _collect(t, "leaf")[0],
+                      lambda t: _collect(t, "split")[0].children[0]):
+            _, trace = decompose(k3(), (2, 2, 2), 3)
+            setattr(inner(trace), field, value)
+            with pytest.raises(InvariantViolation, match=f"trace node {field}"):
+                replay(trace)
+
+    def test_wrong_typed_leaf_records_rejected(self):
+        for node in (DecompositionTrace("leaf", ("a",), None, 2, dim=0),
+                     DecompositionTrace("leaf", ("a",), (2,), "x", dim=0)):
+            with pytest.raises(InvariantViolation):
+                replay(node)
 
     @pytest.mark.parametrize("case", ["leaf", "direct_sum", "point_face", "split"])
     def test_relabelled_face_drop_root_rejected(self, case):

@@ -406,6 +406,13 @@ class TestAssertIntegral:
             assert_integral((Fraction(1, 2), Fraction(1, 2)), system)
         assert err.value.dump is not None
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_refuses_non_finite_coordinates(self, bad):
+        lp.reset_stats()
+        with pytest.raises(UsageError, match="finite"):
+            assert_integral((Fraction(1), bad))
+        assert lp.stats["nonintegral_vertices"] == 0 and lp.stats["integral_vertices"] == 0
+
     def test_corpus_vertices_integral(self):
         rng = random.Random(29)
         for _, f in tiny_instances():
