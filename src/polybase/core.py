@@ -22,11 +22,11 @@ operations, run at C speed.  Each field has two spare bits above the
 value spread, so the marginals and their differences never carry into or
 borrow from the next field.  A failing pair's lowest clear top bit names
 its first failing set, so a failure is located in the same pass.  A table
-of values in 0..63 is its own packed form, taken by one ``bytes`` call;
-the field masks of such tables (n <= 12, a few hundred KB in all) are
-built once per process, and a table packed wider than 256 KB is checked
-in slabs of at most that size, so the check's memory stays a few tables'
-worth however wide the values are.
+of values in 0..63 is its own packed form, taken by one ``bytes`` call.
+Two kernels run the test: one-byte fields on at most 2^12 masks use field
+masks built once per process (a few hundred KB in all), and every other
+table is checked in slabs of at most 256 KB, as one slab when it fits, so
+the check's memory stays a few tables' worth however wide the values are.
 
 The one field written after construction is the memo ``submodular``:
 ``is_submodular`` sets it on success and returns at once when it is set,
@@ -41,7 +41,7 @@ reads and writes function nodes as instance-document nodes.
 from __future__ import annotations
 
 from functools import cache
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add, and_, itemgetter, le, mul, sub
 
 from .errors import UsageError
@@ -486,7 +486,7 @@ class BlockRestrictFn(SubmodularFn):
 
 # a table whose packed form exceeds this many bytes is checked slab by slab
 _SLAB_BYTES = 1 << 18
-# one-byte fields on at most 2^_CACHED_N masks keep their masks for the process
+# one-byte fields in one slab of at most 2^_CACHED_N masks run the cached kernel
 _CACHED_N = 12
 _BELOW_64 = bytes(range(64))
 
@@ -512,18 +512,18 @@ def is_submodular(f: SubmodularFn):
 
     A table of values in 0..63 already is its packed one-byte form, since
     f(empty) = 0 puts its minimum at 0: ``bytes`` takes it in one C-level
-    pass, with no minimum, maximum or subtraction.
-    The top-bit masks depend only on n and w; those of one-byte fields
-    over at most 2^12 masks (a few hundred KB for every n together) are
-    built once per process, all others once per call.  A packed table
-    wider than ``_SLAB_BYTES`` is cut along its top bits into slabs of
-    2^s fields (``_slab_check``), so a call holds a few tables' worth of
-    integers however wide its values are.
+    pass, with no minimum, maximum or subtraction.  The slab size comes
+    first: a table packed wider than ``_SLAB_BYTES`` is cut along its top
+    bits into slabs of 2^s fields, else s = n.  One-byte fields with
+    s = n <= 12 run ``_packed_check``, whose top-bit masks are built once
+    per process (a few hundred KB for every n together); every other table
+    runs ``_slab_check``, as one slab when it fits.  So a call holds a few
+    tables' worth of integers however wide its values are.
 
     When the tested integer t fails, bad = m & ~t holds the top bits of
     the failing fields, and the lowest lies in the field of the pair's
     first failing S = ((bad & -bad).bit_length() - 1) // w.  Only a failing
-    pair computes it; the check keeps the least (S, i, j) over all pairs,
+    pair computes it; ``_least`` keeps the least (S, i, j) over all pairs,
     so a failing table costs about one pass, as a passing one does.
 
     A set memo is trusted and skips the check.  Returns (True, None), or
@@ -540,66 +540,51 @@ def is_submodular(f: SubmodularFn):
     except ValueError:
         packed = None
     if packed is not None and not packed.translate(None, _BELOW_64):
-        low, nbytes = 0, 1
+        v, low, nbytes = packed, 0, 1
     else:
         low = min(v)
         nbytes = ((max(v) - low).bit_length() + 9) // 8
-        packed = None
     # 2^s fields per slab: as many as fit in _SLAB_BYTES, at least one
     s = min(n, (_SLAB_BYTES // nbytes or 1).bit_length() - 1)
-    if s < n:
-        first = _slab_check(v, n, low, nbytes, s)
+    if s == n <= _CACHED_N and nbytes == 1:
+        first = _packed_check(_pack(v, low, 1), n)
     else:
-        if packed is None:
-            fields = map(sub, v, repeat(low))
-            packed = bytes(fields) if nbytes == 1 else b"".join(
-                map(int.to_bytes, fields, repeat(nbytes), repeat("little")))
-        first = _packed_check(int.from_bytes(packed, "little"), n, nbytes)
+        first = _slab_check(v, n, low, nbytes, s)
     if first:
         return False, first[1:]
     f.submodular = True
     return True, None
 
 
-def _packed_check(u: int, n: int, nbytes: int):
-    """The least failing (S, S+i, S+j) of the table packed into u, or None."""
-    w = 8 * nbytes
-    if nbytes == 1 and n <= _CACHED_N:
-        high, rows = _byte_pair_masks(n)
-    else:
-        high, without = _field_masks(n, nbytes)
-        rows = (map(and_, repeat(wi), without[i + 1:]) for i, wi in enumerate(without))
+def _packed_check(u: int, n: int):
+    """The least failing (S, S+i, S+j) of a one-byte table packed into u, or None."""
+    high, rows = _byte_pair_masks(n)
     first = None
     for i, row in enumerate(rows):
-        d = (u >> (w << i)) + (high >> 1) - u
+        d = (u >> (8 << i)) + (high >> 1) - u
         dh = d + high
         for j, m in enumerate(row, i + 1):
-            t = dh - (d >> (w << j))
+            t = dh - (d >> (8 << j))
             if t & m != m:
-                bad = m & ~t
-                s = ((bad & -bad).bit_length() - 1) // w
-                if first is None or s < first[0]:
-                    first = s, s | 1 << i, s | 1 << j
+                first = _least(first, m & ~t, 8, 0, i, j)
     return first
 
 
 def _slab_check(v, n: int, low: int, nbytes: int, s: int):
-    """``_packed_check`` on 2^(n-s) slabs of 2^s fields each.
+    """The least failing (S, S+i, S+j) of v, checked on 2^(n-s) slabs of 2^s fields.
 
-    Slab c packs the masks c 2^s .. c 2^s + 2^s - 1.  An element i < s
-    shifts fields within a slab, as in the whole table; an element i >= s
-    pairs slab c with slab c + 2^(i-s) field for field.  So d[c], the
-    marginal of i in slab c, is (u[c] >> w 2^i) + Q - u[c] or
-    u[c + 2^(i-s)] + Q - u[c], and a pair with j >= s compares d[c] with
-    d[c + 2^(j-s)] under the top bits of the fields without i (all fields
-    when i >= s too).  Slabs run in increasing order, so a pair's first
-    failing slab holds its least failing S.  At most u and d, each a
-    table's worth, and slab-sized masks are held at once.
+    Slab c packs the masks c 2^s .. c 2^s + 2^s - 1, one-byte fields by one
+    ``bytes`` call.  An element i < s shifts fields within a slab, as in
+    the whole table; an element i >= s pairs slab c with slab c + 2^(i-s)
+    field for field.  So d[c], the marginal of i in slab c, is
+    (u[c] >> w 2^i) + Q - u[c] or u[c + 2^(i-s)] + Q - u[c], and a pair with
+    j >= s compares d[c] with d[c + 2^(j-s)] under the top bits of the
+    fields without i (all fields when i >= s too).  At most u and d, each
+    a table's worth, and slab-sized masks are held at once.
     """
     w = 8 * nbytes
     count = 1 << n - s
-    fields = map(int.to_bytes, map(sub, v, repeat(low)), repeat(nbytes), repeat("little"))
-    u = [int.from_bytes(b"".join(islice(fields, 1 << s)), "little") for _ in range(count)]
+    u = [_pack(v[c << s:c + 1 << s], low, nbytes) for c in range(count)]
     high, without = _field_masks(s, nbytes)
     half = high >> 1
     first = None
@@ -607,21 +592,34 @@ def _slab_check(v, n: int, low: int, nbytes: int, s: int):
         # for i >= s the slabs of masks holding i get no marginal (0): no pair reads them
         ci, ki = (0, w << i) if i < s else (1 << i - s, 0)
         d = [0 if c & ci else (u[c | ci] >> ki) + half - u[c] for c in range(count)]
-        for j in range(i + 1, n):
-            if j < s:
-                m, cj, kj = without[i] & without[j], 0, w << j
-            else:
-                m, cj, kj = without[i] if i < s else high, 1 << j - s, 0
-            for c in range(count):
-                if c & (ci | cj):
-                    continue
-                t = d[c] + high - (d[c | cj] >> kj)
-                if t & m != m:
-                    bad = m & ~t
-                    at = c << s | ((bad & -bad).bit_length() - 1) // w
-                    if first is None or at < first[0]:
-                        first = at, at | 1 << i, at | 1 << j
-                    break
+        mi = without[i] if i < s else high
+        for c in range(count):
+            if c & ci:
+                continue
+            dh = d[c] + high
+            for j in range(i + 1, n):
+                m, cj, kj = (mi & without[j], 0, w << j) if j < s else (mi, 1 << j - s, 0)
+                if not c & cj:
+                    t = dh - (d[c | cj] >> kj)
+                    if t & m != m:
+                        first = _least(first, m & ~t, w, c << s, i, j)
+    return first
+
+
+def _pack(v, low: int, nbytes: int) -> int:
+    """The values v less low, as one integer of little-endian nbytes-byte fields."""
+    if low:
+        v = map(sub, v, repeat(low))
+    if nbytes > 1:
+        v = b"".join(map(int.to_bytes, v, repeat(nbytes), repeat("little")))
+    return int.from_bytes(bytes(v), "little")  # bytes of a bytes object is that object
+
+
+def _least(first, bad: int, w: int, base: int, i: int, j: int):
+    """first, or (S, S+i, S+j) if less, for S = base + the w-bit field of bad's lowest bit."""
+    at = base | ((bad & -bad).bit_length() - 1) // w
+    if first is None or at < first[0]:
+        return at, at | 1 << i, at | 1 << j
     return first
 
 

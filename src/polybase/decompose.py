@@ -48,7 +48,7 @@ from operator import sub
 from .core import Frozen, GroundSet, SubmodularFn, is_submodular, subset_sums
 from .core import _check_int, _check_int_vector, _check_seq
 from .errors import InvariantViolation, UsageError
-from .lp import assert_integral, build_intersection_system, find_vertex
+from .lp import assert_integral, build_intersection_system, dump_system, find_vertex
 from .polytope import (
     FaceStructure,
     dimension,
@@ -165,7 +165,7 @@ def _integer_vertex(ground: GroundSet, f_values, g_values, empty: str) -> tuple[
     system = build_intersection_system(ground, f_values, g_values)
     vertex = find_vertex(system)
     if vertex is None:
-        raise InvariantViolation(empty)
+        raise InvariantViolation(empty, dump=dump_system(system))
     return assert_integral(vertex, system)
 
 
@@ -512,7 +512,7 @@ def _check_node(node: DecompositionTrace, cases=_ROOT_CASES) -> None:
         cases = ("point_face",)
     else:
         face = node.face
-        _check(face is not None and face.ground.n == len(node.w)
+        _check(isinstance(face, FaceStructure) and face.ground.n == len(node.w)
                and len(node.children) == face.t, "corrupt block node")
         for i, child in enumerate(node.children):
             _check(child.k == node.k and child.w == face.restrict_vector(node.w, i),

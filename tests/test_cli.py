@@ -192,6 +192,16 @@ class TestDecompose:
         assert "forced failure" in err
         assert "x({a}) <= 1" in err
 
+    def test_empty_vertex_step_exits_three_with_its_system(self, write, capsys, monkeypatch):
+        engine = sys.modules["polybase.decompose"]
+        monkeypatch.setattr(engine, "find_vertex", lambda system: None)
+        code = main(["decompose", write(K3_DOC)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err[0] == "internal error: empty split intersection; decomposition theory violated"
+        assert len(err) == 1 + 2 * 2**3 + 2
+        assert all(line.startswith("x({") for line in err[1:])
+
     def test_chain_step_violation_exits_three(self, write, capsys, monkeypatch):
         from polybase import UsageError
 

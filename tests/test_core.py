@@ -822,6 +822,40 @@ def test_slabs_at_their_own_size_match_references(monkeypatch):
     assert outcomes == {True, False} and slabbed == [9, 9, 9]
 
 
+@pytest.mark.parametrize("n, nbytes", [
+    (12, 1), (13, 1), (8, 2), (9, 2), (10, 2), (11, 2), (12, 2), (8, 18), (12, 18),
+])
+def test_kernel_dispatch_edges_match_references(monkeypatch, n, nbytes):
+    # tables of values in 0..63 that reach 63 at E, nudged inside that range
+    # in later trials, scaled by 2^(8 nbytes - 8) into fields of nbytes bytes;
+    # the last trial zeroes f(E - i) and f(E - j), which fails at S = E - ij
+    # if not before.  One-byte fields on n = 12 stay on the cached kernel,
+    # every other shape fits one slab and runs the slab kernel with s = n
+    ran = {"_packed_check": [], "_slab_check": []}
+    for name, calls in ran.items():
+        kernel = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *a, k=kernel, c=calls: c.append(a) or k(*a))
+    g = GroundSet(tuple(f"e{i}" for i in range(n)), 13)
+    rng = random.Random(1409 + 32 * n + nbytes)
+    scale = 1 << 8 * nbytes - 8
+    outcomes = set()
+    for trial in range(4):
+        values = edge_table(g, 63, rng)
+        for _ in range(trial):
+            m = rng.randrange(1, g.full_mask)
+            values[m] = min(63, max(0, values[m] + rng.choice((-1, 1))))
+        if trial == 3:
+            for i in rng.sample(range(n), 2):
+                values[g.full_mask ^ 1 << i] = 0
+        values = [scale * v for v in values]
+        assert ((max(values) - min(values)).bit_length() + 9) // 8 == nbytes
+        outcomes.add(checks_agree(values, g)[0])
+    assert outcomes == {True, False}
+    cached = (n, nbytes) == (12, 1)
+    assert [a[1] for a in ran["_packed_check"]] == ([n] * 4 if cached else [])
+    assert [a[4] for a in ran["_slab_check"]] == ([] if cached else [n] * 4)
+
+
 def test_mask_cache_holds_only_small_one_byte_shapes():
     core._byte_pair_masks.cache_clear()
     rng = random.Random(1407)

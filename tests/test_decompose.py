@@ -42,7 +42,7 @@ from polybase import (
     verify,
 )
 from polybase.cli import certificate_dict, to_json
-from polybase.core import BlockRestrictFn, DualFn, ScaleFn, ShiftFn
+from polybase.core import BlockRestrictFn, DualFn, ScaleFn, ShiftFn, subset_sums
 from polybase.instance import parse_fn, trace_dict
 from polybase.polytope import _structure_from_chain
 
@@ -92,6 +92,51 @@ class TestSplitIntoKBases:
     def test_submodularity_precondition(self):
         with pytest.raises(UsageError, match="not submodular"):
             split_into_k_bases(supermodular(), (2, 2, 2), 2)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: decompose(k3(), (2, 2, 2), 3),
+    lambda: split_into_k_bases(k3(), (2, 2, 2), 3),
+], ids=["decompose-split", "split_into_k_bases"])
+def test_empty_vertex_step_carries_its_system(monkeypatch, run):
+    # every fault inside find_vertex carries the system; so does finding none
+    monkeypatch.setattr(sys.modules["polybase.decompose"], "find_vertex", lambda system: None)
+    with pytest.raises(InvariantViolation, match="empty") as err:
+        run()
+    lines = err.value.dump.splitlines()
+    assert len(lines) == 2 * 2**3 + 2
+    assert all(line.startswith("x({") and (" <= " in line or " == " in line) for line in lines)
+
+
+def test_engine_hands_each_query_the_sums_of_its_point(monkeypatch):
+    # the polytope queries trust the sums they are handed, and the engine is
+    # the one caller that hands any: each must be the subset sums of x
+    engine = sys.modules["polybase.decompose"]
+    handed = dict.fromkeys(("in_extended_polymatroid", "minimal_face_of_point",
+                            "in_base_polytope"), 0)
+
+    def checking(name):
+        query = getattr(engine, name)
+
+        def wrapped(f, x, *args, sums=None):
+            if sums is not None:
+                assert list(sums) == subset_sums(x)
+                handed[name] += 1
+            return query(f, x, *args, sums=sums)
+        return wrapped
+
+    for name in handed:
+        monkeypatch.setattr(engine, name, checking(name))
+    rng = random.Random(62)
+    splits = 0
+    for _, f in acceptance_corpus()[::10] + flat_corpus():
+        k = rng.randint(1, 6)
+        _, trace = decompose(f, sample_target(f, k, rng), k)
+        splits += len(_collect(trace, "split"))
+        if f.ground.n <= 5:
+            k = rng.randint(2, 4)
+            assert len(split_into_k_bases(f, sample_target(f, k, rng), k)) == k
+    assert splits and all(handed.values()), (splits, handed)
 
 
 def supermodular():
@@ -429,6 +474,15 @@ class TestTrace:
         assert trace.case == "direct_sum" and replay(trace) == dec
         trace.case = case
         with pytest.raises(InvariantViolation):
+            replay(trace)
+
+    @pytest.mark.parametrize("face", [5, "x"])
+    def test_block_node_face_that_is_not_a_face_structure_rejected(self, face):
+        f = TableFn(ground(4), [0, 1, 1, 1, 2, 3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3])
+        _, trace = decompose(f, (1, 0, 1, 1), 1)
+        assert trace.case == "direct_sum"
+        trace.face = face
+        with pytest.raises(InvariantViolation, match="corrupt block node"):
             replay(trace)
 
     def test_serializes_to_json(self):

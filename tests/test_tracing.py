@@ -113,8 +113,9 @@ def test_trace_walk_counts_node_cases():
 
 
 # certificate digests of ``bench/run.py --workload W --seed 5 --rounds 2``; the
-# cli workload (about 5 s) is left to a manual run
+# cli workload runs one subprocess per instance file, about 5 s
 BENCH_DIGESTS = {
+    "cli": "1fc275f92bde689de1413995a194d88f8753022d1a51803a8442d5ae999db976",
     "corpus": "84a51aae15aa208d6085fdb77ad296f0163b9979901128c84f8265eb106a2277",
     "face-drop": "4374886beee83e063e6b3651055372eaa8fae564e8d48fe25ea0f76d027b22b8",
     "idp-split": "159b7a8df98cb2f76bd8832ea582b51ddf4af162ce9c59c11d339e4781a7347d",
