@@ -78,7 +78,7 @@ def _parse_w(text: str) -> tuple[int, ...]:
         raise UsageError(f"--w must be comma-separated integers, got {text!r}")
 
 
-def certificate_dict(w, k, dec, dim: int, trace=None) -> dict:
+def certificate_dict(f, w, k, dec, dim: int, trace=None) -> dict:
     """The certificate document for a decomposition of w in k B_f, dim = dim B_f."""
     doc = {
         "k": k,
@@ -89,7 +89,7 @@ def certificate_dict(w, k, dec, dim: int, trace=None) -> dict:
         "bound_ok": dec.distinct_count <= dim + 1,
     }
     if trace is not None:
-        doc["trace"] = trace_dict(trace)
+        doc["trace"] = trace_dict(f, trace)
     return doc
 
 
@@ -130,7 +130,8 @@ def cmd_decompose(args, inst) -> int:
                 "certificate failed verification: " + "; ".join(failures)
             )
     try:  # the trace wraps f in more nodes than the document held
-        text = to_json(certificate_dict(w, k, dec, trace.dim, trace if args.trace else None))
+        text = to_json(certificate_dict(inst.fn, w, k, dec, trace.dim,
+                                        trace if args.trace else None))
     except RecursionError:
         raise ParseError(f"{args.path} nests too deeply to print its trace") from None
     print(text)

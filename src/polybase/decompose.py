@@ -106,27 +106,26 @@ class WeightedDecomposition(Frozen):
 class DecompositionTrace:
     """One node of the recursion tree; the decomposition is read off it.
 
-    ``polybase.instance.trace_dict`` prints it.  A block node (``direct_sum``,
-    ``face_drop``, ``point_face``) holds the ``face`` it factors along, one
-    child per block.  ``face_drop`` and ``split`` fix the first element
-    e = ground[0] and divide w(e) = k q + r.  A ``face_drop``'s ``fn`` is f
-    capped at q; a ``split``'s is f itself, and its parts x1 and x2 are its
-    two children's ``w``.  At most ``dim`` + 1 distinct terms: ``dim`` is dim
-    B_f but at a ``point_face``, the dimension of the minimal face of its point.
+    ``polybase.instance.trace_dict(f, trace)`` prints it; no node holds a
+    function.  A block node (``direct_sum``, ``face_drop``, ``point_face``)
+    holds the ``face`` it factors along, one child per block.  ``face_drop``
+    and ``split`` fix e = ground[0] and divide w(e) = k q + r: a ``face_drop``
+    factors f capped at q, and a ``split``'s parts x1 and x2 are its two
+    children's ``w``.  At most ``dim`` + 1 distinct terms: ``dim`` is
+    ``len(w) - 1`` but ``face.dim`` at a ``direct_sum`` or ``point_face``.
     """
 
-    __slots__ = ("case", "ground", "w", "k", "children", "face", "fn", "dim")
+    __slots__ = ("case", "ground", "w", "k", "children", "face", "dim")
 
     def __init__(self, case: str, ground: tuple[str, ...], w: tuple[int, ...], k: int,
                  children: list | None = None, face: FaceStructure | None = None,
-                 fn: SubmodularFn | None = None, dim: int | None = None):
+                 dim: int | None = None):
         self.case = case
         self.ground = ground
         self.w = w
         self.k = k
         self.children = [] if children is None else children
         self.face = face
-        self.fn = fn
         self.dim = dim
 
 
@@ -303,7 +302,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
         _check(k * capped(1) == w[0], "x(e) = q is not tight for w under the cap")
         face = _face_of(capped, w, k, sums)
         _check(face.chain[1] == 1, "fixed element does not start the tight chain")
-        return _chain_node("face_drop", capped, face, w, k, measure, dim, fn=capped)
+        return _chain_node("face_drop", capped, face, w, k, measure, dim)
 
     # r >= 1: split w across the caps at q+1 and q
     upper = f.reduce_at(e_name, q + 1)
@@ -326,7 +325,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
         _check(face.t >= 2, "point face did not factor")
         sides.append(_chain_node("point_face", f_side, face, x, mult, measure, face.dim))
     _check(sides[0].dim + sides[1].dim <= n - 2, "split faces are not complementary")
-    return DecompositionTrace("split", ground.elements, w, k, sides, fn=f, dim=dim)
+    return DecompositionTrace("split", ground.elements, w, k, sides, dim=dim)
 
 
 def _face_of(f_base: SubmodularFn, x, k: int, sums) -> FaceStructure:
@@ -341,7 +340,7 @@ def _face_of(f_base: SubmodularFn, x, k: int, sums) -> FaceStructure:
 
 
 def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int,
-                measure, dim: int, fn: SubmodularFn | None = None):
+                measure, dim: int):
     """The trace node of w in a face of k B_{f_base} factored along its chain.
 
     A one-element block is a leaf whose level is read from f_base's table.
@@ -356,7 +355,7 @@ def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int,
         else:
             block_fn = f_base.block_restrict(prev, block)
             children.append(_decompose_rec(block_fn, block_w, k, measure, subset_sums(block_w)))
-    return DecompositionTrace(case, f_base.ground.elements, w, k, children, face, fn, dim)
+    return DecompositionTrace(case, f_base.ground.elements, w, k, children, face, dim)
 
 
 def _check(ok: bool, message: str) -> None:
@@ -466,8 +465,8 @@ def replay(trace: DecompositionTrace) -> WeightedDecomposition:
 
     No function evaluations and no LP solves.  Every node is first checked
     against its place in the tree and its children: its case must be one
-    the recursion builds there, only ``face_drop`` and ``split`` nodes hold
-    a function, and a split's first child is x1, at multiplicity r.  By
+    the recursion builds there, its ``dim`` must be the one that case
+    records, and a split's first child is x1, at multiplicity r.  By
     induction each node's terms sum to its ``w`` at weight ``k``; the terms
     are then read off the trace as ``decompose`` reads them, bound
     included.  A tampered trace raises InvariantViolation or UsageError.
@@ -493,12 +492,9 @@ def _check_node(node: DecompositionTrace, cases=_ROOT_CASES) -> None:
                f"trace node k {typed.k!r} is not a positive integer")
     _check(node.case in cases, f"trace case {node.case!r} where one of {cases} belongs")
     _check(_is_int(node.dim), f"trace node dim {node.dim!r} is not an integer")
-    has_fn = node.case in ("face_drop", "split")
-    _check(isinstance(node.fn, SubmodularFn) if has_fn else node.fn is None,
-           f"{node.case} node {'lacks' if has_fn else 'holds'} a function")
+    dim = len(node.w) - 1
     if node.case == "leaf":
-        _check(len(node.w) == 1 and node.k > 0 and node.w[0] % node.k == 0,
-               "corrupt leaf in trace")
+        _check(len(node.w) == 1 and node.w[0] % node.k == 0, "corrupt leaf in trace")
     elif node.case == "split":
         _check(len(node.children) == 2, "split node needs two children")
         left, right = node.children
@@ -517,6 +513,8 @@ def _check_node(node: DecompositionTrace, cases=_ROOT_CASES) -> None:
         for i, child in enumerate(node.children):
             _check(child.k == node.k and child.w == face.restrict_vector(node.w, i),
                    "block child does not match its block of the target")
+        dim = dim if node.case == "face_drop" else face.dim
         cases = _BLOCK_CASES
+    _check(node.dim == dim, f"{node.case} node dim {node.dim} is not {dim}")
     for child in node.children:
         _check_node(child, cases)

@@ -10,7 +10,7 @@ alphabetically sorted element names; the empty-set key may be omitted
 (it is zero), every other subset key is required.  ``parse_fn`` reads a
 node and ``node_dict`` writes one, which ``parse_fn`` reads back as the
 same function; ``table_keys`` is the one spelling of table keys, and
-``trace_dict`` writes a decomposition's ``--trace`` tree.
+``trace_dict(f, trace)`` writes the ``--trace`` tree of a decomposition of f.
 """
 
 from __future__ import annotations
@@ -194,30 +194,37 @@ def _wrap(kind: str, inner: dict, **params) -> dict:
     return {"type": kind, **params, "inner": inner}
 
 
-def trace_dict(trace) -> dict:
-    """The ``--trace`` tree of a ``DecompositionTrace``, children included.
+def trace_dict(f: SubmodularFn, trace) -> dict:
+    """The ``--trace`` tree of ``trace``, a decomposition of f, children included.
 
-    A block node prints its tight chain as name lists, a ``face_drop`` its
-    capped function, and a split its parts x1 and x2 and the vertex step's
-    operands r (f capped at q+1) and w - (k-r) B_{f capped at q}: wrappers
-    around f's one node, so printing builds no function.  ``dim`` is left out.
+    Nodes hold no function: each node's is wrappers around f's one node, so
+    printing builds no function.  A ``face_drop`` prints f capped at q, a split
+    its parts x1 and x2 and the vertex step's operands r (f capped at q+1) and
+    w - (k-r) B_{f capped at q}, a block node its tight chain.  ``dim`` is left out.
     """
-    out = {"case": trace.case, "ground": list(trace.ground), "w": list(trace.w), "k": trace.k}
-    if trace.face is not None:
-        out["chain"] = [[trace.ground[i] for i in bits(m)] for m in trace.face.chain]
+    if f.ground.elements != trace.ground:
+        raise UsageError(f"trace ground {trace.ground!r} is not f's {f.ground.elements!r}")
+    return _trace_node(trace, node_dict(f))
+
+
+def _trace_node(trace, fn: dict) -> dict:
+    """The printed ``trace``, which decomposes the function of node ``fn``."""
+    names, k, fns = trace.ground, trace.k, ()
+    out = {"case": trace.case, "ground": list(names), "w": list(trace.w), "k": k}
+    e, (q, r) = names[0], divmod(trace.w[0], k)
     if trace.case == "face_drop":
-        out.update(e=trace.ground[0], q=trace.w[0] // trace.k, fn_reduced=node_dict(trace.fn))
-    elif trace.case == "split":
-        e, k = trace.ground[0], trace.k
-        q, r = divmod(trace.w[0], k)
-        f = node_dict(trace.fn)
-        left = _wrap("scale", _wrap("reduce_at", f, e=e, c=q + 1), r=r)
-        lower = _wrap("dual", _wrap("reduce_at", f, e=e, c=q))
-        right = _wrap("shift", _wrap("scale", lower, r=k - r), a=list(trace.w))
+        out.update(e=e, q=q, fn_reduced=(fn := _wrap("reduce_at", fn, e=e, c=q)))
+    if trace.case == "split":
+        fns = upper, lower = [_wrap("reduce_at", fn, e=e, c=c) for c in (q + 1, q)]
+        right = _wrap("shift", _wrap("scale", _wrap("dual", lower), r=k - r), a=list(trace.w))
         x1, x2 = (list(child.w) for child in trace.children)
-        out.update(e=e, q=q, r=r, fn_left=left, fn_right=right, x1=x1, x2=x2)
+        out.update(e=e, q=q, r=r, fn_left=_wrap("scale", upper, r=r), fn_right=right, x1=x1, x2=x2)
+    elif trace.face is not None:
+        out["chain"] = chain = [[names[i] for i in bits(m)] for m in trace.face.chain]
+        fns = [_wrap("block_restrict", fn, a_prev=prev, block=[names[i] for i in bits(block)])
+               for prev, block in zip(chain, trace.face.blocks)]
     if trace.children:
-        out["children"] = [trace_dict(child) for child in trace.children]
+        out["children"] = [_trace_node(*pair) for pair in zip(trace.children, fns, strict=True)]
     return out
 
 

@@ -1,8 +1,9 @@
 """Exact LP over materialized base-polytope constraint systems.
 
-Systems live in R^E with one 0/1 incidence inequality per subset plus the
-two x(E) equalities; everything is explicit (no separation oracle) and
-every number in the decision path is an integer.
+An intersection system lives in R^E: two 0/1 incidence inequalities per
+subset U, x(U) <= f(U) and x(U) <= g(U), and the two level equalities
+x(E) = f(E) and x(E) = g(E); ``find_vertex`` adds the row t >= 0.  Everything
+is explicit (no separation oracle) and every decision-path number is an integer.
 
 ``find_vertex`` returns the lexicographically maximal vertex: maximize
 x(e1), fix it, then x(e2), and so on in ground order.  The kernel is a

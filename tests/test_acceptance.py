@@ -61,7 +61,7 @@ def _run_corpus():
             ok, failures = verify(f, dec)
             assert ok, (label, w, k, failures)
             assert dec.distinct_count <= bound, (label, w, k)
-            certificates[(label, j)] = to_json(certificate_dict(w, k, dec, trace.dim))
+            certificates[(label, j)] = to_json(certificate_dict(f, w, k, dec, trace.dim))
     return corpus, certificates
 
 

@@ -156,7 +156,7 @@ class TestDecompose:
         # gives the printed terms
         inst = load_instance(path)
         _, trace = decompose(inst.fn, inst.w, inst.k)
-        assert trace_dict(trace) == doc["trace"]
+        assert trace_dict(inst.fn, trace) == doc["trace"]
         printed = [(t["weight"], tuple(t["point"])) for t in doc["terms"]]
         assert list(replay(trace).terms) == printed
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -25,7 +26,9 @@ from corpus import (
 )
 from polybase import (
     DecompositionTrace,
+    GroundSet,
     InvariantViolation,
+    SubmodularFn,
     TableFn,
     UniformRank,
     UsageError,
@@ -269,7 +272,7 @@ class TestDecompose:
         first, t1 = decompose(f, (3, 2, 1), 3)
         second, t2 = decompose(f, (3, 2, 1), 3)
         assert first == second
-        assert trace_dict(t1) == trace_dict(t2)
+        assert trace_dict(f, t1) == trace_dict(f, t2)
 
 
 class TestVerify:
@@ -485,9 +488,47 @@ class TestTrace:
         with pytest.raises(InvariantViolation, match="corrupt block node"):
             replay(trace)
 
+    def test_inflated_dim_rejected(self):
+        # each case records one dim, so a node claiming one more is refused
+        # although its terms would still keep within dim + 1
+        rng = random.Random(73)
+        runs = [(UniformRank(ground(1), 1), (3,), 3), (part11(), (2, 0, 1, 1), 2)]
+        for _, f in tiny_instances() + flat_corpus()[:10]:
+            k = rng.randint(2, 6)
+            runs.append((f, sample_target(f, k, rng), k))
+        roots, inner = set(), set()
+        for f, w, k in runs:
+            dec, trace = decompose(f, w, k)
+            for node in _nodes(trace):
+                node.dim += 1
+                with pytest.raises(InvariantViolation, match=f"{node.case} node dim"):
+                    replay(trace)
+                node.dim -= 1
+                (roots if node is trace else inner).add(node.case)
+            assert replay(trace) == dec
+        assert roots == {"leaf", "direct_sum", "face_drop", "split"}
+        assert inner == {"leaf", "face_drop", "split", "point_face"}
+
+    def test_nodes_hold_no_function_and_pickle(self):
+        rng = random.Random(1)
+        for _, f in acceptance_corpus() + flat_corpus():
+            k = rng.randint(1, 25)
+            dec, trace = decompose(f, sample_target(f, k, rng), k)
+            for node in _nodes(trace):
+                slots = [getattr(node, slot) for slot in DecompositionTrace.__slots__]
+                assert not any(isinstance(value, SubmodularFn) for value in slots)
+            again = pickle.loads(pickle.dumps(trace))
+            assert replay(again) == dec and trace_dict(f, again) == trace_dict(f, trace)
+
+    @pytest.mark.parametrize("names", [("a", "b", "c", "d"), ("c", "b", "a"), ("x", "y", "z")])
+    def test_trace_dict_refuses_a_function_on_another_ground(self, names):
+        _, trace = decompose(k3(), (2, 2, 2), 3)
+        with pytest.raises(UsageError, match="trace ground"):
+            trace_dict(UniformRank(GroundSet(names), 2), trace)
+
     def test_serializes_to_json(self):
         _, trace = decompose(k3(), (3, 2, 1), 3)
-        doc = trace_dict(trace)
+        doc = trace_dict(k3(), trace)
         text = json.dumps(doc, sort_keys=True)
         assert '"case"' in text
         parsed = json.loads(text)
@@ -499,32 +540,37 @@ class TestTrace:
         _, trace = decompose(f, (1, 0, 1, 1), 1)
         assert trace.case == "direct_sum"
         assert trace.face.chain == (0, 0b0011, 0b1111)
-        assert trace_dict(trace)["chain"] == [[], ["a", "b"], ["a", "b", "c", "d"]]
+        assert trace_dict(f, trace)["chain"] == [[], ["a", "b"], ["a", "b", "c", "d"]]
 
     def test_split_node_records_parts(self):
         _, trace = decompose(k3(), (2, 2, 2), 3)
-        split_nodes = _collect(trace, "split")
-        assert split_nodes, "expected at least one split in a forced 3-term run"
-        node = split_nodes[0]
-        doc = trace_dict(node)
-        assert doc["e"] == "a"
-        assert tuple(a + b for a, b in zip(doc["x1"], doc["x2"])) == node.w
-        assert node.fn is not None and "fn_left" in doc and "fn_right" in doc
+        assert trace.case == "split", "expected a split at the root of a forced 3-term run"
+        doc = trace_dict(k3(), trace)
+        assert doc["case"] == "split" and doc["e"] == "a"
+        assert tuple(a + b for a, b in zip(doc["x1"], doc["x2"])) == trace.w
+        assert "fn_left" in doc and "fn_right" in doc
 
     def test_trace_functions_parse_back_to_vertex_tables(self, monkeypatch):
         # a split prints its two vertex-step operands and a face_drop the
         # capped function it factors; parsed back against the root ground
         # (nodes below the root print block restrictions of f), a split's
-        # pair is the two tables the vertex step read, in call order
+        # pair is the two tables the vertex step read, in call order, and a
+        # face_drop's the table whose face the engine found
         engine = sys.modules["polybase.decompose"]
-        vertex = engine._integer_vertex
-        read = []
+        vertex, face_of = engine._integer_vertex, engine.minimal_face_of_point
+        read, faces = [], []
 
         def recording(ground, f_values, g_values, empty):
             read.append((tuple(f_values), tuple(g_values)))
             return vertex(ground, f_values, g_values, empty)
 
+        def face_recording(f_base, x, k, *, sums=None):
+            face = face_of(f_base, x, k, sums=sums)
+            faces.append((face, f_base.values))
+            return face
+
         monkeypatch.setattr(engine, "_integer_vertex", recording)
+        monkeypatch.setattr(engine, "minimal_face_of_point", face_recording)
         rng = random.Random(60)
         runs = [(k3(), (2, 2, 2), 3)]
         for _, f in tiny_instances() + flat_corpus():
@@ -533,16 +579,22 @@ class TestTrace:
         seen = {"split": 0, "face_drop": 0, "block_restrict": 0}
         for f, w, k in runs:
             read.clear()
+            faces.clear()
             _, trace = decompose(f, w, k)
+            # the engine finds each face_drop's and point_face's face in pre-order
+            factored = [node for node in _nodes(trace) if node.case in ("face_drop", "point_face")]
+            assert len(factored) == len(faces)
+            assert all(node.face is face for node, (face, _) in zip(factored, faces))
+            capped = {id(node): values for node, (_, values) in zip(factored, faces)}
             printed = []
-            for node, doc in _with_dicts(trace, trace_dict(trace)):
+            for node, doc in _with_dicts(trace, trace_dict(f, trace)):
                 if node.case not in ("split", "face_drop"):
                     assert not {"fn_left", "fn_right", "fn_reduced"} & set(doc)
                     continue
                 seen[node.case] += 1
                 seen["block_restrict"] += '"block_restrict"' in json.dumps(doc)
                 if node.case == "face_drop":
-                    assert _parse_on(f, doc["fn_reduced"], node) == node.fn.values
+                    assert _parse_on(f, doc["fn_reduced"], node) == capped[id(node)]
                     continue
                 assert doc["e"] == node.ground[0]
                 assert tuple(a + b for a, b in zip(doc["x1"], doc["x2"])) == node.w
@@ -562,7 +614,7 @@ class TestTrace:
                 k = rng.randint(1, 6)
                 w = sample_target(f, k, rng)
                 dec, trace = decompose(f, w, k)
-                digest.update(to_json(certificate_dict(w, k, dec, trace.dim, trace)).encode())
+                digest.update(to_json(certificate_dict(f, w, k, dec, trace.dim, trace)).encode())
                 digest.update(b"\n")
                 cases.update(c for c in NODE_CASES if _collect(trace, c))
         assert cases == set(NODE_CASES)
@@ -660,6 +712,9 @@ class TestTermsOffTheTrace:
             assert replay(trace) == dec and calls == [w]
 
     def test_bound_is_checked_at_every_inner_node(self):
+        # replay refuses a dim its case does not record before it reads any
+        # terms, so the terms are read directly
+        terms_of = sys.modules["polybase.decompose"]._terms
         rng = random.Random(73)
         tampered = set()
         for _, f in tiny_instances() + flat_corpus()[:10]:
@@ -669,7 +724,7 @@ class TestTermsOffTheTrace:
                 dim = node.dim
                 node.dim = -1
                 with pytest.raises(InvariantViolation, match="exceed the bound dim [+] 1 = 0"):
-                    replay(trace)
+                    terms_of(trace)
                 node.dim = dim
                 tampered.add(node.case)
             assert replay(trace) == dec

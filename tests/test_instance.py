@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import sys
 import threading
 
 import pytest
@@ -275,21 +276,21 @@ class TestNodeKinds:
             parse_fn(ground(3), node)
 
     def test_trace_functions_round_trip(self):
-        # trace nodes below the root hold block restrictions of f; their
-        # dicts parse against the root ground
+        # every function dict a trace prints parses on f's ground, to a
+        # function on its node's ground (below the root, a block restriction
+        # of f) that node_dict writes back as the same dict
         rng = random.Random(60)
         restricted = 0
         for _, f in tiny_instances() + flat_corpus():
             k = rng.randint(1, 6)
             _, trace = decompose(f, sample_target(f, k, rng), k)
-            for node in _nodes(trace):
-                if node.fn is None:
-                    continue
-                doc = node_dict(node.fn)
-                again = parse_fn(f.ground, doc)
-                assert again.ground.elements == node.fn.ground.elements == node.ground
-                assert again.values == node.fn.values
-                restricted += '"block_restrict"' in json.dumps(doc)
+            for node, doc in zip(_nodes(trace), _printed(trace_dict(f, trace)), strict=True):
+                keys = ("fn_reduced", "fn_left", "fn_right")
+                for fn_doc in (doc[key] for key in keys if key in doc):
+                    again = parse_fn(f.ground, fn_doc)
+                    assert again.ground.elements == node.ground
+                    assert node_dict(again) == fn_doc
+                    restricted += '"block_restrict"' in json.dumps(fn_doc)
         assert restricted
 
 
@@ -306,22 +307,44 @@ def _printed(doc):
 
 
 def test_printing_a_trace_builds_no_function(monkeypatch):
-    # a split prints its two vertex-step operands as wrapper nodes around
-    # f's one node, and a face_drop the capped function it already holds
+    # every node's function is printed as wrapper nodes around the one node
+    # of f, which node_dict writes once per trace, spelling table keys at most once
     rng = random.Random(1)
     traces = []
     for _, f in acceptance_corpus() + flat_corpus():
         k = rng.randint(1, 25)
-        traces.append(decompose(f, sample_target(f, k, rng), k)[1])
-    built = []
+        traces.append((f, decompose(f, sample_target(f, k, rng), k)[1]))
+    built, roots, nested, keyed = [], [], [], []  # nested: node_dict calls under way
     init = SubmodularFn.__init__
+    module = sys.modules["polybase.instance"]
+    write, spell = module.node_dict, module.table_keys
 
     def counting(self, *args, **kwargs):
         built.append(type(self).__name__)
         init(self, *args, **kwargs)
 
+    def writing(fn):
+        if not nested:
+            roots.append(fn)
+        nested.append(fn)
+        try:
+            return write(fn)
+        finally:
+            nested.pop()
+
+    def spelling(ground):
+        keyed.append(ground)
+        return spell(ground)
+
     monkeypatch.setattr(SubmodularFn, "__init__", counting)
-    cases = [doc["case"] for trace in traces for doc in _printed(trace_dict(trace))]
+    monkeypatch.setattr(module, "node_dict", writing)
+    monkeypatch.setattr(module, "table_keys", spelling)
+    cases = []
+    for f, trace in traces:
+        roots.clear()
+        keyed.clear()
+        cases += [doc["case"] for doc in _printed(trace_dict(f, trace))]
+        assert roots == [f] and len(keyed) <= 1
     assert built == []
     assert cases.count("split") and cases.count("face_drop")
 

@@ -133,3 +133,21 @@ def test_benchmark_certificates_are_pinned(workload):
     assert f"  certificate digest {BENCH_DIGESTS[workload]}" in lines
     summary = json.loads(lines[-1])
     assert summary["correct"] and summary["failed"] == 0
+
+
+def test_traced_benchmark_reports_every_layer():
+    # a traced run wraps every span target and walks every trace node; it
+    # must stay correct and report each per-layer metric BENCHMARK.json
+    # declares, with node counts that are not all zero (about 1 s)
+    cmd = [sys.executable, str(BENCH / "run.py"), "--workload", "corpus",
+           "--seed", "5", "--rounds", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=BENCH.parent, capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["correct"] and summary["failed"] == 0
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    names = {layer["name"] for layer in declared}
+    metrics = summary["metrics"]
+    assert names <= metrics.keys()
+    assert sum(metrics[name]["value"] for name in names if name.startswith("decompose.nodes.")) > 0
