@@ -4,35 +4,22 @@ Subsets of the ground set are bitmasks: bit i corresponds to element i in
 the fixed ground order.  Every function node holds ``values``, the tuple of
 its 2^n integer values indexed by mask, computed once in its constructor
 from its inner node's table: dual, shift, scale and block restriction take
-one O(2^n) ``map`` pass, reduction one O(2^n) sweep per element (per
-binding cap over a node known to be submodular).  Evaluating a mask is an
-index into the table, so evaluation never recurses through composed
-constructions (duals of reductions of scalings, ...).  All values are
-integers and f(empty) = 0 by construction.
+one O(2^n) ``map`` pass, reduction one O(2^n) sweep per element.
+Evaluating a mask is an index into the table, so evaluation never recurses
+through composed constructions (duals of reductions of scalings, ...).
+All values are integers and f(empty) = 0 by construction.  No field is
+written after construction, so a node's table depends only on its inputs
+and instances may be shared freely, across threads.
 
 Whole-table kernels do not index the table one mask at a time.  Subset
 sums are built by doubling.  Reduction and the matroid-rank check work one
 bit at a time: ``_halves`` splits a table on one bit into a few aligned
-slice pairs, and each sweep works on whole slices with
-``map``/``zip``/``all``; reduction stays O(n 2^n).
-The submodularity check packs the whole table into one integer, one
-fixed-width field per mask, and tests each element pair with a few
-big-integer operations over all 2^n fields at once: O(n^2 2^n) field
-operations, run at C speed.  Each field has two spare bits above the
-value spread, so the marginals and their differences never carry into or
-borrow from the next field.  A failing pair's lowest clear top bit names
-its first failing set, so a failure is located in the same pass.  A table
-of values in 0..63 is its own packed form, taken by one ``bytes`` call.
-Two kernels run the test: one-byte fields on at most 2^12 masks use field
-masks built once per process (a few hundred KB in all), and every other
-table is checked in slabs of at most 256 KB, as one slab when it fits, so
-the check's memory stays a few tables' worth however wide the values are.
-
-The one field written after construction is the memo ``submodular``:
-``is_submodular`` sets it on success and returns at once when it is set,
-and every construction, all of which preserve submodularity, copies it
-from its inner node.  It only ever goes from None to True, so instances
-may still be shared freely, across threads.
+slice pairs, and each sweep (``_cap`` for a reduction) works on whole
+slices with ``map``/``zip``/``all``; reduction stays O(n 2^n).  The
+submodularity check packs the whole table into one integer and tests each
+element pair over all 2^n fields at once, in a few big-integer operations
+(O(n^2 2^n) field operations at C speed); ``is_submodular`` gives the
+field layout, its two kernels and their memory bound.  It only reads f.
 
 This module holds tables and constructions only: ``polybase.instance``
 reads and writes function nodes as instance-document nodes.
@@ -247,14 +234,13 @@ class SubmodularFn:
     with a mask returns it after a type and range check.  Construction
     helpers (dual, shift, reduce, ...) build new nodes, each of which
     computes its own table once from this node's table; this constructor
-    checks the table's length, ``TableFn`` its entries.  ``submodular`` is
-    the one-way submodularity memo described in the module docstring.
+    checks the table's length, ``TableFn`` its entries.  Nothing records
+    whether the table is submodular: ``is_submodular`` checks it every time.
     """
 
-    def __init__(self, ground: GroundSet, values, submodular: bool | None = None):
+    def __init__(self, ground: GroundSet, values):
         self.ground = ground
         self.values: tuple[int, ...] = _check_seq(values, 1 << ground.n, "table", "a sequence")
-        self.submodular = submodular
 
     def __call__(self, mask: int) -> int:
         return self.values[_check_mask(mask, self.ground)]
@@ -387,7 +373,7 @@ class DualFn(SubmodularFn):
     def __init__(self, inner: SubmodularFn):
         v = inner.values
         # E - U = full - U, so f(E - U) runs through the table backwards
-        super().__init__(inner.ground, map(sub, reversed(v), repeat(v[-1])), inner.submodular)
+        super().__init__(inner.ground, map(sub, reversed(v), repeat(v[-1])))
         self.inner = inner
 
 
@@ -396,7 +382,7 @@ class ShiftFn(SubmodularFn):
 
     def __init__(self, inner: SubmodularFn, a):
         a = _check_int_vector(a, inner.ground.n, "shift vector")
-        super().__init__(inner.ground, map(add, inner.values, subset_sums(a)), inner.submodular)
+        super().__init__(inner.ground, map(add, inner.values, subset_sums(a)))
         self.inner = inner
         self.a = a
 
@@ -408,25 +394,25 @@ class ReduceFn(SubmodularFn):
     min-plus sweep per element i, h(U + i) = min(h(U + i), h(U) + a_i) over
     every U without i, which is exact for any f because a is modular: after
     the sweeps over elements 0..i, h(U) is the minimum over the T whose
-    difference U - T lies in {0..i}.  O(n 2^n) in all.  Over a submodular
-    f only binding caps a_i < f({i}) are swept: each partial h is submodular
-    with h({i}) = f({i}), so h(U + i) <= h(U) + a_i for every other cap.
+    difference U - T lies in {0..i}.  O(n 2^n) in all.
     """
 
     def __init__(self, inner: SubmodularFn, a):
         a = _check_int_vector(a, inner.ground.n, "reduction vector")
         h = list(inner.values)
-        sweeps = enumerate(a)
-        if inner.submodular:
-            sweeps = [(i, ai) for i, ai in sweeps if ai < inner.values[1 << i]]
-        for i, ai in sweeps:
-            for lo, hi in _halves(len(h), 1 << i):
-                # a conditional beats map(min, ...): min parses its arguments per call
-                cands = map(add, h[lo], repeat(ai))
-                h[hi] = [u if u < c else c for u, c in zip(h[hi], cands)]
-        super().__init__(inner.ground, h, inner.submodular)
+        for i, ai in enumerate(a):
+            _cap(h, i, ai)
+        super().__init__(inner.ground, h)
         self.inner = inner
         self.a = a
+
+
+def _cap(h: list, i: int, c: int) -> None:
+    """Cap element i of the table h at c, in place: h(U + i) = min(h(U + i), h(U) + c)."""
+    for lo, hi in _halves(len(h), 1 << i):
+        # a conditional beats map(min, ...): min parses its arguments per call
+        cands = map(add, h[lo], repeat(c))
+        h[hi] = [u if u < v else v for u, v in zip(h[hi], cands)]
 
 
 class ReduceAtFn(ReduceFn):
@@ -447,7 +433,7 @@ class ScaleFn(SubmodularFn):
 
     def __init__(self, r: int, inner: SubmodularFn):
         _check_int(r, "scale factor must be a positive integer", 1)
-        super().__init__(inner.ground, map(mul, inner.values, repeat(r)), inner.submodular)
+        super().__init__(inner.ground, map(mul, inner.values, repeat(r)))
         self.r = r
         self.inner = inner
 
@@ -474,7 +460,7 @@ class BlockRestrictFn(SubmodularFn):
         # the parent mask of a block mask is a_prev plus its elements' bits
         parent_masks = map(add, subset_sums([1 << p for p in positions]), repeat(a_prev))
         values = itemgetter(*parent_masks)(inner.values)
-        super().__init__(ground, map(sub, values, repeat(inner.values[a_prev])), inner.submodular)
+        super().__init__(ground, map(sub, values, repeat(inner.values[a_prev])))
         self.inner = inner
         self.a_prev = a_prev
         self.block = block
@@ -526,13 +512,10 @@ def is_submodular(f: SubmodularFn):
     pair computes it; ``_least`` keeps the least (S, i, j) over all pairs,
     so a failing table costs about one pass, as a passing one does.
 
-    A set memo is trusted and skips the check.  Returns (True, None), or
-    (False, (S+i, S+j)) for the first failure when S is scanned in
-    canonical order, then i, then j: a pair with
-    f(A) + f(B) < f(A | B) + f(A & B).  Success sets ``f.submodular``.
+    Returns (True, None), or (False, (S+i, S+j)) for the first failure
+    when S is scanned in canonical order, then i, then j: a pair with
+    f(A) + f(B) < f(A | B) + f(A & B).  f is only read.
     """
-    if f.submodular:
-        return True, None
     v = f.values
     n = f.ground.n
     try:
@@ -550,10 +533,7 @@ def is_submodular(f: SubmodularFn):
         first = _packed_check(_pack(v, low, 1), n)
     else:
         first = _slab_check(v, n, low, nbytes, s)
-    if first:
-        return False, first[1:]
-    f.submodular = True
-    return True, None
+    return (False, first[1:]) if first else (True, None)
 
 
 def _packed_check(u: int, n: int):

@@ -29,6 +29,10 @@ Three constructive pieces:
       faces; the vertex property makes the two face dimensions sum to at
       most |E| - 2, so the two branch counts total at most dim + 1.
 
+``_cap_first`` caps e by one sweep of element 0, and only when c < f({e}).
+That is exact: the root passed ``require_submodular``, caps and block
+restrictions keep a table submodular, and there no other cap can bind.
+
 Membership in k B_f and its faces read f's own table, and the vertex step
 reads plain value tables, so no scaled, dual or shifted node is built.  A
 point's subset sums are built once, where the point is made (x2's as w's
@@ -46,7 +50,7 @@ from bisect import bisect_left
 from operator import sub
 
 from .core import Frozen, GroundSet, SubmodularFn, is_submodular, subset_sums
-from .core import _check_int, _check_int_vector, _check_seq
+from .core import _cap, _check_int, _check_int_vector, _check_seq
 from .errors import InvariantViolation, UsageError
 from .lp import assert_integral, build_intersection_system, dump_system, find_vertex
 from .polytope import (
@@ -215,9 +219,7 @@ def merge_direct_sum(parts: list[WeightedDecomposition]) -> WeightedDecompositio
     k = parts[0].multiplicity
     for part in parts[1:]:
         if part.multiplicity != k:
-            raise UsageError(
-                f"mismatched multiplicities: {part.multiplicity} vs {k}"
-            )
+            raise UsageError(f"mismatched multiplicities: {part.multiplicity} vs {k}")
     combined = [
         (wt, sum(combo, ()))
         for wt, combo in _interleave([list(p.terms) for p in parts], k)
@@ -269,10 +271,8 @@ def require_submodular(f: SubmodularFn) -> None:
     ok, pair = is_submodular(f)
     if not ok:
         a, b = (",".join(f.ground.names_of(m)) for m in pair)
-        raise UsageError(
-            f"f is not submodular: f(A) + f(B) < f(A | B) + f(A & B)"
-            f" for A = {{{a}}}, B = {{{b}}}"
-        )
+        raise UsageError("f is not submodular: f(A) + f(B) < f(A | B) + f(A & B)"
+                         f" for A = {{{a}}}, B = {{{b}}}")
 
 
 def _leaf(f: SubmodularFn, prev: int, block: int, w, k: int, parent_measure):
@@ -293,11 +293,10 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
     measure = dim + n
     _check_measure(measure, parent_measure)
 
-    e_name = ground.elements[0]
     q, r = divmod(w[0], k)
 
     if r == 0:
-        capped = f.reduce_at(e_name, q)
+        capped = _cap_first(f, q)
         _check(capped(full) == f(full), "cap at q changed the level")
         _check(k * capped(1) == w[0], "x(e) = q is not tight for w under the cap")
         face = _face_of(capped, w, k, sums)
@@ -305,8 +304,8 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
         return _chain_node("face_drop", capped, face, w, k, measure, dim)
 
     # r >= 1: split w across the caps at q+1 and q
-    upper = f.reduce_at(e_name, q + 1)
-    lower = f.reduce_at(e_name, q)
+    upper = _cap_first(f, q + 1)
+    lower = _cap_first(f, q)
     _check(upper(full) == f(full), "cap at q+1 changed the level")
     _check(lower(full) == f(full), "cap at q changed the level")
     x1 = _integer_vertex(
@@ -326,6 +325,15 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
         sides.append(_chain_node("point_face", f_side, face, x, mult, measure, face.dim))
     _check(sides[0].dim + sides[1].dim <= n - 2, "split faces are not complementary")
     return DecompositionTrace("split", ground.elements, w, k, sides, dim=dim)
+
+
+def _cap_first(f: SubmodularFn, c: int) -> SubmodularFn:
+    """``f.reduce_at(ground[0], c)`` for a submodular f (see the module docstring)."""
+    if c >= f.values[1]:
+        return f
+    h = list(f.values)
+    _cap(h, 0, c)
+    return SubmodularFn(f.ground, h)
 
 
 def _face_of(f_base: SubmodularFn, x, k: int, sums) -> FaceStructure:
@@ -365,9 +373,7 @@ def _check(ok: bool, message: str) -> None:
 
 def _check_measure(measure: int, parent) -> None:
     if parent is not None and measure >= parent:
-        raise InvariantViolation(
-            f"recursion measure did not decrease: {measure} >= {parent}"
-        )
+        raise InvariantViolation(f"recursion measure did not decrease: {measure} >= {parent}")
 
 
 def _terms(node: DecompositionTrace) -> Terms:
@@ -390,9 +396,8 @@ def _terms(node: DecompositionTrace) -> Terms:
         parts = [_terms(child) for child in node.children]
         terms = [(wt, node.face.scatter(combo)) for wt, combo in _interleave(parts, node.k)]
     if len(terms) > node.dim + 1:
-        raise InvariantViolation(
-            f"{len(terms)} distinct points exceed the bound dim + 1 = {node.dim + 1}"
-        )
+        raise InvariantViolation(f"{len(terms)} distinct points exceed the bound dim + 1 = "
+                                 f"{node.dim + 1}")
     return terms
 
 
@@ -480,6 +485,19 @@ _ROOT_CASES = ("leaf", "direct_sum", "face_drop", "split")
 _BLOCK_CASES = ("leaf", "face_drop", "split")
 
 
+def _face_is_consistent(face: FaceStructure, n: int) -> bool:
+    """Whether face's chain rises strictly from 0 to the full mask of n elements,
+    its blocks are the chain's steps, its positions their bits and its dim n - t."""
+    chain = face.chain
+    if not (isinstance(chain, tuple) and len(chain) > 1 and all(map(_is_int, chain))):
+        return False
+    steps = tuple(zip(chain, chain[1:]))
+    blocks = tuple(a ^ b for a, b in steps)
+    return (chain[0] == 0 and chain[-1] == (1 << n) - 1 and face.dim == n - len(steps)
+            and all(a & b == a != b for a, b in steps) and face.blocks == blocks
+            and face.positions == tuple(tuple(p for p in range(n) if b >> p & 1) for b in blocks))
+
+
 def _check_node(node: DecompositionTrace, cases=_ROOT_CASES) -> None:
     # type the fields the arithmetic below reads, the children's included
     _check(isinstance(node.children, list)
@@ -508,7 +526,8 @@ def _check_node(node: DecompositionTrace, cases=_ROOT_CASES) -> None:
         cases = ("point_face",)
     else:
         face = node.face
-        _check(isinstance(face, FaceStructure) and face.ground.n == len(node.w)
+        _check(isinstance(face, FaceStructure) and isinstance(face.ground, GroundSet)
+               and face.ground.n == len(node.w) and _face_is_consistent(face, len(node.w))
                and len(node.children) == face.t, "corrupt block node")
         for i, child in enumerate(node.children):
             _check(child.k == node.k and child.w == face.restrict_vector(node.w, i),

@@ -43,6 +43,7 @@ from polybase import (
     TableFn,
     UniformRank,
     UsageError,
+    decompose,
     is_matroid_rank,
     is_submodular,
     materialize,
@@ -538,8 +539,8 @@ def local_scan_is_submodular(f):
 
 def slice_sweep_is_submodular(f):
     """The slice sweep is_submodular ran before the packed test, kept as a
-    differential oracle; it leaves the memo alone.  For every element j the
-    marginal table f(S+j) - f(S) must not increase along any bit i < j."""
+    differential oracle.  For every element j the marginal table
+    f(S+j) - f(S) must not increase along any bit i < j."""
     v = f.values
     n = f.ground.n
     size = len(v)
@@ -555,13 +556,14 @@ def slice_sweep_is_submodular(f):
 
 
 def checks_agree(values, g=None):
-    """is_submodular on a fresh table of values (memo unset) against both
-    references; returns the common (ok, pair)."""
+    """is_submodular on a table of values against both references, and
+    leaving the node as it was; returns the common (ok, pair)."""
     f = TableFn(g or ground((len(values) - 1).bit_length()), values)
     expected = local_scan_is_submodular(f)
     assert slice_sweep_is_submodular(f) == expected
+    before = dict(vars(f))
     assert is_submodular(f) == expected
-    assert f.submodular is (True if expected[0] else None)
+    assert vars(f) == before
     return expected
 
 
@@ -626,7 +628,7 @@ def test_local_submodularity_matches_scan_on_large_tables(n):
 
 def test_packed_check_matches_references_on_small_tables():
     # GroundSet refuses an empty ground, so n = 0 runs on a stand-in
-    empty = SimpleNamespace(ground=SimpleNamespace(n=0), values=(0,), submodular=None)
+    empty = SimpleNamespace(ground=SimpleNamespace(n=0), values=(0,))
     assert is_submodular(empty) == local_scan_is_submodular(empty) == (True, None)
     rng = random.Random(1400)
     outcomes = set()
@@ -928,12 +930,12 @@ def test_subset_sums_match_definition():
 
 
 # ---------------------------------------------------------------------------
-# the submodularity memo and the reductions that read it
+# reductions of checked and unchecked tables
 # ---------------------------------------------------------------------------
 
 @st.composite
 def checked_leaves(draw):
-    """A submodular leaf that is_submodular has passed, so its memo is set.
+    """A submodular leaf that is_submodular has passed.
     Cut-plus-modular tables are submodular but not monotone."""
     n = draw(st.integers(2, 6))
     rng = random.Random(draw(st.integers(0, 10**9)))
@@ -951,8 +953,7 @@ def checked_leaves(draw):
 @settings(max_examples=150, deadline=None)
 @given(f=chains(checked_leaves()), data=st.data())
 def test_memo_holds_and_binding_sweeps_reduce_exactly(f, data):
-    # every construction passes the memo on, and it is never wrong
-    assert f.submodular is True
+    # every construction keeps f submodular, and every reduction is exact
     assert local_scan_is_submodular(f) == (True, None)
     n = f.ground.n
     # caps around f({i}): binding, equal and slack, some of them negative
@@ -962,7 +963,6 @@ def test_memo_holds_and_binding_sweeps_reduce_exactly(f, data):
         data.draw(st.sampled_from(f.ground.elements)), data.draw(st.integers(-3, 5))
     )
     for red in (f.reduce(a), capped):
-        assert red.submodular is True
         assert list(red.values) == [brute_reduce(f, red.a, m) for m in f.ground.subsets()]
 
 
@@ -971,65 +971,54 @@ def test_unchecked_node_gets_every_sweep():
     f = TableFn(ground(3), [0, 1, 1, 3, 1, 3, 3, 5])
     a = [f(1 << i) for i in range(3)]
     for red in (f.reduce(a), f.reduce_at("b", 1)):
-        assert red.submodular is None
         assert list(red.values) == [brute_reduce(f, red.a, m) for m in f.ground.subsets()]
         assert red.values != f.values
     assert is_submodular(f)[0] is False
-    assert f.submodular is None
 
 
-def test_checked_reduction_sweeps_once_per_binding_cap(monkeypatch):
-    f = random_table(ground(6), random.Random(5))
-    swept = []
-    halves = core._halves
-    monkeypatch.setattr(core, "_halves", lambda size, s: swept.append(s) or halves(size, s))
-    a = [f(1 << i) for i in range(6)]
-    a[1] -= 1
-    a[4] -= 3
-    a[5] += 2
-    f.reduce(a)
-    assert swept == [1 << i for i in range(6)]
-    assert is_submodular(f)[0]
-    swept.clear()
-    red = f.reduce(a)
-    assert swept == [1 << 1, 1 << 4]
-    assert list(red.values) == [brute_reduce(f, a, m) for m in f.ground.subsets()]
+def test_a_caller_set_attribute_is_not_trusted():
+    # f(ab) > f(a) + f(b): no attribute a caller sets can make the check pass
+    f = TableFn(GroundSet(["a", "b", "c"]), [0, 1, 1, 3, 2, 3, 3, 3])
+    f.submodular = True
+    assert is_submodular(f) == (False, (0b001, 0b010))
+    red = f.reduce((1, 1, 2))
+    assert list(red.values) == [brute_reduce(f, (1, 1, 2), m) for m in f.ground.subsets()]
+    assert red.values[0b011] == 2
+    with pytest.raises(UsageError, match="f is not submodular.*A = {a}, B = {b}"):
+        decompose(f, (1, 1, 1), 1)
 
 
-def test_memo_is_set_by_the_check_and_passed_on():
-    f = u23()
-    assert f.submodular is None and f.dual().submodular is None
-    assert is_submodular(f) == (True, None) and f.submodular is True
-    built = (
-        f.dual(),
-        f.shift((1, -2, 0)),
-        f.scale(3),
-        f.reduce((0, 1, 2)),
-        f.reduce_at("a", 0),
-        f.block_restrict(0b001, 0b110),
-    )
-    assert all(node.submodular is True for node in built)
-    assert materialize(f).submodular is None
-
-
-def test_set_memo_skips_the_check():
-    # f(ab) > f(a) + f(b): only a memo that is trusted can pass this table
-    trusted = TableFn(ground(2), [0, 0, 0, 1])
-    trusted.submodular = True
-    assert is_submodular(trusted) == (True, None)
-    fresh = TableFn(ground(2), [0, 0, 0, 1])
-    assert fresh.submodular is None
-    assert is_submodular(fresh) == (False, (0b01, 0b10))
-    assert fresh.submodular is None
+def _assigned_attributes(node) -> list:
+    """The attribute targets an assignment or del statement node writes."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    found = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        elif isinstance(target, ast.Attribute):
+            found.append(target)
+    return found
 
 
 def test_package_holds_no_process_state():
     # settings reach polybase as arguments: no module reads the environment
-    # or rebinds a module global
+    # or rebinds a module global, and no node changes after construction:
+    # no code assigns an attribute of an object other than self
     src = Path(core.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for target in _assigned_attributes(node):
+                if not (isinstance(target.value, ast.Name) and target.value.id == "self"):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(target)} =")
             if isinstance(node, ast.Global):
                 found.append(f"{path.name}:{node.lineno} global")
             elif isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polybase.core as core
+
 from corpus import (
     acceptance_corpus,
     flat_corpus,
@@ -47,7 +49,7 @@ from polybase import (
 from polybase.cli import certificate_dict, to_json
 from polybase.core import BlockRestrictFn, DualFn, ScaleFn, ShiftFn, subset_sums
 from polybase.instance import parse_fn, trace_dict
-from polybase.polytope import _structure_from_chain
+from polybase.polytope import FaceStructure, _structure_from_chain
 
 
 def brute_splits(f, x, k):
@@ -421,7 +423,8 @@ class TestTrace:
         elif tamper == "dim_below_terms":
             trace.dim = dec.distinct_count - 2
         elif tamper == "point_face_as_face_drop":
-            # the children still sum up, but a face_drop without fn cannot print
+            # the children still sum up, but below a split the recursion
+            # builds only point_face nodes, so the case rule refuses it
             block.case = "face_drop"
         elif tamper == "point_face_as_direct_sum":
             block.case = "direct_sum"
@@ -485,6 +488,31 @@ class TestTrace:
         _, trace = decompose(f, (1, 0, 1, 1), 1)
         assert trace.case == "direct_sum"
         trace.face = face
+        with pytest.raises(InvariantViolation, match="corrupt block node"):
+            replay(trace)
+
+    @pytest.mark.parametrize("tamper", [
+        "position_out_of_range", "position_not_an_int", "positions_of_the_other_block",
+        "chain_off_its_blocks", "ground_not_a_ground_set",
+    ])
+    def test_inconsistent_face_rejected(self, tamper):
+        # the face is checked by arithmetic before any block is read through it
+        dec, trace = decompose(part11(), (2, 0, 1, 1), 2)
+        f = trace.face
+        assert trace.case == "direct_sum" and f.positions == ((0, 1), (2, 3))
+        assert replay(trace) == dec
+        g, chain, positions = f.ground, f.chain, f.positions
+        if tamper == "position_out_of_range":
+            positions = ((0, 1), (2, 7))
+        elif tamper == "position_not_an_int":
+            positions = ((0, 1), ("x", 3))
+        elif tamper == "positions_of_the_other_block":
+            positions = ((2, 3), (0, 1))
+        elif tamper == "chain_off_its_blocks":
+            chain = (0, 0b0101, 0b1111)
+        else:
+            g = f.ground.elements
+        trace.face = FaceStructure(g, chain, f.blocks, f.dim, positions)
         with pytest.raises(InvariantViolation, match="corrupt block node"):
             replay(trace)
 
@@ -855,6 +883,49 @@ class TestLeaves:
             leaves += len(_collect(trace, "leaf"))
         assert block_builds and all(block.bit_count() >= 2 for block in block_builds)
         assert leaves > len(block_builds)
+
+
+def _node_functions(f, node):
+    """(node, its function) for the face_drop and split nodes of a trace of f,
+    each function rebuilt with the library's full reduce_at and block_restrict."""
+    if node.case == "leaf":
+        return
+    e, q = node.ground[0], node.w[0] // node.k
+    if node.case == "split":
+        yield node, f
+        for child, cap in zip(node.children, (q + 1, q)):
+            yield from _node_functions(f.reduce_at(e, cap), child)
+        return
+    if node.case == "face_drop":
+        yield node, f
+        f = f.reduce_at(e, q)
+    for child, prev, block in zip(node.children, node.face.chain, node.face.blocks):
+        yield from _node_functions(f.block_restrict(prev, block), child)
+
+
+def test_engine_sweeps_element_0_once_per_binding_cap(monkeypatch):
+    # the root passed the check, so of a node's caps only the one on e can
+    # bind, and only below f({e}): the engine sweeps bit 0 once for each such
+    # cap (q at a face_drop, q + 1 and q at a split) and nothing else
+    halves = core._halves
+    swept = []
+    monkeypatch.setattr(core, "_halves", lambda size, s: swept.append(s) or halves(size, s))
+    rng = random.Random(83)
+    caps = binding = 0
+    for _, f in acceptance_corpus()[::4]:
+        k = rng.randint(1, 25)
+        swept.clear()
+        _, trace = decompose(f, sample_target(f, k, rng), k)
+        sweeps = list(swept)
+        expected = 0
+        for node, fn in _node_functions(f, trace):
+            q = node.w[0] // node.k
+            node_caps = (q,) if node.case == "face_drop" else (q + 1, q)
+            caps += len(node_caps)
+            expected += sum(c < fn(1) for c in node_caps)
+        assert sweeps == [1] * expected
+        binding += expected
+    assert 0 < binding < caps
 
 
 def _outside(f, x, k=1, *, sums=None):
