@@ -47,7 +47,7 @@ finished decomposition from scratch, independent of the trace.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import sub
+from operator import itemgetter, sub, xor
 
 from .core import Frozen, GroundSet, SubmodularFn, is_submodular, subset_sums
 from .core import _cap, _check_int, _check_int_vector, _check_seq
@@ -61,6 +61,7 @@ from .polytope import (
     in_extended_polymatroid,
     minimal_face_of_point,
 )
+from .polytope import _chain_positions
 
 Terms = list[tuple[int, tuple[int, ...]]]
 
@@ -110,27 +111,30 @@ class WeightedDecomposition(Frozen):
 class DecompositionTrace:
     """One node of the recursion tree; the decomposition is read off it.
 
-    ``polybase.instance.trace_dict(f, trace)`` prints it; no node holds a
-    function.  A block node (``direct_sum``, ``face_drop``, ``point_face``)
-    holds the ``face`` it factors along, one child per block.  ``face_drop``
-    and ``split`` fix e = ground[0] and divide w(e) = k q + r: a ``face_drop``
-    factors f capped at q, and a ``split``'s parts x1 and x2 are its two
-    children's ``w``.  At most ``dim`` + 1 distinct terms: ``dim`` is
-    ``len(w) - 1`` but ``face.dim`` at a ``direct_sum`` or ``point_face``.
+    A node holds no function and nothing it can derive: only the root holds
+    ``ground`` names, and only a block node (``direct_sum``, ``face_drop``,
+    ``point_face``) the ``chain`` it factors along, one child per step.  A
+    ``face_drop`` or ``split`` divides w(e) = k q + r at its first element e:
+    a ``face_drop`` factors f capped at q, and a ``split``'s two children's
+    ``w`` are its parts x1 and x2.  ``instance.trace_dict`` prints it.
     """
 
-    __slots__ = ("case", "ground", "w", "k", "children", "face", "dim")
+    __slots__ = ("case", "ground", "w", "k", "children", "chain")
 
-    def __init__(self, case: str, ground: tuple[str, ...], w: tuple[int, ...], k: int,
-                 children: list | None = None, face: FaceStructure | None = None,
-                 dim: int | None = None):
+    def __init__(self, case: str, ground: tuple[str, ...] | None, w: tuple[int, ...], k: int,
+                 children: list | None = None, chain: tuple[int, ...] | None = None):
         self.case = case
         self.ground = ground
         self.w = w
         self.k = k
         self.children = [] if children is None else children
-        self.face = face
-        self.dim = dim
+        self.chain = chain
+
+    @property
+    def dim(self) -> int:
+        """At most dim + 1 terms: ``len(w) - 1``, but the face's at a direct_sum or point_face."""
+        return len(self.w) - (len(self.chain) - 1 if self.case in ("direct_sum", "point_face")
+                              else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +250,8 @@ def decompose(f: SubmodularFn, w, k: int):
     elif (fs := face_structure(f)).t == 1:
         trace = _decompose_rec(f, w, k, None, sums)
     else:
-        trace = _chain_node("direct_sum", f, fs, w, k, fs.dim + f.ground.n, fs.dim)
+        trace = _chain_node("direct_sum", f, fs, w, k, fs.dim + f.ground.n)
+    trace = DecompositionTrace(trace.case, f.ground.elements, w, k, trace.children, trace.chain)
     return WeightedDecomposition.from_terms(_terms(trace), w, k), trace
 
 
@@ -280,7 +285,7 @@ def _leaf(f: SubmodularFn, prev: int, block: int, w, k: int, parent_measure):
     value = f.values[prev | block] - f.values[prev]
     _check(w[0] == k * value, "leaf target is not k times the level")
     _check_measure(1, parent_measure)
-    return DecompositionTrace("leaf", (f.ground.elements[block.bit_length() - 1],), w, k, dim=0)
+    return DecompositionTrace("leaf", None, w, k)
 
 
 def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
@@ -289,8 +294,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
     full = ground.full_mask
 
     # f is full-dimensional and n >= 2 (see the module docstring): fix the first element
-    dim = n - 1
-    measure = dim + n
+    measure = 2 * n - 1  # dim + n
     _check_measure(measure, parent_measure)
 
     q, r = divmod(w[0], k)
@@ -301,7 +305,7 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
         _check(k * capped(1) == w[0], "x(e) = q is not tight for w under the cap")
         face = _face_of(capped, w, k, sums)
         _check(face.chain[1] == 1, "fixed element does not start the tight chain")
-        return _chain_node("face_drop", capped, face, w, k, measure, dim)
+        return _chain_node("face_drop", capped, face, w, k, measure)
 
     # r >= 1: split w across the caps at q+1 and q
     upper = _cap_first(f, q + 1)
@@ -322,9 +326,9 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
     for f_side, x, x_sums, mult in ((upper, x1, sums1, r), (lower, x2, sums2, k - r)):
         face = _face_of(f_side, x, mult, x_sums)
         _check(face.t >= 2, "point face did not factor")
-        sides.append(_chain_node("point_face", f_side, face, x, mult, measure, face.dim))
+        sides.append(_chain_node("point_face", f_side, face, x, mult, measure))
     _check(sides[0].dim + sides[1].dim <= n - 2, "split faces are not complementary")
-    return DecompositionTrace("split", ground.elements, w, k, sides, dim=dim)
+    return DecompositionTrace("split", None, w, k, sides)
 
 
 def _cap_first(f: SubmodularFn, c: int) -> SubmodularFn:
@@ -347,8 +351,7 @@ def _face_of(f_base: SubmodularFn, x, k: int, sums) -> FaceStructure:
         raise InvariantViolation(f"derived point left its polytope: {exc}") from exc
 
 
-def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int,
-                measure, dim: int):
+def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int, measure):
     """The trace node of w in a face of k B_{f_base} factored along its chain.
 
     A one-element block is a leaf whose level is read from f_base's table.
@@ -363,7 +366,7 @@ def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int,
         else:
             block_fn = f_base.block_restrict(prev, block)
             children.append(_decompose_rec(block_fn, block_w, k, measure, subset_sums(block_w)))
-    return DecompositionTrace(case, f_base.ground.elements, w, k, children, face, dim)
+    return DecompositionTrace(case, None, w, k, children, face.chain)
 
 
 def _check(ok: bool, message: str) -> None:
@@ -380,11 +383,11 @@ def _terms(node: DecompositionTrace) -> Terms:
     """The weighted points of a trace node, at most ``dim`` + 1 of them.
 
     A split lists x1's terms, then x2's; a block node interleaves its
-    blocks' terms and places each point with its face's ``scatter``.  The
-    points come out distinct, in strictly decreasing lex order, so no node
-    merges or sorts: a split's x1 side has q + 1 at e and its x2 side q;
-    an interleave advances at least one block at every breakpoint and
-    never goes back, and ``scatter`` keeps each block's coordinates in
+    blocks' terms and places each block's coordinates at its chain step's
+    positions.  The points come out distinct, in strictly decreasing lex
+    order, so no node merges or sorts: a split's x1 side has q + 1 at e and
+    its x2 side q; an interleave advances at least one block at every
+    breakpoint and never goes back, and each block keeps its coordinates in
     ground order.  Interleaving every block in reverse pairs the same
     points, so the sorted terms equal those of lex-sorted blocks.
     """
@@ -394,7 +397,9 @@ def _terms(node: DecompositionTrace) -> Terms:
         terms = _terms(node.children[0]) + _terms(node.children[1])
     else:
         parts = [_terms(child) for child in node.children]
-        terms = [(wt, node.face.scatter(combo)) for wt, combo in _interleave(parts, node.k)]
+        order = sum(_chain_positions(node.chain), ())
+        place = itemgetter(*sorted(range(len(order)), key=order.__getitem__))  # n >= 2: a tuple
+        terms = [(wt, place(sum(combo, ()))) for wt, combo in _interleave(parts, node.k)]
     if len(terms) > node.dim + 1:
         raise InvariantViolation(f"{len(terms)} distinct points exceed the bound dim + 1 = "
                                  f"{node.dim + 1}")
@@ -468,15 +473,19 @@ def verify(f: SubmodularFn, dec: WeightedDecomposition):
 def replay(trace: DecompositionTrace) -> WeightedDecomposition:
     """Rebuild the decomposition from a trace by pure arithmetic.
 
-    No function evaluations and no LP solves.  Every node is first checked
-    against its place in the tree and its children: its case must be one
-    the recursion builds there, its ``dim`` must be the one that case
-    records, and a split's first child is x1, at multiplicity r.  By
-    induction each node's terms sum to its ``w`` at weight ``k``; the terms
-    are then read off the trace as ``decompose`` reads them, bound
-    included.  A tampered trace raises InvariantViolation or UsageError.
+    No function evaluations and no LP solves.  The root's ``ground`` must be
+    ``len(w)`` distinct names, and each node's case one the recursion builds
+    there; a split's parts sum to its ``w``, x1 first; a block node's chain
+    rises strictly from 0 to its full mask, one child per step holding that
+    block of ``w``.  So each node's terms sum to its ``w`` at weight ``k``;
+    they are read off as ``decompose`` reads them, bound included.  A
+    tampered trace raises InvariantViolation or UsageError.
     """
     _check_node(trace)
+    names = trace.ground
+    _check(isinstance(names, tuple) and all(isinstance(name, str) for name in names)
+           and len(set(names)) == len(names) == len(trace.w),
+           f"trace ground {names!r} is not {len(trace.w)} distinct names")
     return WeightedDecomposition.from_terms(_terms(trace), trace.w, trace.k)
 
 
@@ -485,32 +494,17 @@ _ROOT_CASES = ("leaf", "direct_sum", "face_drop", "split")
 _BLOCK_CASES = ("leaf", "face_drop", "split")
 
 
-def _face_is_consistent(face: FaceStructure, n: int) -> bool:
-    """Whether face's chain rises strictly from 0 to the full mask of n elements,
-    its blocks are the chain's steps, its positions their bits and its dim n - t."""
-    chain = face.chain
-    if not (isinstance(chain, tuple) and len(chain) > 1 and all(map(_is_int, chain))):
-        return False
-    steps = tuple(zip(chain, chain[1:]))
-    blocks = tuple(a ^ b for a, b in steps)
-    return (chain[0] == 0 and chain[-1] == (1 << n) - 1 and face.dim == n - len(steps)
-            and all(a & b == a != b for a, b in steps) and face.blocks == blocks
-            and face.positions == tuple(tuple(p for p in range(n) if b >> p & 1) for b in blocks))
-
-
 def _check_node(node: DecompositionTrace, cases=_ROOT_CASES) -> None:
     # type the fields the arithmetic below reads, the children's included
     _check(isinstance(node.children, list)
            and all(isinstance(child, DecompositionTrace) for child in node.children),
            "trace node children are not a list of trace nodes")
     for typed in (node, *node.children):
-        _check(isinstance(typed.w, tuple) and all(map(_is_int, typed.w)),
-               f"trace node w {typed.w!r} is not a tuple of integers")
+        _check(isinstance(typed.w, tuple) and typed.w and all(map(_is_int, typed.w)),
+               f"trace node w {typed.w!r} is not a nonempty tuple of integers")
         _check(_is_int(typed.k) and typed.k > 0,
                f"trace node k {typed.k!r} is not a positive integer")
     _check(node.case in cases, f"trace case {node.case!r} where one of {cases} belongs")
-    _check(_is_int(node.dim), f"trace node dim {node.dim!r} is not an integer")
-    dim = len(node.w) - 1
     if node.case == "leaf":
         _check(len(node.w) == 1 and node.w[0] % node.k == 0, "corrupt leaf in trace")
     elif node.case == "split":
@@ -525,15 +519,20 @@ def _check_node(node: DecompositionTrace, cases=_ROOT_CASES) -> None:
         _check(left.k == r and left.w[0] == r * (q + 1), "split children out of order")
         cases = ("point_face",)
     else:
-        face = node.face
-        _check(isinstance(face, FaceStructure) and isinstance(face.ground, GroundSet)
-               and face.ground.n == len(node.w) and _face_is_consistent(face, len(node.w))
-               and len(node.children) == face.t, "corrupt block node")
-        for i, child in enumerate(node.children):
-            _check(child.k == node.k and child.w == face.restrict_vector(node.w, i),
+        chain, full = node.chain, (1 << len(node.w)) - 1
+        _check(isinstance(chain, tuple) and len(chain) == len(node.children) + 1
+               and all(map(_is_int, chain)) and chain[0] == 0 and chain[-1] == full
+               and all(a & b == a != b for a, b in zip(chain, chain[1:])), f"corrupt block node:"
+               f" chain {chain!r} is not {len(node.children)} strict steps from 0 to {full}")
+        # e starts a face_drop's chain; B_f's chain adds its components in rising order
+        _check(node.case != "face_drop" or chain[1] == 1 and node.w[0] % node.k == 0,
+               "face_drop node does not drop the face of its first element")
+        blocks = list(map(xor, chain, chain[1:]))
+        _check(node.case != "direct_sum" or blocks == sorted(blocks),
+               "direct_sum blocks are not in rising order")
+        for child, block in zip(node.children, _chain_positions(chain)):
+            _check(child.k == node.k and child.w == tuple(map(node.w.__getitem__, block)),
                    "block child does not match its block of the target")
-        dim = dim if node.case == "face_drop" else face.dim
         cases = _BLOCK_CASES
-    _check(node.dim == dim, f"{node.case} node dim {node.dim} is not {dim}")
     for child in node.children:
         _check_node(child, cases)

@@ -197,19 +197,20 @@ def _wrap(kind: str, inner: dict, **params) -> dict:
 def trace_dict(f: SubmodularFn, trace) -> dict:
     """The ``--trace`` tree of ``trace``, a decomposition of f, children included.
 
-    Nodes hold no function: each node's is wrappers around f's one node, so
-    printing builds no function.  A ``face_drop`` prints f capped at q, a split
-    its parts x1 and x2 and the vertex step's operands r (f capped at q+1) and
-    w - (k-r) B_{f capped at q}, a block node its tight chain.  ``dim`` is left out.
+    Nodes hold no function and, below the root, no names: each node's function
+    is wrappers around f's one node, and its names the root's at its positions.
+    A ``face_drop`` prints f capped at q, a split its parts x1 and x2 and the
+    vertex step's operands r (f capped at q+1) and w - (k-r) B_{f capped at q},
+    a block node its tight chain.  ``dim`` is left out.
     """
     if f.ground.elements != trace.ground:
         raise UsageError(f"trace ground {trace.ground!r} is not f's {f.ground.elements!r}")
-    return _trace_node(trace, node_dict(f))
+    return _trace_node(trace, node_dict(f), trace.ground)
 
 
-def _trace_node(trace, fn: dict) -> dict:
-    """The printed ``trace``, which decomposes the function of node ``fn``."""
-    names, k, fns = trace.ground, trace.k, ()
+def _trace_node(trace, fn: dict, names) -> dict:
+    """The printed ``trace`` of node ``fn``'s function on ``names`` (a split child's names too)."""
+    k, chain, fns, grounds = trace.k, trace.chain, (), (names, names)
     out = {"case": trace.case, "ground": list(names), "w": list(trace.w), "k": k}
     e, (q, r) = names[0], divmod(trace.w[0], k)
     if trace.case == "face_drop":
@@ -219,12 +220,13 @@ def _trace_node(trace, fn: dict) -> dict:
         right = _wrap("shift", _wrap("scale", _wrap("dual", lower), r=k - r), a=list(trace.w))
         x1, x2 = (list(child.w) for child in trace.children)
         out.update(e=e, q=q, r=r, fn_left=_wrap("scale", upper, r=r), fn_right=right, x1=x1, x2=x2)
-    elif trace.face is not None:
-        out["chain"] = chain = [[names[i] for i in bits(m)] for m in trace.face.chain]
-        fns = [_wrap("block_restrict", fn, a_prev=prev, block=[names[i] for i in bits(block)])
-               for prev, block in zip(chain, trace.face.blocks)]
+    elif trace.case != "leaf":
+        out["chain"] = [[names[i] for i in bits(m)] for m in chain]
+        grounds = [[names[i] for i in bits(a ^ b)] for a, b in zip(chain, chain[1:])]
+        fns = [_wrap("block_restrict", fn, a_prev=prev, block=block)
+               for prev, block in zip(out["chain"], grounds)]
     if trace.children:
-        out["children"] = [_trace_node(*pair) for pair in zip(trace.children, fns, strict=True)]
+        out["children"] = [_trace_node(*a) for a in zip(trace.children, fns, grounds, strict=True)]
     return out
 
 

@@ -101,13 +101,20 @@ def tight_sets(f: SubmodularFn) -> list[int]:
 class FaceStructure(Frozen):
     """A face factored as a direct sum of block base polytopes.
 
-    chain is the maximal tight chain (masks, starting at 0 and ending at
-    the full mask); blocks are the consecutive differences, positions
-    their bit positions; block i is the base polytope of
-    f.block_restrict(chain[i], blocks[i]); dim = n - (number of blocks).
+    Built, and pickled, from ``ground`` and the maximal tight ``chain`` alone
+    (masks rising from 0 to the full mask): ``blocks`` are its steps,
+    ``positions`` their bit positions and ``dim`` = n - (number of blocks).
+    Block i is the base polytope of f.block_restrict(chain[i], blocks[i]).
     """
 
-    __slots__ = ("ground", "chain", "blocks", "dim", "positions")
+    __slots__ = ("ground", "chain", "blocks", "positions", "dim")
+
+    def __init__(self, ground, chain):
+        blocks = tuple(map(xor, chain, chain[1:]))
+        super().__init__(ground, chain, blocks, _chain_positions(chain), ground.n - len(blocks))
+
+    def __reduce__(self):
+        return FaceStructure, (self.ground, self.chain)
 
     @property
     def t(self) -> int:
@@ -117,13 +124,10 @@ class FaceStructure(Frozen):
         """Coordinates of x on block i, in block order."""
         return tuple(map(x.__getitem__, self.positions[i]))
 
-    def scatter(self, parts) -> tuple[int, ...]:
-        """Inverse of restrict_vector over all blocks."""
-        out = [0] * self.ground.n
-        for positions, part in zip(self.positions, parts):
-            for p, v in zip(positions, part):
-                out[p] = v
-        return tuple(out)
+
+def _chain_positions(chain) -> tuple:
+    """The bit positions of each step of a rising chain of masks, each in increasing order."""
+    return tuple(tuple(bits(b)) for b in map(xor, chain, chain[1:]))
 
 
 def _maximal_chain(tight: list[int], full: int) -> tuple[int, ...]:
@@ -145,15 +149,9 @@ def _maximal_chain(tight: list[int], full: int) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def _structure_from_chain(f: SubmodularFn, chain) -> FaceStructure:
-    blocks = tuple(cur ^ prev for prev, cur in zip(chain, chain[1:]))
-    positions = tuple(tuple(bits(b)) for b in blocks)
-    return FaceStructure(f.ground, tuple(chain), blocks, f.ground.n - len(blocks), positions)
-
-
 def face_structure(f: SubmodularFn) -> FaceStructure:
     """Factor B_f itself along a maximal chain of its tight sets."""
-    return _structure_from_chain(f, _tight_chain(f))
+    return FaceStructure(f.ground, _tight_chain(f))
 
 
 def dimension(f: SubmodularFn) -> int:
@@ -190,4 +188,4 @@ def minimal_face_of_point(f: SubmodularFn, x, k: int = 1, *, sums=None) -> FaceS
     if not _in_base(sums, kf):
         raise UsageError(f"point {x} is not in the base polytope")
     tight = compress(count(), map(eq, sums, kf))
-    return _structure_from_chain(f, _maximal_chain(list(tight), f.ground.full_mask))
+    return FaceStructure(f.ground, _maximal_chain(list(tight), f.ground.full_mask))

@@ -135,10 +135,10 @@ def test_criterion_5_face_factorization():
         assert fs.dim < n - 1, label
         whole = set(enumerate_base_points(f))
         block_points = [enumerate_base_points(fn) for fn in block_fns(f, fs)]
-        combined = {
-            fs.scatter(combo) for combo in itertools.product(*block_points)
-        }
-        assert combined == whole, label
+        # restricting to the blocks is a bijection from B_f onto their product
+        split = {tuple(fs.restrict_vector(x, i) for i in range(fs.t)) for x in whole}
+        assert len(split) == len(whole), label
+        assert split == set(itertools.product(*block_points)), label
     print(f"criterion 5 (face factorization): PASS [{len(corpus)} flat instances]")
 
 

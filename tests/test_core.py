@@ -322,19 +322,33 @@ class TestGroundSet:
         assert g != ("a", "b")
         assert PointSet(((1,),), "x") != PointSet(((1,),), "y")
         # the one initializer takes fields by position or by name
-        fields = (g, (0, 1, 3), (1, 2), 0, ((0,), (1,)))
-        face = FaceStructure(*fields)
-        assert face == FaceStructure(ground=g, chain=(0, 1, 3), blocks=(1, 2), dim=0,
-                                     positions=((0,), (1,)))
-        assert face == FaceStructure(g, (0, 1, 3), blocks=(1, 2), dim=0, positions=((0,), (1,)))
+        fields = (((1, (1, 0)),), (1, 0), 1)
+        dec = WeightedDecomposition(*fields)
+        assert dec == WeightedDecomposition(terms=fields[0], target=(1, 0), multiplicity=1)
+        assert dec == WeightedDecomposition(fields[0], (1, 0), multiplicity=1)
         with pytest.raises(TypeError):
-            FaceStructure(*fields, colour="red")
+            WeightedDecomposition(*fields, colour="red")
         with pytest.raises(TypeError):
-            FaceStructure(*fields[:4])
+            WeightedDecomposition(*fields[:2])
         with pytest.raises(TypeError):
-            FaceStructure(*fields[:4], ground=g)
+            WeightedDecomposition(*fields[:2], terms=fields[0])
         with pytest.raises(TypeError):
-            FaceStructure(*fields, fields[0])
+            WeightedDecomposition(*fields, fields[0])
+        # a face is built from its ground and chain alone, and derives the rest
+        face = FaceStructure(g, (0, 1, 3))
+        assert face == FaceStructure(ground=g, chain=(0, 1, 3)) == FaceStructure(g, chain=(0, 1, 3))
+        assert (face.blocks, face.positions, face.dim) == ((1, 2), ((0,), (1,)), 0)
+        assert face != FaceStructure(g, (0, 2, 3))
+        with pytest.raises(TypeError):
+            FaceStructure(g, (0, 1, 3), colour="red")
+        with pytest.raises(TypeError):
+            FaceStructure(g)
+        with pytest.raises(TypeError):
+            FaceStructure((0, 1, 3), ground=g)
+        with pytest.raises(TypeError):
+            FaceStructure(g, (0, 1, 3), (1, 2), 0, ((0,), (1,)))
+        with pytest.raises(AttributeError):
+            face.dim = 1
         dec = WeightedDecomposition.from_terms([(1, (1, 0)), (2, (0, 1))], (1, 2), 3)
         assert pickle.loads(pickle.dumps(dec)) == dec
         assert copy.deepcopy(dec) == dec and hash(copy.deepcopy(dec)) == hash(dec)

@@ -1,6 +1,7 @@
 """Unit tests for base-polytope queries and face machinery."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,9 +22,11 @@ from corpus import (
     u24,
 )
 from polybase import (
+    FaceStructure,
     UniformRank,
     UsageError,
     bounding_box,
+    decompose,
     dimension,
     enumerate_base_points,
     face_structure,
@@ -178,11 +181,37 @@ class TestFaceStructure:
             fs = face_structure(f)
             whole = set(enumerate_base_points(f))
             block_points = [enumerate_base_points(fn) for fn in block_fns(f, fs)]
-            combined = {
-                fs.scatter(combo)
-                for combo in itertools.product(*block_points)
-            }
-            assert combined == whole
+            # restricting to the blocks is a bijection from B_f onto their product
+            split = {tuple(fs.restrict_vector(x, i) for i in range(fs.t)) for x in whole}
+            assert len(split) == len(whole)
+            assert split == set(itertools.product(*block_points))
+
+
+    def test_every_corpus_face_derives_its_fields_and_pickles_its_inputs(self, monkeypatch):
+        # blocks, positions and dim by a plain bit loop, on every face that
+        # decomposing the acceptance corpus builds
+        built = []
+        init = FaceStructure.__init__
+
+        def recording(face, ground, chain):
+            init(face, ground, chain)
+            built.append(face)
+
+        monkeypatch.setattr(FaceStructure, "__init__", recording)
+        rng = random.Random(76)
+        for _, f in acceptance_corpus():
+            k = rng.randint(1, 25)
+            decompose(f, sample_target(f, k, rng), k)
+        monkeypatch.undo()
+        assert len(built) > 400
+        for face in built:
+            n, chain = face.ground.n, face.chain
+            blocks = tuple(cur - prev for prev, cur in zip(chain, chain[1:]))
+            positions = tuple(tuple(p for p in range(n) if block >> p & 1) for block in blocks)
+            assert (face.blocks, face.positions, face.dim) == (blocks, positions, n - len(blocks))
+            assert face.__reduce__() == (FaceStructure, (face.ground, chain))
+            again = pickle.loads(pickle.dumps(face))
+            assert again == face and again.positions == positions
 
 
 class TestMinimalFace:
