@@ -3,8 +3,9 @@
 Subsets of the ground set are bitmasks: bit i corresponds to element i in
 the fixed ground order.  Every function node holds ``values``, the tuple of
 its 2^n integer values indexed by mask, computed once in its constructor
-from its inner node's table: dual, shift, scale and block restriction take
-one O(2^n) ``map`` pass, reduction one O(2^n) sweep per element.
+from its inner node's table: dual, shift and scale take one O(2^n) ``map``
+pass, block restriction one gather (``_block_values``, which the engine
+also runs on bare tables), reduction one O(2^n) sweep per element.
 Evaluating a mask is an index into the table, so evaluation never recurses
 through composed constructions (duals of reductions of scalings, ...).
 All values are integers and f(empty) = 0 by construction.  No field is
@@ -27,9 +28,9 @@ reads and writes function nodes as instance-document nodes.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import repeat
-from operator import add, and_, itemgetter, le, mul, sub
+from operator import add, and_, le, mul, sub
 
 from .errors import UsageError
 
@@ -46,6 +47,12 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=1 << 12)
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask as a tuple; the cache holds every mask of 12 elements."""
+    return tuple(bits(mask))
 
 
 class Frozen:
@@ -201,8 +208,19 @@ def subset_sums(x) -> list:
     """
     sums = [0]
     for xi in x:
-        sums += list(map(add, sums, repeat(xi)))
+        sums += [s + xi for s in sums]
     return sums
+
+
+def _block_values(values, a_prev: int, positions) -> list:
+    """The table U -> h(A_prev + U) - h(A_prev) of the block at ``positions`` after a_prev.
+
+    One gather from h's table ``values``: a block mask's parent mask is
+    a_prev plus its elements' bits, which ``subset_sums`` lists in block
+    mask order.
+    """
+    base = values[a_prev]
+    return [values[a_prev + m] - base for m in subset_sums([1 << p for p in positions])]
 
 
 @cache
@@ -442,7 +460,8 @@ class BlockRestrictFn(SubmodularFn):
     """Block function of a tight-chain step: U -> f(A_prev + U) - f(A_prev).
 
     Lives on a new ground set holding just the block's elements (in the
-    parent's canonical order); used to factor faces into direct sums.
+    parent's canonical order).  Its table is ``_block_values``'s gather,
+    the one the engine runs on bare tables when it factors a face.
     """
 
     def __init__(self, inner: SubmodularFn, a_prev: int, block: int):
@@ -455,12 +474,9 @@ class BlockRestrictFn(SubmodularFn):
         full = inner.ground.full_mask
         if a_prev & ~full or block & ~full:
             raise UsageError("block restriction masks out of range")
-        positions = tuple(bits(block))
+        positions = _positions(block)
         ground = GroundSet((inner.ground.elements[i] for i in positions), inner.ground.n)
-        # the parent mask of a block mask is a_prev plus its elements' bits
-        parent_masks = map(add, subset_sums([1 << p for p in positions]), repeat(a_prev))
-        values = itemgetter(*parent_masks)(inner.values)
-        super().__init__(ground, map(sub, values, repeat(inner.values[a_prev])))
+        super().__init__(ground, _block_values(inner.values, a_prev, positions))
         self.inner = inner
         self.a_prev = a_prev
         self.block = block

@@ -29,14 +29,23 @@ Three constructive pieces:
       faces; the vertex property makes the two face dimensions sum to at
       most |E| - 2, so the two branch counts total at most dim + 1.
 
-``_cap_first`` caps e by one sweep of element 0, and only when c < f({e}).
-That is exact: the root passed ``require_submodular``, caps and block
-restrictions keep a table submodular, and there no other cap can bind.
+Below the root the recursion runs on value tables alone: a node is
+(table, names, w, k, sums), a cap is one table, a block's table is one
+gather (``core._block_values``) and a face is its tight chain of masks, so
+no function node, ``FaceStructure`` or ``GroundSet`` is built there, except
+the ``GroundSet`` a split hands its vertex step.  ``_cap_first`` caps e by
+one sweep of element 0, and only when c < f({e}).  That is exact: the root
+passed ``require_submodular``, caps and block restrictions keep a table
+submodular, and there no other cap can bind.
 
 Membership in k B_f and its faces read f's own table, and the vertex step
-reads plain value tables, so no scaled, dual or shifted node is built.  A
-point's subset sums are built once, where the point is made (x2's as w's
-less x1's), and handed as ``sums=`` to the query that reads them.
+reads plain value tables, so no scaled, dual or shifted node is built.
+``decompose`` and ``split_into_k_bases`` check their arguments once, on
+entry; every point below is an int tuple by construction.  A point's
+subset sums are built once, where the point is made (x2's as w's less
+x1's), and handed to the polytope kernel that reads them
+(``_first_violation``, ``_in_base``, ``_face_chain``), with no second
+check of the point or of its sums' length.
 
 The recursion builds only a ``DecompositionTrace``.  ``decompose`` and
 ``replay`` both read the terms off it with ``_terms`` and normalize them
@@ -50,18 +59,13 @@ from bisect import bisect_left
 from operator import itemgetter, sub, xor
 
 from .core import Frozen, GroundSet, SubmodularFn, is_submodular, subset_sums
-from .core import _cap, _check_int, _check_int_vector, _check_seq
+from .core import _block_values, _cap, _check_int, _check_int_vector, _check_seq, _positions
 from .errors import InvariantViolation, UsageError
 from .lp import assert_integral, build_intersection_system, dump_system, find_vertex
-from .polytope import (
-    FaceStructure,
-    dimension,
-    face_structure,
-    in_base_polytope,
-    in_extended_polymatroid,
-    minimal_face_of_point,
-)
-from .polytope import _chain_positions
+from .polytope import dimension, face_structure, in_base_polytope
+from .polytope import _chain_positions, _face_chain, _first_violation, _in_base
+# the engine calls their kernels; bench/tracing.py still wraps these bindings
+from .polytope import in_extended_polymatroid, minimal_face_of_point  # noqa: F401
 
 Terms = list[tuple[int, tuple[int, ...]]]
 
@@ -148,23 +152,23 @@ def split_into_k_bases(f: SubmodularFn, x, k: int) -> list[tuple[int, ...]]:
     cur = x
     for j in range(k, 1, -1):
         point = _integer_vertex(
-            f.ground, f.values, _mirror_values(sums, j - 1, f),
+            f.ground, f.values, _mirror_values(sums, j - 1, f.values),
             "empty intersection while splitting; decomposition theory violated",
         )
         result.append(point)
         cur = tuple(map(sub, cur, point))
         sums = subset_sums(cur)
-    if not in_base_polytope(f, cur, sums=sums):
+    if not _in_base(sums, f.values):
         raise InvariantViolation("split residue left the base polytope")
     result.append(cur)
     return result
 
 
-def _mirror_values(sums, m: int, g: SubmodularFn) -> list[int]:
+def _mirror_values(sums, m: int, g_values) -> list[int]:
     """The table of x - m B_g from x's sums: U -> x(U) - m (g(E) - g(E - U))."""
-    top = g.values[-1]
+    top = g_values[-1]
     # E - U = full - U, so g(E - U) runs through the table backwards
-    return [s - m * (top - v) for s, v in zip(sums, reversed(g.values))]
+    return [s - m * (top - v) for s, v in zip(sums, reversed(g_values))]
 
 
 def _integer_vertex(ground: GroundSet, f_values, g_values, empty: str) -> tuple[int, ...]:
@@ -245,13 +249,14 @@ def decompose(f: SubmodularFn, w, k: int):
     InvariantViolation (with diagnostics) if an internal guarantee fails.
     """
     w, sums = _require_membership(f, w, k)
+    values, names = f.values, f.ground.elements
     if f.ground.n == 1:
-        trace = _leaf(f, 0, 1, w, k, None)
+        trace = _leaf(values, 0, 1, w, k, None)
     elif (fs := face_structure(f)).t == 1:
-        trace = _decompose_rec(f, w, k, None, sums)
+        trace = _decompose_rec(values, names, w, k, None, sums)
     else:
-        trace = _chain_node("direct_sum", f, fs, w, k, fs.dim + f.ground.n)
-    trace = DecompositionTrace(trace.case, f.ground.elements, w, k, trace.children, trace.chain)
+        trace = _chain_node("direct_sum", values, names, fs.chain, w, k, fs.dim + f.ground.n)
+    trace = DecompositionTrace(trace.case, names, w, k, trace.children, trace.chain)
     return WeightedDecomposition.from_terms(_terms(trace), w, k), trace
 
 
@@ -264,8 +269,8 @@ def _require_membership(f: SubmodularFn, x, k: int):
     if sum(x) != total:
         raise UsageError(f"x(E) = {sum(x)} != {total} = {k} * f(E)")
     sums = subset_sums(x)
-    ok, violated = in_extended_polymatroid(f, x, k, sums=sums)
-    if not ok:
+    violated = _first_violation(sums, f.values, k)
+    if violated is not None:
         names = ",".join(f.ground.names_of(violated))
         raise UsageError(f"violated x({{{names}}}) <= {k * f(violated)}: got {sums[violated]}")
     return x, sums
@@ -280,40 +285,39 @@ def require_submodular(f: SubmodularFn) -> None:
                          f" for A = {{{a}}}, B = {{{b}}}")
 
 
-def _leaf(f: SubmodularFn, prev: int, block: int, w, k: int, parent_measure):
-    """The one-element block after ``prev`` of k B_f: the point k times its level."""
-    value = f.values[prev | block] - f.values[prev]
-    _check(w[0] == k * value, "leaf target is not k times the level")
+def _leaf(values, prev: int, cur: int, w, k: int, parent_measure):
+    """The one-element block cur - prev of k B_h, h's table ``values``: k times its level."""
+    _check(w[0] == k * (values[cur] - values[prev]), "leaf target is not k times the level")
     _check_measure(1, parent_measure)
     return DecompositionTrace("leaf", None, w, k)
 
 
-def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
-    ground = f.ground
-    n = ground.n
-    full = ground.full_mask
+def _decompose_rec(values, names, w, k: int, parent_measure, sums):
+    """The trace node of w in k B_h, h a full-dimensional table ``values`` on ``names``."""
+    n = len(names)
+    top = values[-1]
 
-    # f is full-dimensional and n >= 2 (see the module docstring): fix the first element
+    # h is full-dimensional and n >= 2 (see the module docstring): fix the first element
     measure = 2 * n - 1  # dim + n
     _check_measure(measure, parent_measure)
 
     q, r = divmod(w[0], k)
 
     if r == 0:
-        capped = _cap_first(f, q)
-        _check(capped(full) == f(full), "cap at q changed the level")
-        _check(k * capped(1) == w[0], "x(e) = q is not tight for w under the cap")
-        face = _face_of(capped, w, k, sums)
-        _check(face.chain[1] == 1, "fixed element does not start the tight chain")
-        return _chain_node("face_drop", capped, face, w, k, measure)
+        capped = _cap_first(values, q)
+        _check(capped[-1] == top, "cap at q changed the level")
+        _check(k * capped[1] == w[0], "x(e) = q is not tight for w under the cap")
+        chain = _face_of(capped, w, k, sums)
+        _check(chain[1] == 1, "fixed element does not start the tight chain")
+        return _chain_node("face_drop", capped, names, chain, w, k, measure)
 
     # r >= 1: split w across the caps at q+1 and q
-    upper = _cap_first(f, q + 1)
-    lower = _cap_first(f, q)
-    _check(upper(full) == f(full), "cap at q+1 changed the level")
-    _check(lower(full) == f(full), "cap at q changed the level")
+    upper = _cap_first(values, q + 1)
+    lower = _cap_first(values, q)
+    _check(upper[-1] == top, "cap at q+1 changed the level")
+    _check(lower[-1] == top, "cap at q changed the level")
     x1 = _integer_vertex(
-        ground, [r * v for v in upper.values], _mirror_values(sums, k - r, lower),
+        GroundSet(names, n), [r * v for v in upper], _mirror_values(sums, k - r, lower),
         "empty split intersection; decomposition theory violated",
     )
     x2 = tuple(wi - xi for wi, xi in zip(w, x1))
@@ -323,50 +327,53 @@ def _decompose_rec(f: SubmodularFn, w, k: int, parent_measure, sums):
     sums2 = list(map(sub, sums, sums1))
 
     sides = []
-    for f_side, x, x_sums, mult in ((upper, x1, sums1, r), (lower, x2, sums2, k - r)):
-        face = _face_of(f_side, x, mult, x_sums)
-        _check(face.t >= 2, "point face did not factor")
-        sides.append(_chain_node("point_face", f_side, face, x, mult, measure))
+    for side, x, x_sums, mult in ((upper, x1, sums1, r), (lower, x2, sums2, k - r)):
+        chain = _face_of(side, x, mult, x_sums)
+        _check(len(chain) > 2, "point face did not factor")
+        sides.append(_chain_node("point_face", side, names, chain, x, mult, measure))
     _check(sides[0].dim + sides[1].dim <= n - 2, "split faces are not complementary")
     return DecompositionTrace("split", None, w, k, sides)
 
 
-def _cap_first(f: SubmodularFn, c: int) -> SubmodularFn:
-    """``f.reduce_at(ground[0], c)`` for a submodular f (see the module docstring)."""
-    if c >= f.values[1]:
-        return f
-    h = list(f.values)
+def _cap_first(values, c: int):
+    """The table of ``h.reduce_at(ground[0], c)`` for a submodular h (see the module docstring)."""
+    if c >= values[1]:
+        return values
+    h = list(values)
     _cap(h, 0, c)
-    return SubmodularFn(f.ground, h)
+    return h
 
 
-def _face_of(f_base: SubmodularFn, x, k: int, sums) -> FaceStructure:
-    """The minimal face of k B_{f_base} holding x, a point the engine derived.
+def _face_of(values, x, k: int, sums) -> tuple[int, ...]:
+    """The tight chain of the minimal face of k B_h (h's table ``values``) holding x.
 
-    Such a point outside k B_{f_base} is a defect, not a usage error.
+    x is a point the engine derived, so x outside k B_h is a defect, not a usage error.
     """
     try:
-        return minimal_face_of_point(f_base, x, k, sums=sums)
+        return _face_chain(x, sums, values, k)
     except UsageError as exc:
         raise InvariantViolation(f"derived point left its polytope: {exc}") from exc
 
 
-def _chain_node(case: str, f_base: SubmodularFn, face: FaceStructure, w, k: int, measure):
-    """The trace node of w in a face of k B_{f_base} factored along its chain.
+def _chain_node(case: str, values, names, chain, w, k: int, measure):
+    """The trace node of w in a face of k B_h (h's table ``values``) factored along ``chain``.
 
-    A one-element block is a leaf whose level is read from f_base's table.
-    Larger blocks are restrictions of the unscaled f_base so that each
-    block decomposes at the original multiplicity k.
+    A one-element block is a leaf whose level is read from h's table.
+    A larger block recurses on its gathered table, the unscaled
+    h(A_prev + U) - h(A_prev), so that it decomposes at the original
+    multiplicity k.
     """
     children = []
-    for i, (prev, block) in enumerate(zip(face.chain, face.blocks)):
-        block_w = face.restrict_vector(w, i)
-        if len(block_w) == 1:
-            children.append(_leaf(f_base, prev, block, block_w, k, measure))
+    for prev, cur in zip(chain, chain[1:]):
+        positions = _positions(prev ^ cur)
+        block_w = tuple(map(w.__getitem__, positions))
+        if len(positions) == 1:
+            children.append(_leaf(values, prev, cur, block_w, k, measure))
         else:
-            block_fn = f_base.block_restrict(prev, block)
-            children.append(_decompose_rec(block_fn, block_w, k, measure, subset_sums(block_w)))
-    return DecompositionTrace(case, None, w, k, children, face.chain)
+            block_names = tuple(map(names.__getitem__, positions))
+            children.append(_decompose_rec(_block_values(values, prev, positions), block_names,
+                                           block_w, k, measure, subset_sums(block_w)))
+    return DecompositionTrace(case, None, w, k, children, chain)
 
 
 def _check(ok: bool, message: str) -> None:

@@ -11,16 +11,20 @@ first.  The test suite validates this against vertex enumeration.
 
 Membership and faces of k B_f = B_{kf} read f's own table, scaled by k
 once per query; k must be a positive int, not a bool, and x a sequence of
-n ints.  A query builds x's subset sums unless the caller, as
-``decompose`` does, hands in the sums it built with x.
+n ints.  A query builds x's subset sums unless the caller hands in the
+sums it built with x.  Each public query checks its arguments, then calls
+a private kernel on bare tables (``_first_violation``, ``_in_base``,
+``_face_chain``); ``decompose`` calls the kernels directly on the points
+it derives, whose sums it built, so those are checked once, where they
+enter the package.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from operator import add, eq, gt, indexOf, le, mul, xor
+from operator import add, eq, gt, indexOf, le, xor
 
-from .core import Frozen, SubmodularFn, _check_int, _check_int_vector, _check_seq, bits
+from .core import Frozen, SubmodularFn, _check_int, _check_int_vector, _check_seq, _positions
 from .core import subset_sums
 from .errors import UsageError
 
@@ -33,10 +37,17 @@ def in_extended_polymatroid(f: SubmodularFn, x, k: int = 1, *, sums=None):
     only its length is checked.
     """
     sums = _subset_sums_of(f, x, sums)[1]
-    kf = _times(f.values, k)
+    _check_int(k, "multiplicity must be a positive integer", 1)
+    violated = _first_violation(sums, f.values, k)
+    return violated is None, violated
+
+
+def _first_violation(sums, values, k: int):
+    """The first mask U in canonical order with sums[U] > k values[U], or None."""
+    kf = _times(values, k)
     if all(map(le, sums, kf)):
-        return True, None
-    return False, indexOf(map(gt, sums, kf), True)
+        return None
+    return indexOf(map(gt, sums, kf), True)
 
 
 def in_base_polytope(f: SubmodularFn, x, *, sums=None) -> bool:
@@ -50,8 +61,7 @@ def _in_base(sums, values) -> bool:
 
 def _times(values, k: int):
     """k times a value table; the table itself when k = 1."""
-    _check_int(k, "multiplicity must be a positive integer", 1)
-    return values if k == 1 else list(map(mul, values, repeat(k)))
+    return values if k == 1 else [v * k for v in values]
 
 
 def bounding_box(f: SubmodularFn):
@@ -105,6 +115,8 @@ class FaceStructure(Frozen):
     (masks rising from 0 to the full mask): ``blocks`` are its steps,
     ``positions`` their bit positions and ``dim`` = n - (number of blocks).
     Block i is the base polytope of f.block_restrict(chain[i], blocks[i]).
+    The public queries return one; ``decompose`` reads chains and builds
+    one only for B_f itself, at the root.
     """
 
     __slots__ = ("ground", "chain", "blocks", "positions", "dim")
@@ -127,7 +139,7 @@ class FaceStructure(Frozen):
 
 def _chain_positions(chain) -> tuple:
     """The bit positions of each step of a rising chain of masks, each in increasing order."""
-    return tuple(tuple(bits(b)) for b in map(xor, chain, chain[1:]))
+    return tuple(map(_positions, map(xor, chain, chain[1:])))
 
 
 def _maximal_chain(tight: list[int], full: int) -> tuple[int, ...]:
@@ -184,8 +196,16 @@ def minimal_face_of_point(f: SubmodularFn, x, k: int = 1, *, sums=None) -> FaceS
     both membership and tightness; ``sums`` is as for in_extended_polymatroid.
     """
     x, sums = _subset_sums_of(f, x, sums)
-    kf = _times(f.values, k)
+    _check_int(k, "multiplicity must be a positive integer", 1)
+    return FaceStructure(f.ground, _face_chain(x, sums, f.values, k))
+
+
+def _face_chain(x, sums, values, k: int) -> tuple[int, ...]:
+    """The maximal tight chain of the minimal face of k B_h holding x, h's table ``values``.
+
+    Raises UsageError naming x when x lies outside k B_h.
+    """
+    kf = _times(values, k)
     if not _in_base(sums, kf):
         raise UsageError(f"point {x} is not in the base polytope")
-    tight = compress(count(), map(eq, sums, kf))
-    return FaceStructure(f.ground, _maximal_chain(list(tight), f.ground.full_mask))
+    return _maximal_chain(list(compress(count(), map(eq, sums, kf))), len(values) - 1)

@@ -207,10 +207,10 @@ class TestDecompose:
 
         engine = sys.modules["polybase.decompose"]
 
-        def outside(f, x, k=1, *, sums=None):
+        def outside(x, sums, values, k):
             raise UsageError("outside")
 
-        monkeypatch.setattr(engine, "minimal_face_of_point", outside)
+        monkeypatch.setattr(engine, "_face_chain", outside)
         code = main(["decompose", write(K3_DOC)])
         err = capsys.readouterr().err
         assert code == 3

@@ -936,11 +936,13 @@ def test_reduce_sweeps_match_min_over_subsets_on_large_tables(n):
 def test_subset_sums_match_definition():
     rng = random.Random(31)
     for length in range(11):
-        x = [rng.randint(-6, 6) for _ in range(length)]
-        expected = [
-            sum(x[i] for i in range(length) if m >> i & 1) for m in range(1 << length)
-        ]
-        assert subset_sums(x) == expected
+        # small entries, then entries of either sign at or past 2^70
+        for x in ([rng.randint(-6, 6) for _ in range(length)],
+                  [rng.choice((-1, 1)) * (2**70 + rng.randint(0, 2**72)) for _ in range(length)]):
+            expected = [
+                sum(x[i] for i in range(length) if m >> i & 1) for m in range(1 << length)
+            ]
+            assert subset_sums(x) == expected
 
 
 # ---------------------------------------------------------------------------

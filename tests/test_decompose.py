@@ -47,9 +47,9 @@ from polybase import (
     verify,
 )
 from polybase.cli import certificate_dict, to_json
-from polybase.core import BlockRestrictFn, DualFn, ScaleFn, ShiftFn, subset_sums
+from polybase.core import DualFn, ScaleFn, ShiftFn, _positions, subset_sums
 from polybase.instance import parse_fn, trace_dict
-from polybase.polytope import FaceStructure
+from polybase.polytope import FaceStructure, _chain_positions
 
 
 def brute_splits(f, x, k):
@@ -114,34 +114,47 @@ def test_empty_vertex_step_carries_its_system(monkeypatch, run):
 
 
 def test_engine_hands_each_query_the_sums_of_its_point(monkeypatch):
-    # the polytope queries trust the sums they are handed, and the engine is
-    # the one caller that hands any: each must be the subset sums of x
+    # the polytope kernels trust the sums they are handed, and the engine
+    # hands every one: each must be the subset sums of its point, the target
+    # for membership, x for a face and the last part for a split's residue
     engine = sys.modules["polybase.decompose"]
-    handed = dict.fromkeys(("in_extended_polymatroid", "minimal_face_of_point",
-                            "in_base_polytope"), 0)
+    handed = {name: [] for name in ("_first_violation", "_face_chain", "_in_base")}
 
-    def checking(name):
-        query = getattr(engine, name)
+    def recording(name):
+        kernel = getattr(engine, name)
 
-        def wrapped(f, x, *args, sums=None):
-            if sums is not None:
-                assert list(sums) == subset_sums(x)
-                handed[name] += 1
-            return query(f, x, *args, sums=sums)
+        def wrapped(*args):
+            handed[name].append(args)
+            return kernel(*args)
         return wrapped
 
+    def taken(name):
+        calls, handed[name] = handed[name], []
+        return calls
+
     for name in handed:
-        monkeypatch.setattr(engine, name, checking(name))
+        monkeypatch.setattr(engine, name, recording(name))
     rng = random.Random(62)
-    splits = 0
+    splits = faces = residues = 0
     for _, f in acceptance_corpus()[::10] + flat_corpus():
         k = rng.randint(1, 6)
-        _, trace = decompose(f, sample_target(f, k, rng), k)
+        w = sample_target(f, k, rng)
+        _, trace = decompose(f, w, k)
         splits += len(_collect(trace, "split"))
+        assert [list(sums) for sums, _, _ in taken("_first_violation")] == [subset_sums(w)]
+        for x, sums, _, _ in taken("_face_chain"):
+            assert list(sums) == subset_sums(x)
+            faces += 1
+        assert taken("_in_base") == []
         if f.ground.n <= 5:
             k = rng.randint(2, 4)
-            assert len(split_into_k_bases(f, sample_target(f, k, rng), k)) == k
-    assert splits and all(handed.values()), (splits, handed)
+            x = sample_target(f, k, rng)
+            parts = split_into_k_bases(f, x, k)
+            assert len(parts) == k
+            assert [list(sums) for sums, _, _ in taken("_first_violation")] == [subset_sums(x)]
+            assert [list(sums) for sums, _ in taken("_in_base")] == [subset_sums(parts[-1])]
+            residues += 1
+    assert splits and faces and residues, (splits, faces, residues)
 
 
 def supermodular():
@@ -638,20 +651,20 @@ class TestTrace:
         # pair is the two tables the vertex step read, in call order, and a
         # face_drop's the table whose face the engine found
         engine = sys.modules["polybase.decompose"]
-        vertex, face_of = engine._integer_vertex, engine.minimal_face_of_point
+        vertex, face_of = engine._integer_vertex, engine._face_chain
         read, faces = [], []
 
         def recording(ground, f_values, g_values, empty):
             read.append((tuple(f_values), tuple(g_values)))
             return vertex(ground, f_values, g_values, empty)
 
-        def face_recording(f_base, x, k, *, sums=None):
-            face = face_of(f_base, x, k, sums=sums)
-            faces.append((face, f_base.values))
-            return face
+        def face_recording(x, sums, values, k):
+            chain = face_of(x, sums, values, k)
+            faces.append((chain, tuple(values)))
+            return chain
 
         monkeypatch.setattr(engine, "_integer_vertex", recording)
-        monkeypatch.setattr(engine, "minimal_face_of_point", face_recording)
+        monkeypatch.setattr(engine, "_face_chain", face_recording)
         rng = random.Random(60)
         runs = [(k3(), (2, 2, 2), 3)]
         for _, f in tiny_instances() + flat_corpus():
@@ -665,7 +678,7 @@ class TestTrace:
             # the engine finds each face_drop's and point_face's face in pre-order
             factored = [node for node in _nodes(trace) if node.case in ("face_drop", "point_face")]
             assert len(factored) == len(faces)
-            assert all(node.chain is face.chain for node, (face, _) in zip(factored, faces))
+            assert all(node.chain is chain for node, (chain, _) in zip(factored, faces))
             capped = {id(node): values for node, (_, values) in zip(factored, faces)}
             printed = []
             for node, doc in _with_dicts(trace, trace_dict(f, trace)):
@@ -904,18 +917,19 @@ class TestFactorOnce:
 
 class TestLeaves:
     """A one-element block is a leaf whose level is read from its parent's
-    table, so block functions are built only for blocks of two or more."""
+    table, so block tables are gathered only for blocks of two or more."""
 
     @pytest.fixture
     def block_builds(self, monkeypatch):
+        engine = sys.modules["polybase.decompose"]
+        gather = engine._block_values
         built = []
-        init = BlockRestrictFn.__init__
 
-        def counted(node, inner, a_prev, block):
-            built.append(block)
-            init(node, inner, a_prev, block)
+        def counted(values, a_prev, positions):
+            built.append(positions)
+            return gather(values, a_prev, positions)
 
-        monkeypatch.setattr(BlockRestrictFn, "__init__", counted)
+        monkeypatch.setattr(engine, "_block_values", counted)
         return built
 
     def test_point_faces_build_no_block_function(self, block_builds):
@@ -938,8 +952,91 @@ class TestLeaves:
             dec, trace = decompose(f, sample_target(f, k, rng), k)
             assert replay(trace) == dec
             leaves += len(_collect(trace, "leaf"))
-        assert block_builds and all(block.bit_count() >= 2 for block in block_builds)
+        assert block_builds and all(len(positions) >= 2 for positions in block_builds)
         assert leaves > len(block_builds)
+
+
+def _corpus_runs(seed):
+    """(f, w, k) over the acceptance corpus and flat_corpus(), k up to 25."""
+    rng = random.Random(seed)
+    runs = []
+    for _, f in acceptance_corpus() + flat_corpus():
+        k = rng.randint(1, 25)
+        runs.append((f, sample_target(f, k, rng), k))
+    return runs
+
+
+class TestTablesBelowTheRoot:
+    """Below the root the engine recurses on value tables: a cap is a table,
+    a block's table one gather and a face its chain of masks."""
+
+    def test_no_function_face_or_ground_below_the_root(self, monkeypatch):
+        runs = _corpus_runs(77)
+        # every node class reaches SubmodularFn.__init__, so its subclasses count too
+        built = {SubmodularFn: [], FaceStructure: [], GroundSet: []}
+        for cls, seen in built.items():
+
+            def counted(obj, *args, _init=cls.__init__, _seen=seen, **kwargs):
+                _init(obj, *args, **kwargs)
+                _seen.append(obj)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        splits = blocks = 0
+        for f, w, k in runs:
+            for seen in built.values():
+                seen.clear()
+            _, trace = decompose(f, w, k)
+            faces, grounds = built[FaceStructure], list(built[GroundSet])
+            assert built[SubmodularFn] == []
+            # the root's one face is B_f's own; a one-element root has none
+            assert len(faces) == (f.ground.n > 1) and all(face.ground is f.ground for face in faces)
+            # one ground per split, for its vertex step, on that node's names (pre-order)
+            named = [doc["ground"] for node, doc in _with_dicts(trace, trace_dict(f, trace))
+                     if node.case == "split"]
+            assert [list(g.elements) for g in grounds] == named
+            splits += len(named)
+            blocks += sum(len(node.children) for node in _nodes(trace)[1:] if node.chain)
+        assert splits > 200 and blocks > 1000, (splits, blocks)
+
+    def test_gathers_and_positions_match_plain_loops(self, monkeypatch):
+        # every block table the corpus gathers against a per-mask loop (also
+        # at 2^70 times the values, less 3), and every chain step's positions
+        # against a per-bit loop
+        engine = sys.modules["polybase.decompose"]
+        gather, gathered = engine._block_values, []
+
+        def recording(values, a_prev, positions):
+            table = gather(values, a_prev, positions)
+            gathered.append((values, a_prev, positions, table))
+            return table
+
+        monkeypatch.setattr(engine, "_block_values", recording)
+        chains = []
+        for f, w, k in _corpus_runs(78):
+            _, trace = decompose(f, w, k)
+            chains += [(len(node.w), node.chain) for node in _nodes(trace) if node.chain]
+        monkeypatch.undo()
+
+        def plain_table(values, a_prev, positions):
+            table = []
+            for u in range(1 << len(positions)):
+                mask = a_prev
+                for j, p in enumerate(positions):
+                    if u >> j & 1:
+                        mask |= 1 << p
+                table.append(values[mask] - values[a_prev])
+            return table
+
+        for values, a_prev, positions, table in gathered:
+            assert table == plain_table(values, a_prev, positions)
+            wide = [2**70 * v - 3 for v in values]
+            assert gather(wide, a_prev, positions) == plain_table(wide, a_prev, positions)
+        for n, chain in chains:
+            steps = [cur ^ prev for prev, cur in zip(chain, chain[1:])]
+            plain = tuple(tuple(p for p in range(n) if step >> p & 1) for step in steps)
+            assert tuple(map(_positions, steps)) == _chain_positions(chain) == plain
+        assert len(gathered) > 200 and len(chains) > 800, (len(gathered), len(chains))
+        assert _positions.cache_info().maxsize == 1 << 12
 
 
 def _node_functions(f, node):
@@ -985,12 +1082,12 @@ def test_engine_sweeps_element_0_once_per_binding_cap(monkeypatch):
     assert 0 < binding < caps
 
 
-def _outside(f, x, k=1, *, sums=None):
+def _outside(x, sums, values, k):
     raise UsageError("outside")
 
 
-def _one_block(f, x, k=1, *, sums=None):
-    return FaceStructure(f.ground, (0, f.ground.full_mask))
+def _one_block(x, sums, values, k):
+    return (0, len(values) - 1)
 
 
 class TestChainStep:
@@ -1003,7 +1100,7 @@ class TestChainStep:
     ])
     def test_face_drop(self, monkeypatch, face_of, message):
         assert decompose(u12(), (2, 0), 2)[1].case == "face_drop"
-        monkeypatch.setattr(sys.modules["polybase.decompose"], "minimal_face_of_point", face_of)
+        monkeypatch.setattr(sys.modules["polybase.decompose"], "_face_chain", face_of)
         with pytest.raises(InvariantViolation) as err:
             decompose(u12(), (2, 0), 2)
         assert str(err.value) == message
@@ -1014,7 +1111,7 @@ class TestChainStep:
     ])
     def test_split(self, monkeypatch, face_of, message):
         assert decompose(k3(), (2, 2, 2), 3)[1].case == "split"
-        monkeypatch.setattr(sys.modules["polybase.decompose"], "minimal_face_of_point", face_of)
+        monkeypatch.setattr(sys.modules["polybase.decompose"], "_face_chain", face_of)
         with pytest.raises(InvariantViolation) as err:
             decompose(k3(), (2, 2, 2), 3)
         assert str(err.value) == message

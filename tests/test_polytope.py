@@ -38,7 +38,7 @@ from polybase import (
     tight_sets,
 )
 from polybase.core import subset_sums
-from polybase.polytope import _maximal_chain
+from polybase.polytope import _maximal_chain, _times
 
 
 class TestMembership:
@@ -187,22 +187,18 @@ class TestFaceStructure:
             assert split == set(itertools.product(*block_points))
 
 
-    def test_every_corpus_face_derives_its_fields_and_pickles_its_inputs(self, monkeypatch):
-        # blocks, positions and dim by a plain bit loop, on every face that
-        # decomposing the acceptance corpus builds
+    def test_every_corpus_face_derives_its_fields_and_pickles_its_inputs(self):
+        # blocks, positions and dim by a plain bit loop, on the face of every
+        # chain that decomposing the acceptance corpus factors along
         built = []
-        init = FaceStructure.__init__
-
-        def recording(face, ground, chain):
-            init(face, ground, chain)
-            built.append(face)
-
-        monkeypatch.setattr(FaceStructure, "__init__", recording)
         rng = random.Random(76)
         for _, f in acceptance_corpus():
             k = rng.randint(1, 25)
-            decompose(f, sample_target(f, k, rng), k)
-        monkeypatch.undo()
+            nodes = [decompose(f, sample_target(f, k, rng), k)[1]]
+            for node in nodes:
+                nodes += node.children
+                if node.chain is not None:
+                    built.append(FaceStructure(ground(len(node.w)), node.chain))
         assert len(built) > 400
         for face in built:
             n, chain = face.ground.n, face.chain
@@ -286,6 +282,15 @@ class TestHandedSums:
                 in_base_polytope(f, x, sums=sums)
             with pytest.raises(UsageError, match="subset sums for 8 subsets"):
                 minimal_face_of_point(f, x, 2, sums=sums)
+
+
+def test_k_times_a_table_matches_its_definition():
+    # k f(U) as k copies of f(U) added up, on entries of either sign at or past 2^70
+    rng = random.Random(54)
+    values = [0] + [rng.choice((-1, 1)) * (2**70 + rng.randint(0, 2**72)) for _ in range(63)]
+    for k in (1, 2, 3, 7):
+        assert list(_times(values, k)) == [sum(itertools.repeat(v, k)) for v in values]
+    assert _times(values, 1) is values
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, Fraction(1), True, 0, -2])
