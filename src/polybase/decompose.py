@@ -48,15 +48,15 @@ x1's), and handed to the polytope kernel that reads them
 check of the point or of its sums' length.
 
 The recursion builds only a ``DecompositionTrace``.  ``decompose`` and
-``replay`` both read the terms off it with ``_terms`` and normalize them
-once, in ``WeightedDecomposition.from_terms``.  ``verify`` re-checks a
-finished decomposition from scratch, independent of the trace.
+``replay`` both read the terms off it in one walk, ``_terms``, and
+normalize them once, in ``WeightedDecomposition.from_terms``.
+``verify`` re-checks a finished decomposition from scratch, independent
+of the trace.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import itemgetter, sub, xor
+from operator import sub, xor
 
 from .core import Frozen, GroundSet, SubmodularFn, is_submodular, subset_sums
 from .core import _block_values, _cap, _check_int, _check_int_vector, _check_seq, _positions
@@ -184,56 +184,46 @@ def _integer_vertex(ground: GroundSet, f_values, g_values, empty: str) -> tuple[
 # direct-sum merging
 # ---------------------------------------------------------------------------
 
-def _interleave(parts: list[Terms], k: int) -> list[tuple[int, tuple]]:
-    """Combine per-block term lists along shared weight breakpoints.
+def _interleave(segments, cuts, n: int, k: int) -> Terms:
+    """Lay segments along shared breakpoints ``cuts`` of the weight axis [0, k).
 
-    Each part's cumulative weights cut [0, k] into intervals; on each
-    interval of the common refinement every part has one active point.
-    Returns (interval length, tuple of active points per part).
+    A segment (coord, lo, hi, value) holds coordinate ``coord`` of an
+    n-vector at ``value`` on [lo, hi).  Each point is written once; returns
+    (interval length, point) per interval, in order along the axis.
     """
-    prefix_lists = []
-    breakpoints = {0, k}
-    for terms in parts:
-        acc = 0
-        prefixes = [0]
-        for wt, _ in terms:
-            acc += wt
-            prefixes.append(acc)
-        if acc != k:
-            raise UsageError(f"part weights sum to {acc}, expected multiplicity {k}")
-        prefix_lists.append(prefixes)
-        breakpoints.update(prefixes)
-    out = []
-    bps = sorted(breakpoints)
-    for lo, hi in zip(bps, bps[1:]):
-        combo = tuple(
-            parts[p][bisect_left(prefix_lists[p], hi) - 1][1]
-            for p in range(len(parts))
-        )
-        out.append((hi - lo, combo))
-    return out
+    bps = sorted({0, k, *cuts})
+    at = {b: i for i, b in enumerate(bps)}
+    columns = [[None] * (len(bps) - 1) for _ in range(n)]
+    for coord, lo, hi, value in segments:
+        a, b = at[lo], at[hi]
+        columns[coord][a:b] = [value] * (b - a)
+    return list(zip(map(sub, bps[1:], bps), zip(*columns)))
 
 
 def merge_direct_sum(parts: list[WeightedDecomposition]) -> WeightedDecomposition:
     """Merge block decompositions over disjoint grounds by concatenation.
 
-    All parts must share one multiplicity k.  The result has at most
-    (sum of part sizes) - (number of parts - 1) distinct terms.
+    All parts must share one multiplicity k, and each is checked as
+    ``WeightedDecomposition.from_terms`` checks its terms.  The result has
+    at most (sum of part sizes) - (number of parts - 1) distinct terms.
     """
     if not parts:
         raise UsageError("merge_direct_sum needs at least one part")
-    if len(parts) == 1:
-        return parts[0]
     k = parts[0].multiplicity
-    for part in parts[1:]:
+    segments, cuts, target = [], set(), ()
+    for part in parts:
         if part.multiplicity != k:
             raise UsageError(f"mismatched multiplicities: {part.multiplicity} vs {k}")
-    combined = [
-        (wt, sum(combo, ()))
-        for wt, combo in _interleave([list(p.terms) for p in parts], k)
-    ]
-    target = sum((p.target for p in parts), ())
-    return WeightedDecomposition.from_terms(combined, target, k)
+        part = WeightedDecomposition.from_terms(part.terms, part.target, k)
+        lo = 0
+        for wt, point in part.terms:
+            segments += [(len(target) + i, lo, lo + wt, v) for i, v in enumerate(point)]
+            lo += wt
+            cuts.add(lo)
+        target += part.target
+    if len(parts) == 1:
+        return parts[0]
+    return WeightedDecomposition.from_terms(_interleave(segments, cuts, len(target), k), target, k)
 
 
 # ---------------------------------------------------------------------------
@@ -386,31 +376,40 @@ def _check_measure(measure: int, parent) -> None:
         raise InvariantViolation(f"recursion measure did not decrease: {measure} >= {parent}")
 
 
-def _terms(node: DecompositionTrace) -> Terms:
-    """The weighted points of a trace node, at most ``dim`` + 1 of them.
+def _terms(trace: DecompositionTrace) -> Terms:
+    """The weighted points of a trace, at most its ``dim`` + 1 of them.
 
-    A split lists x1's terms, then x2's; a block node interleaves its
-    blocks' terms and places each block's coordinates at its chain step's
-    positions.  The points come out distinct, in strictly decreasing lex
-    order, so no node merges or sorts: a split's x1 side has q + 1 at e and
-    its x2 side q; an interleave advances at least one block at every
-    breakpoint and never goes back, and each block keeps its coordinates in
-    ground order.  Interleaving every block in reverse pairs the same
-    points, so the sorted terms equal those of lex-sorted blocks.
+    A decomposition is a step function from the weight axis [0, k) to Z^n:
+    one walk, ``_lay_out``, lays out its segments and cuts, and
+    ``_interleave`` writes each point once.  Along the axis the points fall
+    in strictly decreasing lex order (a split's x1 has q + 1 at e, x2 q).
     """
+    segments = []
+    cuts = _lay_out(trace, 0, tuple(range(len(trace.w))), segments)
+    return _interleave(segments, cuts, len(trace.w), trace.k)
+
+
+def _lay_out(node: DecompositionTrace, lo: int, coords: tuple[int, ...], segments) -> set[int]:
+    """Append node's leaf segments on [lo, lo + k) at ``coords``; return its interior cuts.
+
+    A split lays x1 on [lo, lo + r) and x2 after it; block children share
+    the interval, at their chain step's coordinates.  The node's
+    len(cuts) + 1 points are checked against the bound after its children's.
+    """
+    cuts = set()
     if node.case == "leaf":
-        terms = [(node.k, (node.w[0] // node.k,))]
+        segments.append((coords[0], lo, lo + node.k, node.w[0] // node.k))
     elif node.case == "split":
-        terms = _terms(node.children[0]) + _terms(node.children[1])
+        x1, x2 = node.children
+        mid = lo + x1.k
+        cuts = _lay_out(x1, lo, coords, segments) | {mid} | _lay_out(x2, mid, coords, segments)
     else:
-        parts = [_terms(child) for child in node.children]
-        order = sum(_chain_positions(node.chain), ())
-        place = itemgetter(*sorted(range(len(order)), key=order.__getitem__))  # n >= 2: a tuple
-        terms = [(wt, place(sum(combo, ()))) for wt, combo in _interleave(parts, node.k)]
-    if len(terms) > node.dim + 1:
-        raise InvariantViolation(f"{len(terms)} distinct points exceed the bound dim + 1 = "
+        for child, block in zip(node.children, _chain_positions(node.chain)):
+            cuts |= _lay_out(child, lo, tuple(map(coords.__getitem__, block)), segments)
+    if len(cuts) > node.dim:
+        raise InvariantViolation(f"{len(cuts) + 1} distinct points exceed the bound dim + 1 = "
                                  f"{node.dim + 1}")
-    return terms
+    return cuts
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polybase.core as core
+import terms_reference
 
 from corpus import (
     acceptance_corpus,
@@ -216,6 +217,28 @@ class TestMergeDirectSum:
             assert merged.target == tuple(
                 itertools.chain.from_iterable(p.target for p in parts)
             )
+
+    def test_matches_the_bisect_interleave(self):
+        rng = random.Random(72)
+        for _ in range(300):
+            k = rng.randint(1, 30)
+            parts = []
+            for _ in range(rng.randint(2, 4)):
+                weights = _random_composition(k, rng)
+                points = _distinct_points(len(weights), rng.randint(1, 3), rng)
+                parts.append(wd(list(zip(weights, points)), k))
+            combined = terms_reference.interleave([list(p.terms) for p in parts], k)
+            old = [(wt, sum(combo, ())) for wt, combo in combined]
+            target = sum((p.target for p in parts), ())
+            assert merge_direct_sum(parts) == WeightedDecomposition.from_terms(old, target, k)
+
+    @pytest.mark.parametrize("weight", [-1, 0, True])
+    def test_refuses_a_term_weight_that_is_not_a_positive_int(self, weight):
+        # a part built by the raw constructor: its weights still total k = 2
+        bad = WeightedDecomposition(((2 - weight, (1,)), (weight, (0,))), (2 - weight,), 2)
+        with pytest.raises(UsageError,
+                           match=f"term weight must be a positive integer, got {weight!r}$"):
+            merge_direct_sum([bad, wd([(2, (5,))], 2)])
 
 
 def _random_composition(k, rng):
@@ -751,37 +774,45 @@ def _collect(trace, case):
     return [node for node in _nodes(trace) if node.case == case]
 
 
+@pytest.fixture(scope="module")
+def corpus_traces():
+    """(name, decomposition, trace) for two seeded targets of every corpus instance."""
+    rng = random.Random(71)
+    out = []
+    for name, f in acceptance_corpus() + flat_corpus():
+        for _ in range(2):
+            k = rng.randint(1, 8)
+            out.append((name, *decompose(f, sample_target(f, k, rng), k)))
+    return out
+
+
 class TestTermsOffTheTrace:
-    """``_terms`` lists every node's points in strictly decreasing lex order,
-    so they are distinct with no merging, and a decomposition's terms are
-    normalized once, in ``WeightedDecomposition.from_terms``."""
+    """``_terms`` reads a trace in one walk: the points come out in strictly
+    decreasing lex order along the weight axis, so they are distinct with
+    no merging, and a decomposition's terms are normalized once, in
+    ``WeightedDecomposition.from_terms``."""
 
-    def test_every_node_yields_distinct_points(self, monkeypatch):
+    def test_terms_match_the_per_node_oracle(self, corpus_traces):
+        terms_of = sys.modules["polybase.decompose"]._terms
+        for name, _, trace in corpus_traces:
+            assert terms_of(trace) == terms_reference.terms(trace), name
+
+    def test_every_node_yields_distinct_points(self, corpus_traces):
+        # each node's subtree cuts its interval into its points, as many as
+        # the per-node oracle lists for that node
         engine = sys.modules["polybase.decompose"]
-        terms_of = engine._terms
-        listed = []
-
-        def recording(node):
-            terms = terms_of(node)
-            listed.append((node, terms))
-            return terms
-
-        monkeypatch.setattr(engine, "_terms", recording)
-        rng = random.Random(71)
         several = set()
-        for name, f in acceptance_corpus() + flat_corpus():
-            for _ in range(2):
-                k = rng.randint(1, 8)
-                listed.clear()
-                dec, trace = decompose(f, sample_target(f, k, rng), k)
-                assert len(listed) == len(_nodes(trace))
-                for node, terms in listed:
-                    points = [point for _, point in terms]
-                    assert all(a > b for a, b in zip(points, points[1:])), (name, node.case)
-                    if len(points) > 1:
-                        several.add(node.case)
-                # the root's terms are already distinct: sorting only reverses them
-                assert dec.terms == tuple(reversed(listed[-1][1]))
+        for name, dec, trace in corpus_traces:
+            for node in _nodes(trace):
+                cuts = engine._lay_out(node, 0, tuple(range(len(node.w))), [])
+                assert len(cuts) + 1 == len(terms_reference.terms(node)), (name, node.case)
+                if cuts:
+                    several.add(node.case)
+            terms = engine._terms(trace)
+            points = [point for _, point in terms]
+            assert all(a > b for a, b in zip(points, points[1:])), name
+            # the root's terms are already distinct: sorting only reverses them
+            assert dec.terms == tuple(reversed(terms))
         assert several == {"direct_sum", "face_drop", "split", "point_face"}
 
     def test_one_normalization_per_decompose(self, monkeypatch):
