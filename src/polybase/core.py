@@ -41,18 +41,10 @@ DEFAULT_GROUND_LIMIT = 12
 # ground sets and subset masks
 # ---------------------------------------------------------------------------
 
-def bits(mask: int):
-    """Yield the set bit positions of mask in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @lru_cache(maxsize=1 << 12)
 def _positions(mask: int) -> tuple[int, ...]:
-    """The set bit positions of mask as a tuple; the cache holds every mask of 12 elements."""
-    return tuple(bits(mask))
+    """The set bit positions of mask, rising; the cache holds every mask of 12 elements."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class Frozen:
@@ -159,7 +151,7 @@ class GroundSet(Frozen):
         return m
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in bits(_check_mask(mask, self)))
+        return tuple(self.elements[i] for i in _positions(_check_mask(mask, self)))
 
     def subsets(self):
         """All subset masks in canonical (increasing bitmask) order."""
@@ -642,12 +634,12 @@ def _byte_pair_masks(n: int):
 
 
 def is_matroid_rank(f: SubmodularFn) -> bool:
-    """Check nonnegativity, monotonicity and the unit-increment cap.
+    """Check the unit-increment cap, monotonicity, nonnegativity and submodularity.
 
-    Assumes f is submodular (not re-checked); under that assumption the
-    three conditions characterize matroid rank functions.  One pass checks
+    Together the four characterize matroid rank functions.  One pass checks
     f(U) <= |U|, one sweep per bit f(U) <= f(U + i); with f(empty) = 0 the
-    sweeps also give f(U) >= 0.
+    sweeps also give f(U) >= 0.  ``is_submodular`` runs last, only on a
+    table that passed the cheaper checks.
     """
     v = f.values
     if not all(map(le, v, subset_sums([1] * f.ground.n))):
@@ -656,7 +648,7 @@ def is_matroid_rank(f: SubmodularFn) -> bool:
         all(map(le, v[lo], v[hi]))
         for i in range(f.ground.n)
         for lo, hi in _halves(len(v), 1 << i)
-    )
+    ) and is_submodular(f)[0]
 
 
 def materialize(f: SubmodularFn) -> TableFn:

@@ -204,8 +204,9 @@ def merge_direct_sum(parts: list[WeightedDecomposition]) -> WeightedDecompositio
     """Merge block decompositions over disjoint grounds by concatenation.
 
     All parts must share one multiplicity k, and each is checked as
-    ``WeightedDecomposition.from_terms`` checks its terms.  The result has
-    at most (sum of part sizes) - (number of parts - 1) distinct terms.
+    ``WeightedDecomposition.from_terms`` checks its terms.  The result, of
+    one part too, comes from ``from_terms``, and has at most (sum of part
+    sizes) - (number of parts - 1) distinct terms.
     """
     if not parts:
         raise UsageError("merge_direct_sum needs at least one part")
@@ -221,8 +222,6 @@ def merge_direct_sum(parts: list[WeightedDecomposition]) -> WeightedDecompositio
             lo += wt
             cuts.add(lo)
         target += part.target
-    if len(parts) == 1:
-        return parts[0]
     return WeightedDecomposition.from_terms(_interleave(segments, cuts, len(target), k), target, k)
 
 

@@ -35,7 +35,7 @@ from .core import (
     TableFn,
     UniformRank,
     _check_int,
-    bits,
+    _positions,
     subset_sums,
 )
 from .errors import ParseError, UsageError
@@ -221,8 +221,8 @@ def _trace_node(trace, fn: dict, names) -> dict:
         x1, x2 = (list(child.w) for child in trace.children)
         out.update(e=e, q=q, r=r, fn_left=_wrap("scale", upper, r=r), fn_right=right, x1=x1, x2=x2)
     elif trace.case != "leaf":
-        out["chain"] = [[names[i] for i in bits(m)] for m in chain]
-        grounds = [[names[i] for i in bits(a ^ b)] for a, b in zip(chain, chain[1:])]
+        out["chain"] = [[names[i] for i in _positions(m)] for m in chain]
+        grounds = [[names[i] for i in _positions(a ^ b)] for a, b in zip(chain, chain[1:])]
         fns = [_wrap("block_restrict", fn, a_prev=prev, block=block)
                for prev, block in zip(out["chain"], grounds)]
     if trace.children:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .core import Frozen, GroundSet, _check_int_vector, _check_seq, bits, subset_sums
+from .core import Frozen, GroundSet, _check_int_vector, _check_seq, _positions, subset_sums
 from .errors import InvariantViolation, UsageError
 
 # Running tallies for integrality auditing; single-threaded use only.
@@ -84,7 +84,7 @@ def build_intersection_system(ground: GroundSet, f_values, g_values) -> Constrai
 def dump_system(system: ConstraintSystem) -> str:
     """Human-readable listing, one constraint per line."""
     def subset(mask):
-        return "{" + ",".join(sorted(system.names[i] for i in bits(mask))) + "}"
+        return "{" + ",".join(sorted(system.names[i] for i in _positions(mask))) + "}"
 
     lines = [f"x({subset(m)}) <= {b}" for m, b in system.ineqs]
     lines += [f"x({subset(m)}) == {b}" for m, b in system.eqs]
@@ -214,7 +214,7 @@ def find_vertex(system: ConstraintSystem):
     def normal(j):
         sign, mask, _ = rows[j]
         v = [0] * dim
-        for i in bits(mask):
+        for i in _positions(mask):
             v[i] = sign
         v[n] = -1
         return v

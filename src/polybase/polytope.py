@@ -11,12 +11,11 @@ first.  The test suite validates this against vertex enumeration.
 
 Membership and faces of k B_f = B_{kf} read f's own table, scaled by k
 once per query; k must be a positive int, not a bool, and x a sequence of
-n ints.  A query builds x's subset sums unless the caller hands in the
-sums it built with x.  Each public query checks its arguments, then calls
-a private kernel on bare tables (``_first_violation``, ``_in_base``,
-``_face_chain``); ``decompose`` calls the kernels directly on the points
-it derives, whose sums it built, so those are checked once, where they
-enter the package.
+n ints.  Each public query takes a point, never its sums: it checks its
+arguments, builds x's subset sums and calls a private kernel on bare
+tables (``_first_violation``, ``_in_base``, ``_face_chain``).
+``decompose`` calls the kernels directly on the points it derives, whose
+sums it built, so those are checked once, where they enter the package.
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ from .core import subset_sums
 from .errors import UsageError
 
 
-def in_extended_polymatroid(f: SubmodularFn, x, k: int = 1, *, sums=None):
+def in_extended_polymatroid(f: SubmodularFn, x, k: int = 1):
     """Check x(U) <= k f(U) for all U: membership in k EP_f.
 
     Returns (True, None) or (False, U) with the first violating subset
-    mask in canonical order.  ``sums``, if given, must be subset_sums(x);
-    only its length is checked.
+    mask in canonical order.
     """
-    sums = _subset_sums_of(f, x, sums)[1]
+    sums = _subset_sums_of(f, x)[1]
     _check_int(k, "multiplicity must be a positive integer", 1)
     violated = _first_violation(sums, f.values, k)
     return violated is None, violated
@@ -50,9 +48,9 @@ def _first_violation(sums, values, k: int):
     return indexOf(map(gt, sums, kf), True)
 
 
-def in_base_polytope(f: SubmodularFn, x, *, sums=None) -> bool:
-    """Membership in B_f: EP_f membership with x(E) = f(E), ``sums`` as there."""
-    return _in_base(_subset_sums_of(f, x, sums)[1], f.values)
+def in_base_polytope(f: SubmodularFn, x) -> bool:
+    """Membership in B_f: EP_f membership with x(E) = f(E)."""
+    return _in_base(_subset_sums_of(f, x)[1], f.values)
 
 
 def _in_base(sums, values) -> bool:
@@ -180,22 +178,20 @@ def point_tight_family(f: SubmodularFn, x) -> list[int]:
     return list(compress(count(), map(eq, _subset_sums_of(f, x)[1], f.values)))
 
 
-def _subset_sums_of(f: SubmodularFn, x, sums=None):
-    if sums is not None and len(sums) != len(f.values):
-        raise UsageError(f"got {len(sums)} subset sums for {len(f.values)} subsets")
+def _subset_sums_of(f: SubmodularFn, x):
     x = _check_int_vector(x, f.ground.n, "vector")
-    return x, subset_sums(x) if sums is None else sums
+    return x, subset_sums(x)
 
 
-def minimal_face_of_point(f: SubmodularFn, x, k: int = 1, *, sums=None) -> FaceStructure:
+def minimal_face_of_point(f: SubmodularFn, x, k: int = 1) -> FaceStructure:
     """The inclusionwise minimal face of k B_f containing x, factored.
 
     The subsets U tight at x (x(U) = k f(U)) form a union/intersection-closed
     family; a maximal chain inside it yields the face as a direct sum of
     block base polytopes, each scaled by k.  The subset sums of x serve
-    both membership and tightness; ``sums`` is as for in_extended_polymatroid.
+    both membership and tightness.
     """
-    x, sums = _subset_sums_of(f, x, sums)
+    x, sums = _subset_sums_of(f, x)
     _check_int(k, "multiplicity must be a positive integer", 1)
     return FaceStructure(f.ground, _face_chain(x, sums, f.values, k))
 

@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from polybase.core import bits, subset_sums
+from polybase.core import subset_sums
 from polybase.errors import InvariantViolation
 from polybase.lp import _PIVOT_CAP, ConstraintSystem, dump_system
 
@@ -117,8 +117,9 @@ def find_vertex(system: ConstraintSystem, debug: bool = False):
     def normal(row):
         sign, mask, _ = row
         v = [Fraction(0)] * dim
-        for i in bits(mask):
-            v[i] = Fraction(sign)
+        for i in range(n):
+            if mask >> i & 1:
+                v[i] = Fraction(sign)
         v[n] = Fraction(-1)
         return v
 

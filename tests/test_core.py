@@ -158,6 +158,12 @@ class TestChecks:
     def test_scaled_rank_is_not_matroid_rank(self):
         assert not is_matroid_rank(u12().scale(2))
 
+    def test_non_submodular_table_is_not_matroid_rank(self):
+        # monotone, 0/1-bounded, but f({a}) + f({b}) < f({a, b}) + f({})
+        f = TableFn(ground(2), [0, 0, 0, 1])
+        assert is_submodular(f) == (False, (0b01, 0b10))
+        assert not is_matroid_rank(f)
+
     def test_dual_rank_is_not_matroid_rank(self):
         # negative values: evaluate the dual on every subset
         d = u12().dual()
@@ -590,15 +596,21 @@ def nudge(values, rng, count, sizes=(-2, -1, 1, 2)):
 
 
 def one_mask_is_matroid_rank(f):
-    """Reference matroid-rank test, one mask at a time."""
+    """Reference matroid-rank test, one mask at a time: 0 <= f(S) <= |S|,
+    f(S) <= f(S + i), and f(S + i) + f(S + j) >= f(S + i + j) + f(S)."""
     v = f.values
     n = f.ground.n
     for mask, val in enumerate(v):
         if val < 0 or val > bin(mask).count("1"):
             return False
-        for i in range(n):
-            if not mask >> i & 1 and v[mask | 1 << i] < val:
+        outside = [i for i in range(n) if not mask >> i & 1]
+        for i in outside:
+            if v[mask | 1 << i] < val:
                 return False
+            for j in outside:
+                both = mask | 1 << i | 1 << j
+                if i < j and v[mask | 1 << i] + v[mask | 1 << j] < v[both] + val:
+                    return False
     return True
 
 
@@ -922,6 +934,23 @@ def test_wide_check_memory_is_bounded_by_slabs():
 def test_matroid_rank_check_matches_one_mask_reference(f, bump, data):
     f = nudged(f, data, bump)
     assert is_matroid_rank(f) == one_mask_is_matroid_rank(f)
+
+
+def test_positions_match_a_plain_bit_loop():
+    # every mask the cache holds, then random masks of 13-20 bits past it
+    def plain(mask):
+        out, i = [], 0
+        while mask:
+            if mask & 1:
+                out.append(i)
+            mask >>= 1
+            i += 1
+        return tuple(out)
+
+    rng = random.Random(29)
+    wide = [rng.getrandbits(n) | 1 << n - 1 for n in range(13, 21) for _ in range(50)]
+    for mask in [*range(1 << 12), *wide]:
+        assert core._positions(mask) == plain(mask), mask
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])

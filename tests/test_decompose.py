@@ -188,7 +188,15 @@ class TestMergeDirectSum:
 
     def test_single_part_unchanged(self):
         part = wd([(2, (1, 0)), (1, (0, 1))], 3)
-        assert merge_direct_sum([part]) is part
+        assert merge_direct_sum([part]) == part
+
+    def test_single_raw_part_comes_back_normalized(self):
+        # built by the raw constructor: a repeated point, terms out of order
+        terms = ((1, (1, 0)), (1, (0, 1)), (1, (1, 0)))
+        raw = WeightedDecomposition(terms, (2, 1), 3)
+        merged = merge_direct_sum([raw])
+        assert merged == WeightedDecomposition.from_terms(terms, (2, 1), 3)
+        assert merged.terms == ((1, (0, 1)), (2, (1, 0)))
 
     def test_aligned_breakpoints_merge_to_one(self):
         left = wd([(4, (1, 0))], 4)

@@ -1,5 +1,6 @@
 """Unit tests for base-polytope queries and face machinery."""
 
+import inspect
 import itertools
 import pickle
 import random
@@ -243,45 +244,15 @@ class TestMinimalFace:
                 assert (a | b) in family and (a & b) in family
 
 
-class TestHandedSums:
-    """A query handed a point's subset sums answers as it does from the point."""
-
-    @staticmethod
-    def _face_or_error(f, x, k, **sums):
-        try:
-            return minimal_face_of_point(f, x, k, **sums)
-        except UsageError as exc:
-            return str(exc)
-
-    def test_queries_match_with_and_without_sums(self):
-        rng = random.Random(53)
-        outside = 0
-        for name, f in acceptance_corpus() + flat_corpus():
-            k = rng.randint(1, 6)
-            x = sample_target(f, k, rng)
-            # one unit moved from the last coordinate to the first: often outside
-            moved = (x[0] + 1, *x[1:-1], x[-1] - 1)
-            for point in (x, moved):
-                sums = subset_sums(point)
-                member = in_extended_polymatroid(f, point, k)
-                assert in_extended_polymatroid(f, point, k, sums=sums) == member, (name, point)
-                face = self._face_or_error(f, point, k)
-                assert self._face_or_error(f, point, k, sums=sums) == face, (name, point)
-                outside += not member[0]
-            assert in_base_polytope(f, x, sums=subset_sums(x)) == in_base_polytope(f, x)
-        assert outside > 0
-
-    @pytest.mark.parametrize("cut", [slice(None, 1), slice(None, -1), slice(None, None, 2)])
-    def test_sums_of_the_wrong_length_are_refused(self, cut):
-        # (2, 0, 0) lies outside B_f; a short prefix of its sums would pass
-        f, x = u23(), (2, 0, 0)
-        for sums in (subset_sums(x)[cut], subset_sums(x) + [0]):
-            with pytest.raises(UsageError, match=f"got {len(sums)} subset sums for 8 subsets"):
-                in_extended_polymatroid(f, x, sums=sums)
-            with pytest.raises(UsageError, match="subset sums for 8 subsets"):
-                in_base_polytope(f, x, sums=sums)
-            with pytest.raises(UsageError, match="subset sums for 8 subsets"):
-                minimal_face_of_point(f, x, 2, sums=sums)
+def test_queries_take_a_point_never_its_sums():
+    # (2, 0, 0) lies outside B_f; sums that would put it inside cannot be handed in
+    f, x = u23(), (2, 0, 0)
+    for query in (in_extended_polymatroid, in_base_polytope, minimal_face_of_point):
+        assert "sums" not in inspect.signature(query).parameters
+        with pytest.raises(TypeError):
+            query(f, x, **{"sums": [0, 0, 0, 0, 0, 0, 0, 2]})
+    assert in_base_polytope(f, x) is False
+    assert in_extended_polymatroid(f, x) == (False, 0b001)
 
 
 def test_k_times_a_table_matches_its_definition():
