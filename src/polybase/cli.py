@@ -109,7 +109,7 @@ def cmd_check(args, inst) -> int:
         names = inst.ground.names_of
         print(f"violating pair: A = {{{','.join(names(a))}}}, B = {{{','.join(names(b))}}}")
         return EXIT_INPUT
-    print(f"matroid rank: {'yes' if core.is_matroid_rank(inst.fn) else 'no'}")
+    print(f"matroid rank: {'yes' if core._rank_if_submodular(inst.fn) else 'no'}")
     print(f"f(E) = {inst.fn(inst.ground.full_mask)}")
     lower, upper = bounding_box(inst.fn)
     print(f"bounding box: lower = {list(lower)}, upper = {list(upper)}")
@@ -148,7 +148,7 @@ def cmd_oracle(args, inst) -> int:
     print(f"cr >= {bound}")
     print(f"dim + 1 = {dim + 1}")
     print(f"n = {n}")
-    if core.is_matroid_rank(inst.fn):
+    if core._rank_if_submodular(inst.fn):
         rank = inst.fn(inst.ground.full_mask)
         print(f"n + r - 1 = {n + rank - 1}")
     return EXIT_OK

@@ -8,9 +8,10 @@ pass, block restriction one gather (``_block_values``, which the engine
 also runs on bare tables), reduction one O(2^n) sweep per element.
 Evaluating a mask is an index into the table, so evaluation never recurses
 through composed constructions (duals of reductions of scalings, ...).
-All values are integers and f(empty) = 0 by construction.  No field is
-written after construction, so a node's table depends only on its inputs
-and instances may be shared freely, across threads.
+Every node runs ``SubmodularFn.__init__``, which checks that the values
+are ints and f(empty) = 0.  No field is written after construction, so a
+node's table depends only on its inputs and instances may be shared
+freely, across threads.
 
 Whole-table kernels do not index the table one mask at a time.  Subset
 sums are built by doubling.  Reduction and the matroid-rank check work one
@@ -240,17 +241,18 @@ def _halves(size: int, s: int) -> tuple:
 class SubmodularFn:
     """Base class for integer set functions held as value tables.
 
-    ``values[mask]`` is the value on the subset mask; calling an instance
-    with a mask returns it after a type and range check.  Construction
-    helpers (dual, shift, reduce, ...) build new nodes, each of which
-    computes its own table once from this node's table; this constructor
-    checks the table's length, ``TableFn`` its entries.  Nothing records
-    whether the table is submodular: ``is_submodular`` checks it every time.
+    ``values[mask]`` is the value on the subset mask; ``f(mask)`` returns it
+    after a type and range check.  Constructions (dual, shift, reduce, ...)
+    build new nodes, each computing its table once from this node's; every
+    node runs this constructor, which checks 2^n ints with f(empty) = 0.
+    Nothing records submodularity: ``is_submodular`` checks it every time.
     """
 
     def __init__(self, ground: GroundSet, values):
         self.ground = ground
-        self.values: tuple[int, ...] = _check_seq(values, 1 << ground.n, "table", "a sequence")
+        self.values: tuple[int, ...] = _check_int_vector(values, 1 << ground.n, "table")
+        if self.values[0] != 0:
+            raise UsageError(f"table value on the empty set must be 0, got {self.values[0]}")
 
     def __call__(self, mask: int) -> int:
         return self.values[_check_mask(mask, self.ground)]
@@ -278,12 +280,6 @@ class SubmodularFn:
 
 class TableFn(SubmodularFn):
     """Explicit table of all 2^n values."""
-
-    def __init__(self, ground: GroundSet, values):
-        values = _check_int_vector(values, 1 << ground.n, "table")
-        if values[0] != 0:
-            raise UsageError(f"table value on the empty set must be 0, got {values[0]}")
-        super().__init__(ground, values)
 
 
 class UniformRank(SubmodularFn):
@@ -634,21 +630,22 @@ def _byte_pair_masks(n: int):
 
 
 def is_matroid_rank(f: SubmodularFn) -> bool:
-    """Check the unit-increment cap, monotonicity, nonnegativity and submodularity.
+    """Whether f is a matroid rank function: ``_rank_if_submodular`` runs
+    first, and ``is_submodular`` only on a table that passes it."""
+    return _rank_if_submodular(f) and is_submodular(f)[0]
 
-    Together the four characterize matroid rank functions.  One pass checks
-    f(U) <= |U|, one sweep per bit f(U) <= f(U + i); with f(empty) = 0 the
-    sweeps also give f(U) >= 0.  ``is_submodular`` runs last, only on a
-    table that passed the cheaper checks.
+
+def _rank_if_submodular(f: SubmodularFn) -> bool:
+    """Whether f, known to be submodular, is a matroid rank function.
+
+    One sweep per bit checks f(U) <= f(U + i), and with f(empty) = 0 gives
+    f >= 0.  The unit-increment cap needs only f({i}) <= 1, which bounds
+    f(U + i) - f(U) by submodularity.  The CLI's ``check`` and ``oracle``
+    call it once their own submodularity check has passed.
     """
-    v = f.values
-    if not all(map(le, v, subset_sums([1] * f.ground.n))):
-        return False
-    return all(
-        all(map(le, v[lo], v[hi]))
-        for i in range(f.ground.n)
-        for lo, hi in _halves(len(v), 1 << i)
-    ) and is_submodular(f)[0]
+    v, n = f.values, f.ground.n
+    return all(v[1 << i] <= 1 for i in range(n)) and all(
+        all(map(le, v[lo], v[hi])) for i in range(n) for lo, hi in _halves(len(v), 1 << i))
 
 
 def materialize(f: SubmodularFn) -> TableFn:

@@ -93,6 +93,27 @@ class TestCheck:
         assert code == 0
         assert "matroid rank: no" in out
 
+    @pytest.mark.parametrize("argv", [["check"], ["oracle", "--k-max", "2"]], ids="_".join)
+    def test_matroid_rank_document_is_checked_for_submodularity_once(
+            self, write, capsys, monkeypatch, argv):
+        # each verb gates on is_submodular, then asks the rank question of a
+        # table known to pass it, so nothing runs the check a second time
+        import polybase.core as core
+
+        calls = []
+        check = core.is_submodular
+
+        def counting(f):
+            calls.append(f)
+            return check(f)
+
+        for module in (core, sys.modules["polybase.decompose"]):
+            monkeypatch.setattr(module, "is_submodular", counting)
+        assert main([argv[0], write(U24_DOC), *argv[1:]]) == 0
+        out = capsys.readouterr().out
+        assert "matroid rank: yes" in out or "n + r - 1 = 5" in out
+        assert len(calls) == 1
+
     def test_parse_error_exits_two(self, tmp_path, capsys):
         files = {"broken.json": b"{not json", **UNDECODABLE_FILES}
         for name, data in files.items():
@@ -192,9 +213,7 @@ class TestDecompose:
         assert "forced failure" in err
         assert "x({a}) <= 1" in err
 
-    def test_empty_vertex_step_exits_three_with_its_system(self, write, capsys, monkeypatch):
-        engine = sys.modules["polybase.decompose"]
-        monkeypatch.setattr(engine, "find_vertex", lambda system: None)
+    def test_empty_vertex_step_exits_three_with_its_system(self, write, capsys, empty_vertex_step):
         code = main(["decompose", write(K3_DOC)])
         err = capsys.readouterr().err.splitlines()
         assert code == 3

@@ -170,6 +170,24 @@ class TestChecks:
         assert min(d(m) for m in d.ground.subsets()) < 0
         assert not is_matroid_rank(d)
 
+    def test_table_fn_has_no_constructor_of_its_own(self):
+        assert "__init__" not in vars(TableFn)
+
+    @pytest.mark.parametrize("cls", [core.SubmodularFn, TableFn])
+    @pytest.mark.parametrize("values, message", [
+        ([0, 0.5], "table must have integer entries, got 0.5"),
+        ([0, True], "table must have integer entries, got True"),
+        ([0, "1"], "table must have integer entries, got '1'"),
+        ([0, None], "table must have integer entries, got None"),
+        ([-1, 0], "table value on the empty set must be 0, got -1"),
+        (5, "table must be a sequence of integers, got 5"),
+    ])
+    def test_one_constructor_checks_every_table(self, cls, values, message):
+        # the raw base class checks as TableFn does: a bool is no int, [0, True] no [0, 1]
+        with pytest.raises(UsageError) as err:
+            cls(GroundSet(["a"]), values)
+        assert str(err.value) == message
+
 
 class TestConstructions:
     def test_dual_involution(self):

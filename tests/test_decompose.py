@@ -104,9 +104,8 @@ class TestSplitIntoKBases:
     lambda: decompose(k3(), (2, 2, 2), 3),
     lambda: split_into_k_bases(k3(), (2, 2, 2), 3),
 ], ids=["decompose-split", "split_into_k_bases"])
-def test_empty_vertex_step_carries_its_system(monkeypatch, run):
-    # every fault inside find_vertex carries the system; so does finding none
-    monkeypatch.setattr(sys.modules["polybase.decompose"], "find_vertex", lambda system: None)
+def test_empty_vertex_step_carries_its_system(empty_vertex_step, run):
+    # g's level is raised, so the step has no vertex; the fault carries its system
     with pytest.raises(InvariantViolation, match="empty") as err:
         run()
     lines = err.value.dump.splitlines()

@@ -14,7 +14,9 @@ given as a list, or a target that is short or not a tuple fails
 ``verify`` without raising.
 Every public callable that takes values refuses a wrong one (None, a str,
 a float, a bool, -1, a list for a tuple, a tuple of the wrong length) with
-a documented error only.
+a documented error only.  So does every table taker, ``SubmodularFn``,
+``TableFn`` and ``build_intersection_system``, for a table with one entry
+that is not an int, and the first two for a nonzero value on the empty set.
 """
 
 import contextlib
@@ -327,3 +329,31 @@ def test_public_callables_refuse_wrong_values_with_documented_errors(instance_pa
         call(*args)
     except (UsageError, ParseError, BudgetExceeded, InvariantViolation):
         pass
+
+
+# public callable -> a valid call, given the table under test
+TABLE_CALLS = {
+    "SubmodularFn": lambda table: polybase.SubmodularFn(G3, table),
+    "TableFn": lambda table: polybase.TableFn(G3, table),
+    "build_intersection_system, f": lambda table: polybase.build_intersection_system(
+        G3, table, U23.values),
+    "build_intersection_system, g": lambda table: polybase.build_intersection_system(
+        G3, U23.values, table),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(TABLE_CALLS)), at=st.integers(0, 7), data=st.data())
+def test_tables_with_one_bad_entry_are_refused(name, at, data):
+    table = list(U23.values)
+    table[at] = data.draw(not_ints | st.text(max_size=3) | st.none(), label="entry")
+    with pytest.raises(UsageError, match="table must have integer entries, got"):
+        TABLE_CALLS[name](table)
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.sampled_from(["SubmodularFn", "TableFn"]),
+       empty=st.integers().filter(bool))
+def test_tables_with_a_nonzero_empty_set_value_are_refused(name, empty):
+    with pytest.raises(UsageError, match=f"^table value on the empty set must be 0, got {empty}$"):
+        TABLE_CALLS[name]((empty,) + U23.values[1:])

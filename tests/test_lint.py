@@ -1,4 +1,4 @@
-"""Two checks on the package's modules, built on ``ast`` alone.
+"""Checks on the package's modules, built on ``ast`` alone.
 
 No module imports a name at module level and never reads it: a stand-in
 for pyflakes' F401.  A name is kept when the module reads it anywhere,
@@ -9,6 +9,14 @@ No module defines a private name at module level (``_x``, not a dunder)
 that no module of the package reads, as a name, an attribute or an
 import.  A read inside the name's own definition, such as a recursive
 call, does not keep it.
+
+In ``core``, only ``SubmodularFn.__init__`` assigns ``self.values`` and
+every ``__init__`` of a ``SubmodularFn`` subclass calls
+``super().__init__``, so one constructor checks every table.
+
+In ``decompose``, the LP names ``build_intersection_system``,
+``find_vertex``, ``dump_system`` and ``assert_integral`` are read only
+inside ``_integer_vertex``, the one seam of the vertex step.
 """
 
 import ast
@@ -101,3 +109,94 @@ def test_the_check_sees_an_unread_private_name_across_modules():
                         "_LATE: int = 4\n"),
                "b.py": "from a import _imported\nimport a\nprint(a._CONSTANT)\n"}
     assert unread_private_names(sources) == ["a.py: _unread", "a.py: _recursive", "a.py: _LATE"]
+
+
+def _writes_self_values(node) -> bool:
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+    return any(isinstance(t, ast.Attribute) and t.attr == "values"
+               and isinstance(t.value, ast.Name) and t.value.id == "self" for t in targets)
+
+
+def _calls_super_init(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__init__" and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Name) and node.func.value.func.id == "super")
+
+
+def table_writers(source: str, base: str = "SubmodularFn") -> list[str]:
+    """The methods other than base's ``__init__`` that assign ``self.values``,
+    and the ``__init__`` methods of base's subclasses that call no
+    ``super().__init__``."""
+    classes = [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+    family = {base}
+    for cls in classes:  # a module defines a class after its bases
+        if any(isinstance(b, ast.Name) and b.id in family for b in cls.bases):
+            family.add(cls.name)
+    found = []
+    for cls in classes:
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            where = f"{cls.name}.{method.name}"
+            nodes = list(ast.walk(method))
+            if where != f"{base}.__init__" and any(map(_writes_self_values, nodes)):
+                found.append(f"{where} assigns self.values")
+            if (method.name == "__init__" and cls.name in family - {base}
+                    and not any(map(_calls_super_init, nodes))):
+                found.append(f"{where} calls no super().__init__")
+    return found
+
+
+def test_one_constructor_writes_every_table():
+    assert table_writers((PACKAGE / "core.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_second_table_writer_and_a_skipped_super():
+    source = ("class SubmodularFn:\n"
+              "    def __init__(self, values): self.values = values\n"
+              "class Table(SubmodularFn): pass\n"
+              "class Checked(Table):\n"
+              "    def __init__(self, values): super().__init__(values)\n"
+              "class Own(Table):\n"
+              "    def __init__(self, values): self.values: tuple = values\n"
+              "class Skips(Checked):\n"
+              "    def __init__(self, values): SubmodularFn.__init__(self, values)\n"
+              "class Outside:\n"
+              "    def __init__(self, values): self.values = values\n"
+              "    def bump(self): self.values += (1,)\n")
+    assert table_writers(source) == [
+        "Own.__init__ assigns self.values", "Own.__init__ calls no super().__init__",
+        "Skips.__init__ calls no super().__init__",
+        "Outside.__init__ assigns self.values", "Outside.bump assigns self.values"]
+
+
+VERTEX_SEAM = ("build_intersection_system", "find_vertex", "dump_system", "assert_integral")
+
+
+def readers_outside(source: str, names, seam: str) -> list[str]:
+    """``reader: name`` for each read of one of names outside the top-level
+    function seam; a read at module level is read by ``<module>``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        where = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        if where == seam:
+            continue
+        found += [f"{where}: {node.id}" for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                  and node.id in names]
+    return found
+
+
+def test_the_vertex_step_is_read_only_at_its_seam():
+    source = (PACKAGE / "decompose.py").read_text(encoding="utf-8")
+    assert readers_outside(source, VERTEX_SEAM, "_integer_vertex") == []
+
+
+def test_the_check_sees_a_read_outside_the_seam():
+    source = ("from lp import find_vertex, dump_system\n"
+              "def seam(s): return find_vertex(s) or dump_system(s)\n"
+              "def other(s): return find_vertex(s)\n"
+              "kernel = dump_system\n")
+    assert readers_outside(source, VERTEX_SEAM, "seam") == ["other: find_vertex",
+                                                            "<module>: dump_system"]
