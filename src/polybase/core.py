@@ -14,10 +14,10 @@ node's table depends only on its inputs and instances may be shared
 freely, across threads.
 
 Whole-table kernels do not index the table one mask at a time.  Subset
-sums are built by doubling.  Reduction and the matroid-rank check work one
-bit at a time: ``_halves`` splits a table on one bit into a few aligned
-slice pairs, and each sweep (``_cap`` for a reduction) works on whole
-slices with ``map``/``zip``/``all``; reduction stays O(n 2^n).  The
+sums are built by doubling.  Reduction works one bit at a time:
+``_halves`` splits a table on one bit into a few aligned slice pairs, and
+each sweep (``_cap``) works on whole slices with ``map``/``zip``; reduction
+stays O(n 2^n).  The matroid-rank check reads 2n entries.  The
 submodularity check packs the whole table into one integer and tests each
 element pair over all 2^n fields at once, in a few big-integer operations
 (O(n^2 2^n) field operations at C speed); ``is_submodular`` gives the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import repeat
-from operator import add, and_, le, mul, sub
+from operator import add, and_, mul, sub
 
 from .errors import UsageError
 
@@ -638,14 +638,16 @@ def is_matroid_rank(f: SubmodularFn) -> bool:
 def _rank_if_submodular(f: SubmodularFn) -> bool:
     """Whether f, known to be submodular, is a matroid rank function.
 
-    One sweep per bit checks f(U) <= f(U + i), and with f(empty) = 0 gives
-    f >= 0.  The unit-increment cap needs only f({i}) <= 1, which bounds
-    f(U + i) - f(U) by submodularity.  The CLI's ``check`` and ``oracle``
-    call it once their own submodularity check has passed.
+    It reads 2n entries.  On a submodular f the marginal f(U + i) - f(U)
+    does not grow with U, so it is largest at U = empty and smallest at
+    U = E - i.  So f is monotone iff f(E - i) <= f(E) for every i, which
+    with f(empty) = 0 gives f >= 0, and f(U + i) - f(U) <= 1 everywhere iff
+    f({i}) <= 1.  The CLI's ``check`` and ``oracle`` call it once their own
+    submodularity check has passed.
     """
     v, n = f.values, f.ground.n
-    return all(v[1 << i] <= 1 for i in range(n)) and all(
-        all(map(le, v[lo], v[hi])) for i in range(n) for lo, hi in _halves(len(v), 1 << i))
+    top = len(v) - 1
+    return all(v[1 << i] <= 1 and v[top ^ 1 << i] <= v[top] for i in range(n))
 
 
 def materialize(f: SubmodularFn) -> TableFn:

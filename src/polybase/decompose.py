@@ -20,7 +20,7 @@ Three constructive pieces:
   the measure dim + |E|, which strictly drops along every edge:
 
     - one element: the polytope is a point, its level read from the
-      parent's table (or from f's own when |E| = 1);
+      parent's table (or from k f's when |E| = 1);
     - otherwise fix the first element e and divide w(e) = k q + r.  When
       r = 0, w lies on the proper face x(e) = q of the polytope capped at
       q, which factors into full-dimensional blocks.  When r > 0, cap f at
@@ -30,16 +30,25 @@ Three constructive pieces:
       most |E| - 2, so the two branch counts total at most dim + 1.
 
 Below the root the recursion runs on value tables alone: a node is
-(table, names, w, k, sums), a cap is one table, a block's table is one
-gather (``core._block_values``) and a face is its tight chain of masks, so
-no function node, ``FaceStructure`` or ``GroundSet`` is built there, except
-the ``GroundSet`` a split hands its vertex step.  ``_cap_first`` caps e by
-one sweep of element 0, and only when c < f({e}).  That is exact: the root
-passed ``require_submodular``, caps and block restrictions keep a table
-submodular, and there no other cap can bind.
+(kh, names, w, k, sums), kh its table already scaled by k, a cap is one
+table, a block's table is one gather (``core._block_values``) and a face is
+its tight chain of masks, so no function node, ``FaceStructure`` or
+``GroundSet`` is built there, except the ``GroundSet`` a split hands its
+vertex step.  The root scales f once, for its membership test, and every
+table below is derived from that one: capping at k c and gathering a block
+commute with scaling by k.  A split builds r upper and (k - r) lower once
+each, exactly, from its k-scaled caps, and hands them to the vertex step
+and to its two face queries; its children carry them.  ``_cap_first``
+caps e by one sweep of element 0, and only when c < h({e}).  That is
+exact: the root passed ``require_submodular``, caps and block restrictions
+keep a table submodular, and there no other cap can bind.
 
-Membership in k B_f and its faces read f's own table, and the vertex step
-reads plain value tables, so no scaled, dual or shifted node is built.
+A one-element step of a chain stays in its parent's loop: its level is
+checked there and it becomes a leaf node, with no child recursion, and
+``_lay_out`` lays its segment in the parent's loop too.
+
+Membership in k B_f and its faces read scaled value tables, and so does
+the vertex step, so no scaled, dual or shifted node is built.
 ``decompose`` and ``split_into_k_bases`` check their arguments once, on
 entry; every point below is an int tuple by construction.  A point's
 subset sums are built once, where the point is made (x2's as w's less
@@ -63,7 +72,7 @@ from .core import _block_values, _cap, _check_int, _check_int_vector, _check_seq
 from .errors import InvariantViolation, UsageError
 from .lp import assert_integral, build_intersection_system, dump_system, find_vertex
 from .polytope import dimension, face_structure, in_base_polytope
-from .polytope import _chain_positions, _face_chain, _first_violation, _in_base
+from .polytope import _chain_positions, _face_chain, _first_violation, _in_base, _times
 # the engine calls their kernels; bench/tracing.py still wraps these bindings
 from .polytope import in_extended_polymatroid, minimal_face_of_point  # noqa: F401
 
@@ -147,12 +156,12 @@ class DecompositionTrace:
 
 def split_into_k_bases(f: SubmodularFn, x, k: int) -> list[tuple[int, ...]]:
     """Write x in k B_f as an ordered list of k integer points of B_f."""
-    x, sums = _require_membership(f, x, k)
+    x, sums, _ = _require_membership(f, x, k)
     result: list[tuple[int, ...]] = []
     cur = x
     for j in range(k, 1, -1):
         point = _integer_vertex(
-            f.ground, f.values, _mirror_values(sums, j - 1, f.values),
+            f.ground, f.values, _mirror_values(sums, _times(f.values, j - 1)),
             "empty intersection while splitting; decomposition theory violated",
         )
         result.append(point)
@@ -164,11 +173,11 @@ def split_into_k_bases(f: SubmodularFn, x, k: int) -> list[tuple[int, ...]]:
     return result
 
 
-def _mirror_values(sums, m: int, g_values) -> list[int]:
-    """The table of x - m B_g from x's sums: U -> x(U) - m (g(E) - g(E - U))."""
-    top = g_values[-1]
-    # E - U = full - U, so g(E - U) runs through the table backwards
-    return [s - m * (top - v) for s, v in zip(sums, reversed(g_values))]
+def _mirror_values(sums, mg) -> list[int]:
+    """The table of x - B_mg from x's sums and mg's table: U -> x(U) - mg(E) + mg(E - U)."""
+    top = mg[-1]
+    # E - U = full - U, so mg(E - U) runs through the table backwards
+    return [s - top + v for s, v in zip(sums, reversed(mg))]
 
 
 def _integer_vertex(ground: GroundSet, f_values, g_values, empty: str) -> tuple[int, ...]:
@@ -237,20 +246,20 @@ def decompose(f: SubmodularFn, w, k: int):
     UsageError naming a violated constraint when w is not in k B_f, and
     InvariantViolation (with diagnostics) if an internal guarantee fails.
     """
-    w, sums = _require_membership(f, w, k)
-    values, names = f.values, f.ground.elements
+    w, sums, kf = _require_membership(f, w, k)
+    names = f.ground.elements
     if f.ground.n == 1:
-        trace = _leaf(values, 0, 1, w, k, None)
+        trace = _leaf(kf, 0, 1, w[0], k, None)
     elif (fs := face_structure(f)).t == 1:
-        trace = _decompose_rec(values, names, w, k, None, sums)
+        trace = _decompose_rec(kf, names, w, k, None, sums)
     else:
-        trace = _chain_node("direct_sum", values, names, fs.chain, w, k, fs.dim + f.ground.n)
+        trace = _chain_node("direct_sum", kf, names, fs.chain, w, k, fs.dim + f.ground.n)
     trace = DecompositionTrace(trace.case, names, w, k, trace.children, trace.chain)
     return WeightedDecomposition.from_terms(_terms(trace), w, k), trace
 
 
 def _require_membership(f: SubmodularFn, x, k: int):
-    """Check x in k B_f (f submodular first); return x as a tuple and its subset sums."""
+    """Check x in k B_f (f submodular first); return x as a tuple, its subset sums and k f's table."""
     _check_int(k, "multiplicity must be a positive integer", 1)
     x = _check_int_vector(x, f.ground.n, "vector")
     require_submodular(f)
@@ -258,11 +267,12 @@ def _require_membership(f: SubmodularFn, x, k: int):
     if sum(x) != total:
         raise UsageError(f"x(E) = {sum(x)} != {total} = {k} * f(E)")
     sums = subset_sums(x)
-    violated = _first_violation(sums, f.values, k)
+    kf = _times(f.values, k)
+    violated = _first_violation(sums, kf)
     if violated is not None:
         names = ",".join(f.ground.names_of(violated))
-        raise UsageError(f"violated x({{{names}}}) <= {k * f(violated)}: got {sums[violated]}")
-    return x, sums
+        raise UsageError(f"violated x({{{names}}}) <= {kf[violated]}: got {sums[violated]}")
+    return x, sums, kf
 
 
 def require_submodular(f: SubmodularFn) -> None:
@@ -274,17 +284,18 @@ def require_submodular(f: SubmodularFn) -> None:
                          f" for A = {{{a}}}, B = {{{b}}}")
 
 
-def _leaf(values, prev: int, cur: int, w, k: int, parent_measure):
-    """The one-element block cur - prev of k B_h, h's table ``values``: k times its level."""
-    _check(w[0] == k * (values[cur] - values[prev]), "leaf target is not k times the level")
+def _leaf(kh, prev: int, cur: int, we: int, k: int, parent_measure):
+    """The leaf of the one-element block cur - prev of B_kh, whose coordinate ``we`` is
+    kh's level there: k times h's.  The engine's one leaf builder, the root's included."""
+    _check(we == kh[cur] - kh[prev], "leaf target is not k times the level")
     _check_measure(1, parent_measure)
-    return DecompositionTrace("leaf", None, w, k)
+    return DecompositionTrace("leaf", None, (we,), k)
 
 
-def _decompose_rec(values, names, w, k: int, parent_measure, sums):
-    """The trace node of w in k B_h, h a full-dimensional table ``values`` on ``names``."""
+def _decompose_rec(kh, names, w, k: int, parent_measure, sums):
+    """The trace node of w in B_kh, kh = k h for h a full-dimensional table on ``names``."""
     n = len(names)
-    top = values[-1]
+    top = kh[-1]
 
     # h is full-dimensional and n >= 2 (see the module docstring): fix the first element
     measure = 2 * n - 1  # dim + n
@@ -293,20 +304,22 @@ def _decompose_rec(values, names, w, k: int, parent_measure, sums):
     q, r = divmod(w[0], k)
 
     if r == 0:
-        capped = _cap_first(values, q)
+        capped = _cap_first(kh, k * q)
         _check(capped[-1] == top, "cap at q changed the level")
-        _check(k * capped[1] == w[0], "x(e) = q is not tight for w under the cap")
-        chain = _face_of(capped, w, k, sums)
+        _check(capped[1] == w[0], "x(e) = q is not tight for w under the cap")
+        chain = _face_of(capped, w, sums)
         _check(chain[1] == 1, "fixed element does not start the tight chain")
         return _chain_node("face_drop", capped, names, chain, w, k, measure)
 
-    # r >= 1: split w across the caps at q+1 and q
-    upper = _cap_first(values, q + 1)
-    lower = _cap_first(values, q)
+    # r >= 1: split w across the caps at q+1 and q, as r upper and (k-r) lower
+    upper = _cap_first(kh, k * (q + 1))
+    lower = _cap_first(kh, k * q)
     _check(upper[-1] == top, "cap at q+1 changed the level")
     _check(lower[-1] == top, "cap at q changed the level")
+    upper = [v // k * r for v in upper]
+    lower = [v // k * (k - r) for v in lower]
     x1 = _integer_vertex(
-        GroundSet(names, n), [r * v for v in upper], _mirror_values(sums, k - r, lower),
+        GroundSet(names, n), upper, _mirror_values(sums, lower),
         "empty split intersection; decomposition theory violated",
     )
     x2 = tuple(wi - xi for wi, xi in zip(w, x1))
@@ -317,50 +330,52 @@ def _decompose_rec(values, names, w, k: int, parent_measure, sums):
 
     sides = []
     for side, x, x_sums, mult in ((upper, x1, sums1, r), (lower, x2, sums2, k - r)):
-        chain = _face_of(side, x, mult, x_sums)
+        chain = _face_of(side, x, x_sums)
         _check(len(chain) > 2, "point face did not factor")
         sides.append(_chain_node("point_face", side, names, chain, x, mult, measure))
     _check(sides[0].dim + sides[1].dim <= n - 2, "split faces are not complementary")
     return DecompositionTrace("split", None, w, k, sides)
 
 
-def _cap_first(values, c: int):
-    """The table of ``h.reduce_at(ground[0], c)`` for a submodular h (see the module docstring)."""
-    if c >= values[1]:
-        return values
-    h = list(values)
-    _cap(h, 0, c)
+def _cap_first(kh, kc: int):
+    """The table of ``h.reduce_at(ground[0], c)`` scaled by k, from kh = k h and kc = k c,
+    for a submodular h (see the module docstring)."""
+    if kc >= kh[1]:
+        return kh
+    h = list(kh)
+    _cap(h, 0, kc)
     return h
 
 
-def _face_of(values, x, k: int, sums) -> tuple[int, ...]:
-    """The tight chain of the minimal face of k B_h (h's table ``values``) holding x.
+def _face_of(kh, x, sums) -> tuple[int, ...]:
+    """The tight chain of the minimal face of B_kh holding x, kh a scaled table.
 
-    x is a point the engine derived, so x outside k B_h is a defect, not a usage error.
+    x is a point the engine derived, so x outside B_kh is a defect, not a usage error.
     """
     try:
-        return _face_chain(x, sums, values, k)
+        return _face_chain(x, sums, kh)
     except UsageError as exc:
         raise InvariantViolation(f"derived point left its polytope: {exc}") from exc
 
 
-def _chain_node(case: str, values, names, chain, w, k: int, measure):
-    """The trace node of w in a face of k B_h (h's table ``values``) factored along ``chain``.
+def _chain_node(case: str, kh, names, chain, w, k: int, measure):
+    """The trace node of w in a face of B_kh, kh = k h, factored along ``chain``.
 
-    A one-element block is a leaf whose level is read from h's table.
-    A larger block recurses on its gathered table, the unscaled
-    h(A_prev + U) - h(A_prev), so that it decomposes at the original
-    multiplicity k.
+    A one-element step is a leaf whose level is read from kh, in this loop.
+    A larger block recurses on its gathered table,
+    kh(A_prev + U) - kh(A_prev), still scaled by k, so that it decomposes
+    at the original multiplicity k.
     """
     children = []
     for prev, cur in zip(chain, chain[1:]):
-        positions = _positions(prev ^ cur)
-        block_w = tuple(map(w.__getitem__, positions))
-        if len(positions) == 1:
-            children.append(_leaf(values, prev, cur, block_w, k, measure))
+        step = prev ^ cur
+        if step & (step - 1) == 0:
+            children.append(_leaf(kh, prev, cur, w[step.bit_length() - 1], k, measure))
         else:
+            positions = _positions(step)
+            block_w = tuple(map(w.__getitem__, positions))
             block_names = tuple(map(names.__getitem__, positions))
-            children.append(_decompose_rec(_block_values(values, prev, positions), block_names,
+            children.append(_decompose_rec(_block_values(kh, prev, positions), block_names,
                                            block_w, k, measure, subset_sums(block_w)))
     return DecompositionTrace(case, None, w, k, children, chain)
 
@@ -403,12 +418,25 @@ def _lay_out(node: DecompositionTrace, lo: int, coords: tuple[int, ...], segment
         mid = lo + x1.k
         cuts = _lay_out(x1, lo, coords, segments) | {mid} | _lay_out(x2, mid, coords, segments)
     else:
-        for child, block in zip(node.children, _chain_positions(node.chain)):
-            cuts |= _lay_out(child, lo, tuple(map(coords.__getitem__, block)), segments)
-    if len(cuts) > node.dim:
-        raise InvariantViolation(f"{len(cuts) + 1} distinct points exceed the bound dim + 1 = "
-                                 f"{node.dim + 1}")
+        hi, chain = lo + node.k, node.chain
+        for child, prev, cur in zip(node.children, chain, chain[1:]):
+            step = prev ^ cur
+            if child.case == "leaf":
+                # a one-element step: its segment and bound check stay in this loop
+                segments.append((coords[step.bit_length() - 1], lo, hi, child.w[0] // node.k))
+                _check_bound(0, child)
+            else:
+                cuts |= _lay_out(child, lo, tuple(map(coords.__getitem__, _positions(step))),
+                                 segments)
+    _check_bound(len(cuts), node)
     return cuts
+
+
+def _check_bound(cuts: int, node: DecompositionTrace) -> None:
+    """Raise unless a node's cuts + 1 points are at most its dim + 1."""
+    if cuts > node.dim:
+        raise InvariantViolation(f"{cuts + 1} distinct points exceed the bound dim + 1 = "
+                                 f"{node.dim + 1}")
 
 
 # ---------------------------------------------------------------------------

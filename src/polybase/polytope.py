@@ -9,13 +9,17 @@ definitional "x(U) = f(U) for every point" because the minimum of x(U)
 over B_f is f(E) - f(E-U), attained by a greedy vertex that fills E-U
 first.  The test suite validates this against vertex enumeration.
 
-Membership and faces of k B_f = B_{kf} read f's own table, scaled by k
-once per query; k must be a positive int, not a bool, and x a sequence of
-n ints.  Each public query takes a point, never its sums: it checks its
-arguments, builds x's subset sums and calls a private kernel on bare
-tables (``_first_violation``, ``_in_base``, ``_face_chain``).
-``decompose`` calls the kernels directly on the points it derives, whose
-sums it built, so those are checked once, where they enter the package.
+Membership and faces of k B_f = B_{kf} read f's table scaled by k; k
+must be a positive int, not a bool, and x a sequence of n ints.  Each
+public query takes a point, never its sums: it checks its arguments,
+builds x's subset sums and k f's table, and calls a private kernel on bare
+tables (``_first_violation``, ``_in_base``, ``_face_chain``).  The kernels
+take the table they compare against, already scaled, and scale nothing.
+``decompose`` calls them directly on the points it derives, whose sums it
+built, with the scaled tables it carries, so those are checked once, where
+they enter the package.
+
+``dimension`` counts separators and shares no code with the face chains.
 """
 
 from __future__ import annotations
@@ -36,13 +40,12 @@ def in_extended_polymatroid(f: SubmodularFn, x, k: int = 1):
     """
     sums = _subset_sums_of(f, x)[1]
     _check_int(k, "multiplicity must be a positive integer", 1)
-    violated = _first_violation(sums, f.values, k)
+    violated = _first_violation(sums, _times(f.values, k))
     return violated is None, violated
 
 
-def _first_violation(sums, values, k: int):
-    """The first mask U in canonical order with sums[U] > k values[U], or None."""
-    kf = _times(values, k)
+def _first_violation(sums, kf):
+    """The first mask U in canonical order with sums[U] > kf[U], or None."""
     if all(map(le, sums, kf)):
         return None
     return indexOf(map(gt, sums, kf), True)
@@ -161,16 +164,30 @@ def _maximal_chain(tight: list[int], full: int) -> tuple[int, ...]:
 
 def face_structure(f: SubmodularFn) -> FaceStructure:
     """Factor B_f itself along a maximal chain of its tight sets."""
-    return FaceStructure(f.ground, _tight_chain(f))
+    return FaceStructure(f.ground, _maximal_chain(tight_sets(f), f.ground.full_mask))
 
 
 def dimension(f: SubmodularFn) -> int:
-    """dim B_f = n - (number of blocks of a maximal tight chain)."""
-    return f.ground.n + 1 - len(_tight_chain(f))
+    """dim B_f = n - c, c the number of connected components of f.
 
-
-def _tight_chain(f: SubmodularFn) -> tuple:
-    return _maximal_chain(tight_sets(f), f.ground.full_mask)
+    The separators of f, the U with f(U) + f(E - U) = f(E), are the sets
+    tight on all of B_f.  For a submodular f they form a Boolean algebra
+    whose atoms are f's connected components (Fujishige, *Submodular
+    Functions and Optimization*, ch. 3): there are 2^c of them.  U is a
+    separator iff E - U is, so the 2^(c-1) without the top element are
+    counted, in one pass, and c is the count's bit length.  A maximal tight
+    chain has c blocks, so this is ``face_structure(f).dim``, found with no
+    chain.  On a table that is not submodular the separators need not form
+    such an algebra: a count that is not a power of two raises UsageError,
+    and any other count gives n - c, which need not be dim B_f.
+    """
+    v = f.values
+    # E - U is full - U as a mask, so f(E - U) reads the table backwards
+    low = sum(map(eq, map(add, v[:len(v) // 2], reversed(v)), repeat(v[-1])))
+    if low & (low - 1):
+        raise UsageError(f"f is not submodular: it has {2 * low} separators"
+                         " f(U) + f(E - U) = f(E), not a power of two")
+    return f.ground.n - low.bit_length()
 
 
 def point_tight_family(f: SubmodularFn, x) -> list[int]:
@@ -193,15 +210,14 @@ def minimal_face_of_point(f: SubmodularFn, x, k: int = 1) -> FaceStructure:
     """
     x, sums = _subset_sums_of(f, x)
     _check_int(k, "multiplicity must be a positive integer", 1)
-    return FaceStructure(f.ground, _face_chain(x, sums, f.values, k))
+    return FaceStructure(f.ground, _face_chain(x, sums, _times(f.values, k)))
 
 
-def _face_chain(x, sums, values, k: int) -> tuple[int, ...]:
-    """The maximal tight chain of the minimal face of k B_h holding x, h's table ``values``.
+def _face_chain(x, sums, kh) -> tuple[int, ...]:
+    """The maximal tight chain of the minimal face of B_kh holding x, kh a scaled table.
 
-    Raises UsageError naming x when x lies outside k B_h.
+    Raises UsageError naming x when x lies outside B_kh.
     """
-    kf = _times(values, k)
-    if not _in_base(sums, kf):
+    if not _in_base(sums, kh):
         raise UsageError(f"point {x} is not in the base polytope")
-    return _maximal_chain(list(compress(count(), map(eq, sums, kf))), len(values) - 1)
+    return _maximal_chain(list(compress(count(), map(eq, sums, kh))), len(kh) - 1)

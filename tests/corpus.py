@@ -6,6 +6,8 @@ corpus, which keeps golden expectations and determinism checks honest.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 from polybase import (
@@ -16,6 +18,7 @@ from polybase import (
     TableFn,
     UniformRank,
     greedy_vertex,
+    is_submodular,
     materialize,
 )
 
@@ -238,6 +241,24 @@ def flat_corpus(minimum: int = 50) -> list[tuple[str, SubmodularFn]]:
         if dimension(f) < n - 1:
             out.append((f"flat-{attempt}", f))
     return out
+
+
+@functools.cache
+def small_scope() -> tuple[tuple[TableFn, bool], ...]:
+    """Every submodular table on three elements with f(empty) = 0 and values
+    in -1..2, in canonical order, each with whether it is the least of its
+    relabellings (one table per orbit of the six permutations of a, b, c)."""
+    g = ground(3)
+    relabel = [[sum(1 << p[i] for i in range(3) if m >> i & 1) for m in range(8)]
+               for p in itertools.permutations(range(3))]
+    out = []
+    for rest in itertools.product(range(-1, 3), repeat=7):
+        values = (0, *rest)
+        f = TableFn(g, values)
+        if is_submodular(f)[0]:
+            least = min(tuple(values[m] for m in perm) for perm in relabel)
+            out.append((f, values == least))
+    return tuple(out)
 
 
 def sample_target(f: SubmodularFn, k: int, rng: random.Random) -> tuple[int, ...]:

@@ -1,16 +1,16 @@
 """Acceptance suite: one test per exit criterion, exact tolerances.
 
 Each test prints a single PASS line (visible with ``pytest -s`` or in the
-captured output of a failing run).  Criteria 1, 3, 4 and 8 share state:
-criterion 1 collects certificates and LP statistics that criteria 4 and 8
-audit afterwards, so this module's tests run in definition order.
+captured output of a failing run).  Criteria 1 and 8 share state:
+criterion 1 collects the certificates that criterion 8 compares afterwards,
+and criterion 8 runs criterion 1 first when it runs alone.
 """
 
 import itertools
 import random
+import sys
 import time
 
-import polybase.lp as lp
 from corpus import (
     acceptance_corpus,
     attaining_tiny,
@@ -36,10 +36,7 @@ from polybase.cli import certificate_dict, to_json
 PAIRS_PER_INSTANCE = 20
 K_MAX = 25
 
-_STATE = {
-    "stats0": dict(lp.stats),
-    "certificates": None,
-}
+_STATE = {"certificates": None}
 
 
 def _corpus_pairs(f, seed):
@@ -109,20 +106,24 @@ def test_criterion_3_integer_decomposition_property():
     print(f"criterion 3 (integer decomposition property): PASS [{checked} splits]")
 
 
-def test_criterion_4_vertex_integrality():
-    """Zero non-integral vertices over everything run so far."""
-    found = lp.stats["vertices_found"] - _STATE["stats0"]["vertices_found"]
-    integral = lp.stats["integral_vertices"] - _STATE["stats0"]["integral_vertices"]
-    bad = lp.stats["nonintegral_vertices"] - _STATE["stats0"]["nonintegral_vertices"]
-    if found == 0:  # standalone invocation: generate some vertices
-        test_criterion_1_cardinality_bound()
-        found = lp.stats["vertices_found"] - _STATE["stats0"]["vertices_found"]
-        integral = lp.stats["integral_vertices"] - _STATE["stats0"]["integral_vertices"]
-        bad = lp.stats["nonintegral_vertices"] - _STATE["stats0"]["nonintegral_vertices"]
-    assert found > 0
-    assert bad == 0
-    assert integral == found
-    print(f"criterion 4 (vertex integrality): PASS [{found} vertices, 0 fractional]")
+def test_criterion_4_vertex_integrality(monkeypatch):
+    """Every vertex step of the criterion-1 decompositions returns integers."""
+    engine = sys.modules["polybase.decompose"]  # the module, not the function
+    vertex = engine._integer_vertex
+    found = []
+
+    def recording(*args):
+        point = vertex(*args)
+        found.append(point)
+        return point
+
+    monkeypatch.setattr(engine, "_integer_vertex", recording)
+    _run_corpus()
+    assert found
+    fractional = [p for p in found
+                  if not isinstance(p, tuple) or not {int}.issuperset(map(type, p))]
+    assert fractional == []
+    print(f"criterion 4 (vertex integrality): PASS [{len(found)} vertices, 0 fractional]")
 
 
 def test_criterion_5_face_factorization():

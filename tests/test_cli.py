@@ -226,7 +226,7 @@ class TestDecompose:
 
         engine = sys.modules["polybase.decompose"]
 
-        def outside(x, sums, values, k):
+        def outside(x, sums, kh):
             raise UsageError("outside")
 
         monkeypatch.setattr(engine, "_face_chain", outside)

@@ -23,6 +23,7 @@ from corpus import (
     part11,
     random_table,
     sample_target,
+    small_scope,
     tiny_instances,
     u12,
     u23,
@@ -39,6 +40,7 @@ from polybase import (
     decompose,
     dimension,
     enumerate_base_points,
+    face_structure,
     greedy_vertex,
     in_base_polytope,
     merge_direct_sum,
@@ -141,8 +143,8 @@ def test_engine_hands_each_query_the_sums_of_its_point(monkeypatch):
         w = sample_target(f, k, rng)
         _, trace = decompose(f, w, k)
         splits += len(_collect(trace, "split"))
-        assert [list(sums) for sums, _, _ in taken("_first_violation")] == [subset_sums(w)]
-        for x, sums, _, _ in taken("_face_chain"):
+        assert [list(sums) for sums, _ in taken("_first_violation")] == [subset_sums(w)]
+        for x, sums, _ in taken("_face_chain"):
             assert list(sums) == subset_sums(x)
             faces += 1
         assert taken("_in_base") == []
@@ -151,7 +153,7 @@ def test_engine_hands_each_query_the_sums_of_its_point(monkeypatch):
             x = sample_target(f, k, rng)
             parts = split_into_k_bases(f, x, k)
             assert len(parts) == k
-            assert [list(sums) for sums, _, _ in taken("_first_violation")] == [subset_sums(x)]
+            assert [list(sums) for sums, _ in taken("_first_violation")] == [subset_sums(x)]
             assert [list(sums) for sums, _ in taken("_in_base")] == [subset_sums(parts[-1])]
             residues += 1
     assert splits and faces and residues, (splits, faces, residues)
@@ -679,7 +681,7 @@ class TestTrace:
         # capped function it factors; parsed back against the root ground
         # (nodes below the root print block restrictions of f), a split's
         # pair is the two tables the vertex step read, in call order, and a
-        # face_drop's the table whose face the engine found
+        # face_drop's, times the node's k, the table whose face the engine found
         engine = sys.modules["polybase.decompose"]
         vertex, face_of = engine._integer_vertex, engine._face_chain
         read, faces = [], []
@@ -688,9 +690,9 @@ class TestTrace:
             read.append((tuple(f_values), tuple(g_values)))
             return vertex(ground, f_values, g_values, empty)
 
-        def face_recording(x, sums, values, k):
-            chain = face_of(x, sums, values, k)
-            faces.append((chain, tuple(values)))
+        def face_recording(x, sums, kh):
+            chain = face_of(x, sums, kh)
+            faces.append((chain, tuple(kh)))
             return chain
 
         monkeypatch.setattr(engine, "_integer_vertex", recording)
@@ -718,7 +720,8 @@ class TestTrace:
                 seen[node.case] += 1
                 seen["block_restrict"] += '"block_restrict"' in json.dumps(doc)
                 if node.case == "face_drop":
-                    assert _parse_on(f, doc["fn_reduced"], doc) == capped[id(node)]
+                    parsed = _parse_on(f, doc["fn_reduced"], doc)
+                    assert tuple(node.k * v for v in parsed) == capped[id(node)]
                     continue
                 assert doc["e"] == doc["ground"][0]
                 assert tuple(a + b for a, b in zip(doc["x1"], doc["x2"])) == node.w
@@ -747,6 +750,40 @@ class TestTrace:
 
 NODE_CASES = ("leaf", "direct_sum", "face_drop", "split", "point_face")
 TRACE_DIGEST = "b1e0b9bca057549afdfafaefb49e9a4ed8bff9ef765fd332761610ace43405e4"
+
+
+SMALL_SCOPE_DIGEST = "965f67d60524a2381cf3c0f72bd4613f5702f62e2a21a1cbf327d584cd4df5a3"
+
+
+def test_small_scope_decomposes_every_target():
+    # bounded exhaustive testing: every submodular table on three elements
+    # with f(empty) = 0 and values in -1..2 (1390 tables), one per orbit of
+    # the relabellings of a, b, c (313 tables), and every w in k B_f for
+    # k <= 2 as a sum of k base points; the terms of all of them are pinned,
+    # so a kernel swap or a refactor that changes any certificate shows
+    digest = hashlib.sha256()
+    tables = runs = 0
+    cases = set()
+    for f, least in small_scope():
+        if not least:
+            continue
+        tables += 1
+        points = enumerate_base_points(f).points
+        bound = face_structure(f).dim + 1
+        for k in (1, 2):
+            targets = {tuple(map(sum, zip(*combo)))
+                       for combo in itertools.combinations_with_replacement(points, k)}
+            for w in sorted(targets):
+                dec, trace = decompose(f, w, k)
+                ok, failures = verify(f, dec)
+                assert ok, (f.values, w, k, failures)
+                assert dec.distinct_count <= bound, (f.values, w, k)
+                cases.update(node.case for node in _nodes(trace))
+                digest.update(repr(dec.terms).encode())
+                runs += 1
+    assert (len(small_scope()), tables, runs) == (1390, 313, 9692)
+    assert cases == set(NODE_CASES)
+    assert digest.hexdigest() == SMALL_SCOPE_DIGEST
 
 
 def _with_dicts(node, doc):
@@ -1120,12 +1157,12 @@ def test_engine_sweeps_element_0_once_per_binding_cap(monkeypatch):
     assert 0 < binding < caps
 
 
-def _outside(x, sums, values, k):
+def _outside(x, sums, kh):
     raise UsageError("outside")
 
 
-def _one_block(x, sums, values, k):
-    return (0, len(values) - 1)
+def _one_block(x, sums, kh):
+    return (0, len(kh) - 1)
 
 
 class TestChainStep:

@@ -17,6 +17,10 @@ every ``__init__`` of a ``SubmodularFn`` subclass calls
 In ``decompose``, the LP names ``build_intersection_system``,
 ``find_vertex``, ``dump_system`` and ``assert_integral`` are read only
 inside ``_integer_vertex``, the one seam of the vertex step.
+
+In ``polytope``, ``dimension`` reads none of the engine's face helpers,
+directly or through a function of its module, so ``verify``'s bound
+shares no code with the face chains the engine factors along.
 """
 
 import ast
@@ -200,3 +204,38 @@ def test_the_check_sees_a_read_outside_the_seam():
               "kernel = dump_system\n")
     assert readers_outside(source, VERTEX_SEAM, "seam") == ["other: find_vertex",
                                                             "<module>: dump_system"]
+
+
+FACE_HELPERS = {"tight_sets", "_tight_chain", "_maximal_chain", "_face_chain", "_chain_positions"}
+
+
+def reads_from(source: str, root: str) -> set[str]:
+    """The names and attributes the top-level function ``root`` reads, with
+    those of every top-level function or class of the module it reads."""
+    tops = {stmt.name: stmt for stmt in ast.parse(source).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    read, todo = set(), [root]
+    while todo:
+        for node in ast.walk(tops[todo.pop()]):
+            name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name not in read:
+                read.add(name)
+                if name in tops:
+                    todo.append(name)
+    return read
+
+
+def test_dimension_reads_no_face_helper():
+    source = (PACKAGE / "polytope.py").read_text(encoding="utf-8")
+    assert reads_from(source, "dimension") & FACE_HELPERS == set()
+
+
+def test_the_check_follows_reads_through_the_module():
+    source = ("def _maximal_chain(tight): return tight\n"
+              "def helper(f): return _maximal_chain(f.values)\n"
+              "def dimension(f): return helper(f) + len(f)\n"
+              "def other(f): return tight_sets(f)\n")
+    assert reads_from(source, "dimension") == {"helper", "_maximal_chain", "tight", "f",
+                                               "values", "len"}
+    assert reads_from(source, "dimension") & FACE_HELPERS == {"_maximal_chain"}

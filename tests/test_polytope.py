@@ -17,6 +17,7 @@ from corpus import (
     part11,
     random_table,
     sample_target,
+    small_scope,
     tiny_instances,
     u12,
     u23,
@@ -24,6 +25,7 @@ from corpus import (
 )
 from polybase import (
     FaceStructure,
+    TableFn,
     UniformRank,
     UsageError,
     bounding_box,
@@ -159,6 +161,25 @@ class TestDimension:
         assert dimension(u24()) == 3
         assert dimension(part11()) == 2
         assert dimension(UniformRank(ground(1), 1)) == 0
+
+    def test_separator_count_matches_the_tight_chain(self):
+        # n minus the bit length of the separators without the top element,
+        # against n minus the blocks of a maximal tight chain, on every corpus
+        # table and every table of the exhaustive three-element scope
+        tables = [f for _, f in acceptance_corpus() + flat_corpus() + tiny_instances()]
+        tables += [f for f, _ in small_scope()]
+        assert len(tables) == 268 + 1390
+        for f in tables:
+            assert dimension(f) == face_structure(f).dim, f.values
+
+    def test_a_separator_count_off_a_power_of_two_is_refused(self):
+        # f(ac) + f(bc) < f(abc) + f(c); the separators without c are
+        # {}, {a} and {b}: three, so they are no Boolean algebra
+        f = TableFn(ground(3), [0, 1, 1, 2, 1, 1, 1, 2])
+        with pytest.raises(UsageError) as err:
+            dimension(f)
+        assert str(err.value) == ("f is not submodular: it has 6 separators"
+                                  " f(U) + f(E - U) = f(E), not a power of two")
 
 
 class TestFaceStructure:
