@@ -16,8 +16,11 @@ Three constructive pieces:
   maximal chain A_0 < ... < A_t of its tight sets.  No block of a maximal
   tight chain, of B_f or of a face, has a proper tight set U: A_{i-1} | U
   would be tight and lie strictly between two sets of the chain.  So the
-  recursion below the root sees only full-dimensional blocks.  It tracks
-  the measure dim + |E|, which strictly drops along every edge:
+  recursion below the root sees only full-dimensional blocks.  It ends
+  because dim + |E| drops along every edge, checked where each edge is made:
+  every chain rises strictly from 0 to its node's set (``_chain_node``), a
+  ``face_drop``'s starts with {e}, and a point face's and B_f's have two or
+  more blocks (``_decompose_rec``, ``decompose``):
 
     - one element: the polytope is a point, its level read from the
       parent's table (or from k f's when |E| = 1);
@@ -249,11 +252,11 @@ def decompose(f: SubmodularFn, w, k: int):
     w, sums, kf = _require_membership(f, w, k)
     names = f.ground.elements
     if f.ground.n == 1:
-        trace = _leaf(kf, 0, 1, w[0], k, None)
+        trace = _leaf(kf, 0, 1, w[0], k)
     elif (fs := face_structure(f)).t == 1:
-        trace = _decompose_rec(kf, names, w, k, None, sums)
+        trace = _decompose_rec(kf, names, w, k, sums)
     else:
-        trace = _chain_node("direct_sum", kf, names, fs.chain, w, k, fs.dim + f.ground.n)
+        trace = _chain_node("direct_sum", kf, names, fs.chain, w, k)
     trace = DecompositionTrace(trace.case, names, w, k, trace.children, trace.chain)
     return WeightedDecomposition.from_terms(_terms(trace), w, k), trace
 
@@ -284,23 +287,19 @@ def require_submodular(f: SubmodularFn) -> None:
                          f" for A = {{{a}}}, B = {{{b}}}")
 
 
-def _leaf(kh, prev: int, cur: int, we: int, k: int, parent_measure):
+def _leaf(kh, prev: int, cur: int, we: int, k: int):
     """The leaf of the one-element block cur - prev of B_kh, whose coordinate ``we`` is
     kh's level there: k times h's.  The engine's one leaf builder, the root's included."""
     _check(we == kh[cur] - kh[prev], "leaf target is not k times the level")
-    _check_measure(1, parent_measure)
     return DecompositionTrace("leaf", None, (we,), k)
 
 
-def _decompose_rec(kh, names, w, k: int, parent_measure, sums):
+def _decompose_rec(kh, names, w, k: int, sums):
     """The trace node of w in B_kh, kh = k h for h a full-dimensional table on ``names``."""
     n = len(names)
     top = kh[-1]
 
     # h is full-dimensional and n >= 2 (see the module docstring): fix the first element
-    measure = 2 * n - 1  # dim + n
-    _check_measure(measure, parent_measure)
-
     q, r = divmod(w[0], k)
 
     if r == 0:
@@ -308,8 +307,8 @@ def _decompose_rec(kh, names, w, k: int, parent_measure, sums):
         _check(capped[-1] == top, "cap at q changed the level")
         _check(capped[1] == w[0], "x(e) = q is not tight for w under the cap")
         chain = _face_of(capped, w, sums)
-        _check(chain[1] == 1, "fixed element does not start the tight chain")
-        return _chain_node("face_drop", capped, names, chain, w, k, measure)
+        _check(chain[1:2] == (1,), "fixed element does not start the tight chain")
+        return _chain_node("face_drop", capped, names, chain, w, k)
 
     # r >= 1: split w across the caps at q+1 and q, as r upper and (k-r) lower
     upper = _cap_first(kh, k * (q + 1))
@@ -324,7 +323,6 @@ def _decompose_rec(kh, names, w, k: int, parent_measure, sums):
     )
     x2 = tuple(wi - xi for wi, xi in zip(w, x1))
     _check(x1[0] == r * (q + 1), "x'(e) != r (q+1)")
-    _check(x2[0] == (k - r) * q, "x''(e) != (k-r) q")
     sums1 = subset_sums(x1)
     sums2 = list(map(sub, sums, sums1))
 
@@ -332,7 +330,7 @@ def _decompose_rec(kh, names, w, k: int, parent_measure, sums):
     for side, x, x_sums, mult in ((upper, x1, sums1, r), (lower, x2, sums2, k - r)):
         chain = _face_of(side, x, x_sums)
         _check(len(chain) > 2, "point face did not factor")
-        sides.append(_chain_node("point_face", side, names, chain, x, mult, measure))
+        sides.append(_chain_node("point_face", side, names, chain, x, mult))
     _check(sides[0].dim + sides[1].dim <= n - 2, "split faces are not complementary")
     return DecompositionTrace("split", None, w, k, sides)
 
@@ -358,36 +356,37 @@ def _face_of(kh, x, sums) -> tuple[int, ...]:
         raise InvariantViolation(f"derived point left its polytope: {exc}") from exc
 
 
-def _chain_node(case: str, kh, names, chain, w, k: int, measure):
+def _chain_node(case: str, kh, names, chain, w, k: int):
     """The trace node of w in a face of B_kh, kh = k h, factored along ``chain``.
 
-    A one-element step is a leaf whose level is read from kh, in this loop.
-    A larger block recurses on its gathered table,
-    kh(A_prev + U) - kh(A_prev), still scaled by k, so that it decomposes
-    at the original multiplicity k.
+    Every chain the engine factors along is checked here, each step before
+    it is read: it runs from 0 to kh's full mask, and each step adds an
+    element and keeps the ones before it.  A one-element step is a leaf
+    whose level is read from kh, in this loop.  A larger block recurses on
+    its gathered table, kh(A_prev + U) - kh(A_prev), still scaled by k, so
+    that it decomposes at the original multiplicity k.
     """
+    if chain[:1] != (0,) or chain[-1:] != (len(kh) - 1,):
+        raise InvariantViolation(f"face chain {chain} does not run from 0 to E")
     children = []
     for prev, cur in zip(chain, chain[1:]):
         step = prev ^ cur
+        if not step or step & prev:
+            raise InvariantViolation(f"face chain {chain} does not rise strictly")
         if step & (step - 1) == 0:
-            children.append(_leaf(kh, prev, cur, w[step.bit_length() - 1], k, measure))
+            children.append(_leaf(kh, prev, cur, w[step.bit_length() - 1], k))
         else:
             positions = _positions(step)
             block_w = tuple(map(w.__getitem__, positions))
             block_names = tuple(map(names.__getitem__, positions))
             children.append(_decompose_rec(_block_values(kh, prev, positions), block_names,
-                                           block_w, k, measure, subset_sums(block_w)))
+                                           block_w, k, subset_sums(block_w)))
     return DecompositionTrace(case, None, w, k, children, chain)
 
 
 def _check(ok: bool, message: str) -> None:
     if not ok:
         raise InvariantViolation(message)
-
-
-def _check_measure(measure: int, parent) -> None:
-    if parent is not None and measure >= parent:
-        raise InvariantViolation(f"recursion measure did not decrease: {measure} >= {parent}")
 
 
 def _terms(trace: DecompositionTrace) -> Terms:

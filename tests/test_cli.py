@@ -235,6 +235,18 @@ class TestDecompose:
         assert code == 3
         assert err == "internal error: derived point left its polytope: outside\n"
 
+        # a chain that stops short of E is the engine's defect, not the input's
+        def short(x, sums, kh):
+            return face_chain(x, sums, kh)[:-1]
+
+        face_chain = sys.modules["polybase.polytope"]._face_chain
+        monkeypatch.setattr(engine, "_face_chain", short)
+        doc = {"ground": ["a", "b"], "f": {"type": "uniform", "rank": 1}, "w": [0, 1], "k": 1}
+        code = main(["decompose", write(doc)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "internal error: face chain (0, 1) does not run from 0 to E\n"
+
     def test_certificate_round_trip_verifies(self, write, capsys):
         from polybase import WeightedDecomposition, load_instance, verify
 

@@ -52,7 +52,7 @@ from polybase import (
 from polybase.cli import certificate_dict, to_json
 from polybase.core import DualFn, ScaleFn, ShiftFn, _positions, subset_sums
 from polybase.instance import parse_fn, trace_dict
-from polybase.polytope import FaceStructure, _chain_positions
+from polybase.polytope import FaceStructure, _chain_positions, _face_chain
 
 
 def brute_splits(f, x, k):
@@ -1165,6 +1165,29 @@ def _one_block(x, sums, kh):
     return (0, len(kh) - 1)
 
 
+def _short(x, sums, kh):
+    """The true chain without its last entry, E."""
+    return _face_chain(x, sums, kh)[:-1]
+
+
+def _short_of_e(x, sums, kh):
+    """The true chain, its last entry E less E's highest element."""
+    chain = _face_chain(x, sums, kh)
+    return chain[:-1] + (chain[-1] & ~(1 << chain[-1].bit_length() - 1),)
+
+
+def _repeat(x, sums, kh):
+    """The true chain with its first step repeated as an empty step."""
+    chain = _face_chain(x, sums, kh)
+    return chain[:2] + chain[1:]
+
+
+def _no_superset(x, sums, kh):
+    """The true chain with E - chain[1], no superset of chain[-2], before E."""
+    chain = _face_chain(x, sums, kh)
+    return chain[:-1] + (chain[-1] ^ chain[1], chain[-1])
+
+
 class TestChainStep:
     """A face step re-checks what the theory promises: the derived point
     lies in its polytope, and its face factors as the case requires."""
@@ -1172,6 +1195,10 @@ class TestChainStep:
     @pytest.mark.parametrize("face_of, message", [
         (_outside, "derived point left its polytope: outside"),
         (_one_block, "fixed element does not start the tight chain"),
+        (_short, "face chain (0, 1) does not run from 0 to E"),
+        (_short_of_e, "face chain (0, 1, 1) does not run from 0 to E"),
+        (_repeat, "face chain (0, 1, 1, 3) does not rise strictly"),
+        (_no_superset, "face chain (0, 1, 2, 3) does not rise strictly"),
     ])
     def test_face_drop(self, monkeypatch, face_of, message):
         assert decompose(u12(), (2, 0), 2)[1].case == "face_drop"
@@ -1183,6 +1210,9 @@ class TestChainStep:
     @pytest.mark.parametrize("face_of, message", [
         (_outside, "derived point left its polytope: outside"),
         (_one_block, "point face did not factor"),
+        (_short_of_e, "face chain (0, 1, 3) does not run from 0 to E"),
+        (_repeat, "face chain (0, 1, 1, 7) does not rise strictly"),
+        (_no_superset, "face chain (0, 1, 6, 7) does not rise strictly"),
     ])
     def test_split(self, monkeypatch, face_of, message):
         assert decompose(k3(), (2, 2, 2), 3)[1].case == "split"
@@ -1190,6 +1220,15 @@ class TestChainStep:
         with pytest.raises(InvariantViolation) as err:
             decompose(k3(), (2, 2, 2), 3)
         assert str(err.value) == message
+
+    def test_direct_sum(self, monkeypatch):
+        # B_f's chain (0, 3, 15) with its first step repeated as an empty step
+        assert decompose(part11(), (2, 0, 1, 1), 2)[1].case == "direct_sum"
+        monkeypatch.setattr(sys.modules["polybase.decompose"], "face_structure",
+                            lambda f: FaceStructure(f.ground, (0, 3, 3, 15)))
+        with pytest.raises(InvariantViolation) as err:
+            decompose(part11(), (2, 0, 1, 1), 2)
+        assert str(err.value) == "face chain (0, 3, 3, 15) does not rise strictly"
 
 
 @pytest.mark.parametrize("make, w, k, case", [
