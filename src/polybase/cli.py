@@ -44,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("path", help="instance JSON file (or directory of them)")
-        p.add_argument("--limit-n", type=int, default=core.DEFAULT_GROUND_LIMIT,
+        p.add_argument("--limit-n", type=_integer, default=core.DEFAULT_GROUND_LIMIT,
                        help="override the ground-set size cap")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_integer, default=1,
                        help="parallel workers for directory inputs")
 
     p_check = sub.add_parser("check", help="report submodularity and polytope facts")
@@ -55,14 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="decompose w in k B_f, print a certificate")
     common(p_dec)
     p_dec.add_argument("--w", default=None, help="target vector, comma-separated integers")
-    p_dec.add_argument("--k", type=int, default=None, help="multiplicity")
+    p_dec.add_argument("--k", type=_integer, default=None, help="multiplicity")
     p_dec.add_argument("--trace", action="store_true", help="attach the recursion trace")
     p_dec.add_argument("--verify", action="store_true",
                        help="re-check the certificate with the independent checker")
 
     p_orc = sub.add_parser("oracle", help="exhaustive decomposition-rank lower bound")
     common(p_orc)
-    p_orc.add_argument("--k-max", type=int, default=4, dest="k_max")
+    p_orc.add_argument("--k-max", type=_integer, default=4, dest="k_max")
 
     p_enum = sub.add_parser("enumerate", help="dump integer base points or vertices")
     common(p_enum)
@@ -71,10 +71,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(text: str) -> int:
+    """An optional '-' and ASCII digits, ASCII spaces around them: ``int`` would also take
+    '+', '_' between digits and the digits of other scripts.  The refusal is argparse's."""
+    digits = text.strip(" \t\n\r\f\v").removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_w(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(map(_integer, text.split(",")))
+    except argparse.ArgumentTypeError:
         raise UsageError(f"--w must be comma-separated integers, got {text!r}")
 
 

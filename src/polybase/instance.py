@@ -72,6 +72,15 @@ def _names(value, what: str) -> list[str]:
 
 
 def parse_fn(ground: GroundSet, node) -> SubmodularFn:
+    """The function of a decoded node on ``ground``; ParseError if it is malformed or
+    nests too deeply to parse."""
+    try:
+        return _parse_node(ground, node)
+    except RecursionError:
+        raise ParseError("function node nests too deeply to parse") from None
+
+
+def _parse_node(ground: GroundSet, node) -> SubmodularFn:
     if not isinstance(node, dict):
         raise ParseError(f"function node must be an object, got {type(node).__name__}")
     kind = _need(node, "type", "function")
@@ -100,22 +109,22 @@ def parse_fn(ground: GroundSet, node) -> SubmodularFn:
             pairs = [tuple(_int_list(e, "edge endpoint")) for e in edges]
             return GraphicRank(ground, vertices, pairs)
         if kind == "dual":
-            return parse_fn(ground, _need(node, "inner", "dual")).dual()
+            return _parse_node(ground, _need(node, "inner", "dual")).dual()
         if kind == "shift":
             a = _int_list(_need(node, "a", "shift"), "shift vector")
-            return parse_fn(ground, _need(node, "inner", "shift")).shift(a)
+            return _parse_node(ground, _need(node, "inner", "shift")).shift(a)
         if kind == "reduce":
             a = _int_list(_need(node, "a", "reduce"), "reduction vector")
-            return parse_fn(ground, _need(node, "inner", "reduce")).reduce(a)
+            return _parse_node(ground, _need(node, "inner", "reduce")).reduce(a)
         if kind == "reduce_at":
             e = _need(node, "e", "reduce_at")
             c = _int(_need(node, "c", "reduce_at"), "cap")
-            return parse_fn(ground, _need(node, "inner", "reduce_at")).reduce_at(e, c)
+            return _parse_node(ground, _need(node, "inner", "reduce_at")).reduce_at(e, c)
         if kind == "scale":
             r = _int(_need(node, "r", "scale"), "scale factor")
-            return parse_fn(ground, _need(node, "inner", "scale")).scale(r)
+            return _parse_node(ground, _need(node, "inner", "scale")).scale(r)
         if kind == "block_restrict":
-            inner = parse_fn(ground, _need(node, "inner", "block_restrict"))
+            inner = _parse_node(ground, _need(node, "inner", "block_restrict"))
             a_prev, block = (
                 inner.ground.mask_of(_names(_need(node, key, "block_restrict"), key))
                 for key in ("a_prev", "block")
@@ -255,13 +264,12 @@ def load_instance(path, limit: int = DEFAULT_GROUND_LIMIT) -> InstanceFile:
     if not isinstance(path, (str, PathLike)):
         raise UsageError(f"instance path must be a str or os.PathLike, got {path!r}")
     try:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
-        except ValueError as exc:  # also not UTF-8, or an integer past the digit limit
-            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-        return parse_instance(doc, limit)
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # also not UTF-8, or an integer past the digit limit
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:
         raise ParseError(f"{path} nests too deeply to parse") from None
+    return parse_instance(doc, limit)

@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: box scans, permutation sweeps and
 depth-first multiset search.  The oracles validate the main algorithms
-and share no code with the recursion or the LP, but they share three
-``polytope`` helpers with the engine: ``bounding_box`` and
-``in_base_polytope`` (the engine's input membership test) in
-``enumerate_base_points``, and ``greedy_vertex`` in ``enumerate_vertices``.
-A defect in one of those moves an oracle and the engine alike; the ROADMAP
-plan for an independent ``verify`` covers these shared paths as well.
+and share no code with the recursion or the LP.  They read three
+``polytope`` queries, ``bounding_box`` and ``in_base_polytope`` in
+``enumerate_base_points`` and ``greedy_vertex`` in ``enumerate_vertices``,
+and the engine calls none of them: ``in_base_polytope`` scans x(U) <= f(U)
+itself, with no engine kernel.  What is left in common is ``core``'s table
+of f, ``subset_sums`` and vector check: the input and the arithmetic that
+the oracles take as given, not the decompositions they check.
 Budgets are explicit; exceeding one raises BudgetExceeded, never truncates.
 """
 

@@ -13,13 +13,16 @@ Membership and faces of k B_f = B_{kf} read f's table scaled by k; k
 must be a positive int, not a bool, and x a sequence of n ints.  Each
 public query takes a point, never its sums: it checks its arguments,
 builds x's subset sums and k f's table, and calls a private kernel on bare
-tables (``_first_violation``, ``_in_base``, ``_face_chain``).  The kernels
-take the table they compare against, already scaled, and scale nothing.
+tables (``_first_violation``, ``_face_chain``), or, in ``in_base_polytope``,
+compares them itself.  The kernels, ``_in_base`` too, take the table they
+compare against, already scaled, and scale nothing.
 ``decompose`` calls them directly on the points it derives, whose sums it
 built, with the scaled tables it carries, so those are checked once, where
 they enter the package.
 
-``dimension`` counts separators and shares no code with the face chains.
+``verify`` reads ``in_base_polytope`` and ``dimension``, and they share no
+kernel with the engine: one scans x(U) <= f(U) itself, the other counts
+separators; only ``core``'s ``subset_sums`` and vector check are common.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ def _first_violation(sums, kf):
 
 
 def in_base_polytope(f: SubmodularFn, x) -> bool:
-    """Membership in B_f: EP_f membership with x(E) = f(E)."""
-    return _in_base(_subset_sums_of(f, x)[1], f.values)
+    """Membership in B_f: x(E) = f(E) and x(U) <= f(U), scanned here, not by an engine kernel."""
+    sums, values = _subset_sums_of(f, x)[1], f.values
+    return sums[-1] == values[-1] and all(map(le, sums, values))
 
 
 def _in_base(sums, values) -> bool:

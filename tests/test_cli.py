@@ -293,6 +293,26 @@ class TestExitCodes:
         assert main(["decompose", write(K3_DOC), "--w", "1,x"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--w must be comma-separated integers" in err
+        # int() would read these as (10, 0, 0), (3, 0, 0) and (1, 0, 0)
+        for w in ("1_0,0,0", "\u0663,0,0", "+1,0,0"):
+            assert main(["decompose", write(K3_DOC), "--w", w]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: --w must be comma-separated integers, got {w!r}\n"
+        # ASCII spaces around the digits still read
+        assert main(["decompose", write(K3_DOC), "--w", " 2, 2,2 ", "--k", " 3 "]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--k", "\u0663"], ["decompose", "--k", "3_0"], ["decompose", "--k", "+3"],
+        ["oracle", "--k-max", "\u0662"], ["check", "--limit-n", "\u0661\u0662"],
+        ["check", "--limit-n", "1_2"], ["check", "--jobs", "\uff12"],
+    ], ids=["k-arabic", "k-underscore", "k-plus", "k-max-arabic", "limit-n-arabic",
+            "limit-n-underscore", "jobs-fullwidth"])
+    def test_integer_flags_take_ascii_digits_only(self, write, capsys, argv):
+        verb, *flags = argv
+        with pytest.raises(SystemExit) as exit_:
+            main([verb, write(K3_DOC), *flags])
+        assert exit_.value.code == 2
+        assert f"argument {flags[0]}: invalid int value: {flags[1]!r}" in capsys.readouterr().err
 
     def test_non_submodular_exits_one_naming_pair(self, write, capsys):
         doc = dict(BAD_TABLE_DOC, w=[1, 0], k=1)

@@ -357,6 +357,17 @@ class TestVerify:
         assert not ok
         assert any("cardinality bound exceeded" in msg for msg in failures)
 
+    def test_membership_shares_no_kernel_with_the_engine(self, monkeypatch):
+        # the engine's membership kernel cut to its level test must not pass two
+        # points of the right level that break x({b}) <= 1 and x({a}) <= 1
+        monkeypatch.setattr(sys.modules["polybase.polytope"], "_in_base",
+                            lambda sums, values: sums[-1] == values[-1])
+        dec = WeightedDecomposition.from_terms([(1, (0, 2, 0, 0)), (1, (2, 0, 0, 0))],
+                                               (2, 2, 0, 0), 2)
+        assert verify(UniformRank(ground(4), 2), dec) == (False, [
+            "point (0, 2, 0, 0) is not in the base polytope",
+            "point (2, 0, 0, 0) is not in the base polytope"])
+
     def test_non_integer_points_refused(self):
         with pytest.raises(UsageError, match="integer entries"):
             verify(

@@ -363,6 +363,17 @@ def test_deep_nesting_is_a_parse_error(tmp_path):
         load_instance(str(path))
 
 
+def test_deep_nesting_is_a_parse_error_at_both_entry_points():
+    node = {"type": "uniform", "rank": 1}
+    for _ in range(3000):
+        node = {"type": "dual", "inner": node}
+    g = GroundSet(["a", "b"])
+    with pytest.raises(ParseError, match="nests too deeply to parse"):
+        parse_fn(g, node)
+    with pytest.raises(ParseError, match="nests too deeply to parse"):
+        parse_instance({"ground": ["a", "b"], "f": node})
+
+
 def test_load_instance_reads_no_file_descriptor(tmp_path):
     # open() reads an int path as a descriptor and closes it on return; point
     # stdin and stdout at /dev/null meanwhile, so the check can never block

@@ -20,7 +20,9 @@ inside ``_integer_vertex``, the one seam of the vertex step.
 
 In ``polytope``, ``dimension`` reads none of the engine's face helpers,
 directly or through a function of its module, so ``verify``'s bound
-shares no code with the face chains the engine factors along.
+shares no code with the face chains the engine factors along; and
+``in_base_polytope`` reads none of the engine's membership and face
+kernels, so neither does ``verify``'s membership test.
 """
 
 import ast
@@ -229,6 +231,14 @@ def reads_from(source: str, root: str) -> set[str]:
 def test_dimension_reads_no_face_helper():
     source = (PACKAGE / "polytope.py").read_text(encoding="utf-8")
     assert reads_from(source, "dimension") & FACE_HELPERS == set()
+
+
+ENGINE_KERNELS = {"_in_base", "_first_violation", "_face_chain", "_maximal_chain", "_times"}
+
+
+def test_membership_reads_no_engine_kernel():
+    source = (PACKAGE / "polytope.py").read_text(encoding="utf-8")
+    assert reads_from(source, "in_base_polytope") & ENGINE_KERNELS == set()
 
 
 def test_the_check_follows_reads_through_the_module():
