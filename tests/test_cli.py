@@ -236,10 +236,11 @@ class TestDecompose:
         assert err == "internal error: derived point left its polytope: outside\n"
 
         # a chain that stops short of E is the engine's defect, not the input's
+        face_chain = sys.modules["polybase.polytope"]._face_chain
+
         def short(x, sums, kh):
             return face_chain(x, sums, kh)[:-1]
 
-        face_chain = sys.modules["polybase.polytope"]._face_chain
         monkeypatch.setattr(engine, "_face_chain", short)
         doc = {"ground": ["a", "b"], "f": {"type": "uniform", "rank": 1}, "w": [0, 1], "k": 1}
         code = main(["decompose", write(doc)])
