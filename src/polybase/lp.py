@@ -1,9 +1,9 @@
 """Exact LP over materialized base-polytope constraint systems.
 
-An intersection system lives in R^E: two 0/1 incidence inequalities per
-subset U, x(U) <= f(U) and x(U) <= g(U), and the two level equalities
-x(E) = f(E) and x(E) = g(E); ``find_vertex`` adds the row t >= 0.  Everything
-is explicit (no separation oracle) and every decision-path number is an integer.
+An intersection system lives in R^E: one 0/1 incidence inequality per
+subset U, x(U) <= min(f(U), g(U)), and the two level equalities x(E) = f(E)
+and x(E) = g(E); ``find_vertex`` adds the row t >= 0.  Everything is
+explicit (no separation oracle) and every decision-path number is an integer.
 
 ``find_vertex`` returns the lexicographically maximal vertex: maximize
 x(e1), fix it, then x(e2), and so on in ground order.  The kernel is a
@@ -67,16 +67,16 @@ class ConstraintSystem(Frozen):
 def build_intersection_system(ground: GroundSet, f_values, g_values) -> ConstraintSystem:
     """Constraints of B_f intersected with B_g, from the value tables of f and g.
 
-    Emits x(U) <= f(U) and x(U) <= g(U) for every subset U, plus the two
-    level equalities x(E) = f(E) and x(E) = g(E).  When f(E) != g(E) the
-    equalities contradict and find_vertex reports Infeasible immediately.
+    Emits x(U) <= min(f(U), g(U)), the two bounds with U's normal as one row,
+    for every subset U, plus the level equalities x(E) = f(E) and x(E) = g(E).
+    When f(E) != g(E) they contradict and find_vertex reports Infeasible.
     """
     tables = [_check_seq(v, None, "intersection table") for v in (f_values, g_values)]
     if not len(tables[0]) == len(tables[1]) == 1 << ground.n:
         raise UsageError(f"intersection tables need {1 << ground.n} values on this ground")
     f_values, g_values = (_check_int_vector(v, None, "intersection table") for v in tables)
     full = ground.full_mask
-    ineqs = tuple(enumerate(f_values)) + tuple(enumerate(g_values))
+    ineqs = tuple(enumerate([a if a < b else b for a, b in zip(f_values, g_values)]))
     eqs = ((full, f_values[full]), (full, g_values[full]))
     return ConstraintSystem(ground.elements, ineqs, eqs)
 

@@ -28,7 +28,7 @@ separators; only ``core``'s ``subset_sums`` and vector check are common.
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from operator import add, eq, gt, indexOf, le, xor
+from operator import add, and_, eq, gt, indexOf, le, xor
 
 from .core import Frozen, SubmodularFn, _check_int, _check_int_vector, _check_seq, _positions
 from .core import subset_sums
@@ -116,8 +116,9 @@ def tight_sets(f: SubmodularFn) -> list[int]:
 class FaceStructure(Frozen):
     """A face factored as a direct sum of block base polytopes.
 
-    Built, and pickled, from ``ground`` and the maximal tight ``chain`` alone
-    (masks rising from 0 to the full mask): ``blocks`` are its steps,
+    Built, and pickled, from ``ground`` and the maximal tight ``chain`` alone:
+    a tuple of int masks rising strictly by inclusion from 0 to the full
+    mask, or UsageError, unpickling too.  ``blocks`` are its steps,
     ``positions`` their bit positions and ``dim`` = n - (number of blocks).
     Block i is the base polytope of f.block_restrict(chain[i], blocks[i]).
     The public queries return one; ``decompose`` reads chains and builds
@@ -127,7 +128,14 @@ class FaceStructure(Frozen):
     __slots__ = ("ground", "chain", "blocks", "positions", "dim")
 
     def __init__(self, ground, chain):
+        if type(chain) is not tuple or not {int}.issuperset(map(type, chain)):
+            raise UsageError(f"face chain {chain!r} is not a tuple of int masks")
         blocks = tuple(map(xor, chain, chain[1:]))
+        # each step adds elements (a nonzero block) and keeps the earlier ones
+        if (chain[:1] != (0,) or chain[-1:] != (ground.full_mask,) or not all(blocks)
+                or any(map(and_, blocks, chain))):
+            raise UsageError(f"face chain {chain} does not rise strictly from 0 to"
+                             f" {ground.full_mask}")
         super().__init__(ground, chain, blocks, _chain_positions(chain), ground.n - len(blocks))
 
     def __reduce__(self):

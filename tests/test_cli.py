@@ -218,7 +218,7 @@ class TestDecompose:
         err = capsys.readouterr().err.splitlines()
         assert code == 3
         assert err[0] == "internal error: empty split intersection; decomposition theory violated"
-        assert len(err) == 1 + 2 * 2**3 + 2
+        assert len(err) == 1 + 2**3 + 2
         assert all(line.startswith("x({") for line in err[1:])
 
     def test_chain_step_violation_exits_three(self, write, capsys, monkeypatch):

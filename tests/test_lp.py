@@ -18,6 +18,7 @@ from corpus import (
     random_partition,
     random_table,
     sample_target,
+    small_scope,
     tiny_instances,
     u12,
     u23,
@@ -84,7 +85,7 @@ class TestBuildSystem:
     def test_counts(self):
         f = u23()
         system = intersection(f, f)
-        assert len(system.ineqs) == 2 * 8
+        assert len(system.ineqs) == 8
         assert len(system.eqs) == 2
         assert system.names == ("a", "b", "c")
 
@@ -308,6 +309,57 @@ class TestLexMaxOracle:
         assert outcomes["split"] == outcomes["engine"] == {False}
         assert outcomes["level"] == outcomes["cut"] == {True}
         assert outcomes["tables"] == outcomes["matroids"] == {False, True}
+
+    def test_one_row_per_subset_keeps_the_two_row_vertex(self, monkeypatch):
+        # the builder writes x(U) <= f(U) and x(U) <= g(U), which share a
+        # normal, as one row x(U) <= min(f(U), g(U)); the polytope and so its
+        # lex-max vertex are those of the system with both rows, built here by hand
+        engine = engine_pairs(monkeypatch, 9091)
+        pairs = [(f.ground, f.values, g.values) for _, f, g in intersection_pairs(320, 8128)]
+        for ground, f_values, g_values in engine:
+            system = build_intersection_system(ground, f_values, g_values)
+            assert len(system.ineqs) == len({m for m, _ in system.ineqs}) == 2**ground.n
+            assert len(system.eqs) == 2
+        for ground, f_values, g_values in pairs + engine:
+            full = ground.full_mask
+            two_rows = lp.ConstraintSystem(
+                ground.elements, tuple(enumerate(f_values)) + tuple(enumerate(g_values)),
+                ((full, f_values[full]), (full, g_values[full])),
+            )
+            got = find_vertex(build_intersection_system(ground, f_values, g_values))
+            assert got == find_vertex(two_rows) == edmonds_lex_max(f_values, g_values), (
+                f_values, g_values)
+
+    def test_small_scope_vertex_systems_match_edmonds(self, monkeypatch):
+        # every vertex system that decomposing the small scope builds:
+        # all 1390 submodular tables on three elements with f(empty) = 0 and
+        # values in -1..2, and every w in k B_f for k <= 2; only k = 2 splits
+        # (at k = 1 the remainder w(e) mod k is 0), and each distinct system is
+        # solved once more here
+        engine = sys.modules["polybase.decompose"]
+        vertex = engine._integer_vertex
+        systems = {}
+
+        def recording(ground, f_values, g_values, empty):
+            systems.setdefault((tuple(f_values), tuple(g_values)), ground)
+            return vertex(ground, f_values, g_values, empty)
+
+        monkeypatch.setattr(engine, "_integer_vertex", recording)
+        scope = small_scope()
+        runs = 0
+        for f, _ in scope:
+            points = enumerate_base_points(f).points
+            for k in (1, 2):
+                targets = {tuple(map(sum, zip(*combo)))
+                           for combo in itertools.combinations_with_replacement(points, k)}
+                for w in targets:
+                    decompose(f, w, k)
+                runs += len(targets)
+        assert (len(scope), runs, len(systems)) == (1390, 42052, 4947)
+        for (f_values, g_values), ground in systems.items():
+            system = build_intersection_system(ground, f_values, g_values)
+            assert find_vertex(system) == edmonds_lex_max(f_values, g_values), (
+                f_values, g_values)
 
     def test_kernel_matches_brute_force_enumeration(self):
         from corpus import random_table, sample_target

@@ -231,6 +231,36 @@ class TestFaceStructure:
             again = pickle.loads(pickle.dumps(face))
             assert again == face and again.positions == positions
 
+    @pytest.mark.parametrize("chain, message", [
+        ((0, 3, 3, 15), "face chain (0, 3, 3, 15) does not rise strictly from 0 to 15"),
+        ((0, 5, 3), "face chain (0, 5, 3) does not rise strictly from 0 to 15"),
+        ((0, 3, 7), "face chain (0, 3, 7) does not rise strictly from 0 to 15"),
+        ((1, 3, 15), "face chain (1, 3, 15) does not rise strictly from 0 to 15"),
+        ((), "face chain () does not rise strictly from 0 to 15"),
+        ((0, 3, 12, 15), "face chain (0, 3, 12, 15) does not rise strictly from 0 to 15"),
+        ([0, 3, 15], "face chain [0, 3, 15] is not a tuple of int masks"),
+        ((False, 3, 15), "face chain (False, 3, 15) is not a tuple of int masks"),
+        ((0, 3.0, 15), "face chain (0, 3.0, 15) is not a tuple of int masks"),
+        (None, "face chain None is not a tuple of int masks"),
+    ], ids=["repeat", "overlap", "short", "late_start", "empty", "drop", "list", "bool", "float",
+            "none"])
+    def test_refuses_a_chain_that_does_not_rise_strictly_from_0_to_e(self, chain, message):
+        # an empty step, overlapping steps, a short or a late start, a step
+        # that drops an element, and chains of something other than int masks
+        with pytest.raises(UsageError) as err:
+            FaceStructure(ground(4), chain)
+        assert str(err.value) == message
+
+    def test_unpickling_checks_the_chain(self):
+        class Tampered:
+            def __reduce__(self):
+                return FaceStructure, (ground(4), (0, 5, 3))
+
+        data = pickle.dumps(Tampered())
+        assert pickle.loads(pickle.dumps(FaceStructure(ground(4), (0, 5, 15)))).dim == 2
+        with pytest.raises(UsageError, match=r"\(0, 5, 3\) does not rise strictly"):
+            pickle.loads(data)
+
 
 class TestMinimalFace:
     def test_vertex_has_zero_dimensional_face(self):

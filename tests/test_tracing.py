@@ -86,7 +86,7 @@ def test_vertex_steps_record_lp_spans():
     # the split case and split_into_k_bases share one vertex step; it must
     # call the LP under the names the tracer wraps, or the lp.* per-layer
     # metrics would read 0 without failing anything else; a system holds
-    # both tables' 2^n rows plus the two level equalities
+    # one row per subset, x(U) <= min(f(U), g(U)), plus the two level equalities
     f = random_table(ground(5), random.Random(21))
     engine = sys.modules["polybase.decompose"]
     runs = [
@@ -98,7 +98,7 @@ def test_vertex_steps_record_lp_spans():
             run()
         calls = tracer.layer_totals()["calls"]
         assert calls["lp.build"] >= 1 and calls["lp.solve"] >= 1
-        assert tracer.counts["lp.rows"] == calls["lp.build"] * (2 * 2**n + 2)
+        assert tracer.counts["lp.rows"] == calls["lp.build"] * (2**n + 2)
 
 
 def test_trace_walk_counts_node_cases():
