@@ -24,6 +24,14 @@ integer row elimination (Bareiss 1968 for the square solves); ratio tests
 compare by cross-multiplication.  Every direction is a positive multiple
 of its rational counterpart, so the kernel takes the steps of the
 rational simplex, with the same working sets, entering and leaving rows.
+
+Nothing is derived twice.  The rows are distinct: a repeated row is kept
+at its first index, where ties in the ratio test already send it.
+Purification reduces each row once, when its slack first reaches 0,
+against an echelon basis carried from step to step (a step keeps every
+tight row tight), and scans the tight rows once more in row order for the
+working set Bland's rule starts from.  The Bareiss solve skips the rows
+that are 0 in the pivot column unless the step rescales them.
 """
 
 from __future__ import annotations
@@ -127,7 +135,9 @@ def _adjugate(rows):
 
     Fraction-free Gauss-Jordan elimination (Bareiss 1968): every division
     is exact, and elimination ends with det on the diagonal.  Pivots are
-    the first nonzero entry at or below the diagonal (deterministic).
+    the first nonzero entry at or below the diagonal (deterministic).  A
+    row that is 0 in the pivot column is only scaled by p / prev, so it is
+    left as it is when p == prev.
     """
     k = len(rows)
     aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
@@ -144,7 +154,10 @@ def _adjugate(rows):
             if r != col:
                 row = aug[r]
                 a = row[col]
-                aug[r] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+                if a:
+                    aug[r] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+                elif p != prev:
+                    aug[r] = [p * x // prev for x in row]
         prev = p
     return prev, [row[k:] for row in aug]
 
@@ -182,6 +195,25 @@ def _lex_sign(vec) -> int:
 # vertex finding
 # ---------------------------------------------------------------------------
 
+def _check_rows(system: ConstraintSystem) -> tuple[int, tuple, tuple]:
+    """(ground size, inequalities, equalities) of system, the rows as tuples,
+    if every row is an (int mask, int bound) pair whose mask is a subset of
+    the ground; else UsageError."""
+    n = len(_check_seq(system.names, None, "constraint names", "a sequence of names"))
+    ineqs = _check_seq(system.ineqs, None, "constraint inequalities", "a sequence of rows")
+    eqs = _check_seq(system.eqs, None, "constraint equalities", "a sequence of rows")
+    try:
+        masks, bounds = zip(*ineqs, *eqs, strict=True) if ineqs or eqs else ((), ())
+    except (TypeError, ValueError):
+        raise UsageError("constraint rows must be (mask, bound) pairs") from None
+    _check_int_vector(masks, None, "constraint masks")
+    _check_int_vector(bounds, None, "constraint bounds")
+    full = 1 << n
+    if bad := [m for m in masks if not 0 <= m < full]:
+        raise UsageError(f"mask {bad[0]:#x} out of range for ground set of size {n}")
+    return n, ineqs, eqs
+
+
 def find_vertex(system: ConstraintSystem):
     """Lex-max vertex of the system, or None when infeasible.
 
@@ -189,27 +221,32 @@ def find_vertex(system: ConstraintSystem):
     are ints, or Fractions when the vertex is not integral.  Raises
     InvariantViolation if the feasible set is unbounded (cannot happen for
     systems built from two base polytopes, which carry all singleton
-    bounds and the level equalities).
+    bounds and the level equalities), and UsageError, before any
+    arithmetic, unless every row is an (int mask, int bound) pair over the
+    system's names.
     """
+    n, ineqs, eqs = _check_rows(system)
     # Immediate contradictions: parallel equalities, empty-set rows.
     seen = {}
-    for m, b in system.eqs:
+    for m, b in eqs:
         if seen.setdefault(m, b) != b or (m == 0 and b != 0):
             stats["infeasible_systems"] += 1
             return None
-    if any(m == 0 and b < 0 for m, b in system.ineqs):
+    if any(m == 0 and b < 0 for m, b in ineqs):
         stats["infeasible_systems"] += 1
         return None
 
-    n = system.n
     dim = n + 1  # coordinates (x_0 .. x_{n-1}, t)
 
     # Every row reads sign * x(mask) - t <= rhs; the last row is t >= 0.
-    rows = [(1, m, b) for m, b in system.ineqs]
-    for m, b in system.eqs:
+    rows = [(1, m, b) for m, b in ineqs]
+    for m, b in eqs:
         rows.append((1, m, b))
         rows.append((-1, m, -b))
     rows.append((1, 0, 0))
+    # A later copy of a row has its twin's slack and rate, so it never
+    # enters (ties go to the lower index) and never joins a working set.
+    rows = list(dict.fromkeys(rows))
 
     def normal(j):
         sign, mask, _ = rows[j]
@@ -252,22 +289,30 @@ def find_vertex(system: ConstraintSystem):
                 point = [a // g for a in point]
                 slack = [a // g for a in slack]
 
-    # -- purification: climb to a vertex of the relaxed system ---------
-    while True:
-        working: list[int] = []
-        basis: list[list[int]] = []
-        basis_pivots: list[int] = []
-        for j, s in enumerate(slack):
-            if s:
-                continue
-            piv, v = _reduce_row(normal(j), basis_pivots, basis)
-            if piv is None:
-                continue
-            basis.append(v)
-            basis_pivots.append(piv)
-            working.append(j)
+    def admit(tight, working, basis, basis_pivots):
+        """Add each row of tight, in order, that is independent of the basis,
+        until the basis holds dim rows."""
+        for j in tight:
             if len(working) == dim:
-                break
+                return
+            piv, v = _reduce_row(normal(j), basis_pivots, basis)
+            if piv is not None:
+                basis.append(v)
+                basis_pivots.append(piv)
+                working.append(j)
+
+    # -- purification: climb to a vertex of the relaxed system ---------
+    # A step along d keeps every tight row tight (d is orthogonal to their
+    # span), so the basis carries over and only rows whose slack just
+    # reached 0 are reduced; d depends only on the span, so the steps are
+    # those of a fresh scan of every tight row.
+    working: list[int] = []
+    basis: list[list[int]] = []
+    basis_pivots: list[int] = []
+    tight = [j for j, s in enumerate(slack) if not s]
+    stepped = False
+    while True:
+        admit(tight, working, basis, basis_pivots)
         if len(working) == dim:
             break
         d = _null_direction(basis_pivots, basis, dim)
@@ -280,6 +325,14 @@ def find_vertex(system: ConstraintSystem):
                 dump=dump_system(system),
             )
         take_step(enter, rates, d)
+        stepped = True
+        # a row tight before the step has rate 0 and slack 0 after it
+        tight = [j for j, (s, rate) in enumerate(zip(slack, rates)) if not s and rate]
+    if stepped:
+        # Bland's rule starts from the first dim independent tight rows in
+        # row order, which rows turning tight out of order need not give
+        working = []
+        admit((j for j, s in enumerate(slack) if not s), working, [], [])
 
     # -- lexicographic simplex over the working set ---------------------
     # Column pos of adj = det * M^-1 (M: the working normals) gives the
@@ -326,12 +379,12 @@ def find_vertex(system: ConstraintSystem):
     # final safety: exact feasibility of the answer
     x = point[:n]
     sums_x = subset_sums(x)
-    for m, b in system.ineqs:
+    for m, b in ineqs:
         if sums_x[m] > den * b:
             raise InvariantViolation(
                 "kernel returned an infeasible point", dump=dump_system(system)
             )
-    for m, b in system.eqs:
+    for m, b in eqs:
         if sums_x[m] != den * b:
             raise InvariantViolation(
                 "kernel returned a point off an equality", dump=dump_system(system)

@@ -23,6 +23,10 @@ directly or through a function of its module, so ``verify``'s bound
 shares no code with the face chains the engine factors along; and
 ``in_base_polytope`` reads none of the engine's membership and face
 kernels, so neither does ``verify``'s membership test.
+
+``tests/lp_reference.py``, the rational oracle of the vertex kernel,
+imports from ``polybase.lp`` only ``_PIVOT_CAP``, ``ConstraintSystem`` and
+``dump_system``, so it shares none of the kernel's arithmetic helpers.
 """
 
 import ast
@@ -249,3 +253,38 @@ def test_the_check_follows_reads_through_the_module():
     assert reads_from(source, "dimension") == {"helper", "_maximal_chain", "tight", "f",
                                                "values", "len"}
     assert reads_from(source, "dimension") & FACE_HELPERS == {"_maximal_chain"}
+
+
+ORACLE_IMPORTS = {"_PIVOT_CAP", "ConstraintSystem", "dump_system"}
+
+
+def names_taken_from(source: str, module: str) -> list[str]:
+    """The names source imports from module, with ``*`` for an import of the
+    module itself, through which any of its names can be read."""
+    package, _, leaf = module.rpartition(".")
+    taken = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            taken += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == package:
+            taken += ["*" for alias in node.names if alias.name == leaf]
+        elif isinstance(node, ast.Import):
+            taken += ["*" for alias in node.names if alias.name == module]
+    return taken
+
+
+def test_the_lp_oracle_imports_only_the_system_and_its_dump():
+    source = (PACKAGE.parent.parent / "tests" / "lp_reference.py").read_text(encoding="utf-8")
+    assert set(names_taken_from(source, "polybase.lp")) <= ORACLE_IMPORTS
+
+
+def test_the_check_sees_an_oracle_import_of_a_kernel_helper():
+    source = ("from polybase.lp import ConstraintSystem, _adjugate\n"
+              "from polybase.core import subset_sums\n"
+              "from polybase import lp, core\n"
+              "import polybase.lp as kernel\n"
+              "def late():\n"
+              "    from polybase.lp import _reduce_row\n")
+    taken = names_taken_from(source, "polybase.lp")
+    assert taken == ["ConstraintSystem", "_adjugate", "*", "*", "_reduce_row"]
+    assert set(taken) - ORACLE_IMPORTS == {"_adjugate", "*", "_reduce_row"}

@@ -159,6 +159,28 @@ class TestFindVertex:
         pts_g = set(enumerate_base_points(g))
         assert not (pts_f & pts_g)
 
+    @pytest.mark.parametrize("ineqs, eqs, match", [
+        (((4, 1),), ((1, 1),), "mask 0x4 out of range for ground set of size 1"),
+        (((-1, 1),), ((1, 1),), "mask -0x1 out of range"),
+        (((1, 1),), ((2, 1),), "mask 0x2 out of range"),
+        (((1, 1.5),), ((1, 1),), "bounds must have integer entries, got 1.5"),
+        (((1, True),), ((1, 1),), "bounds must have integer entries, got True"),
+        (((True, 1),), ((1, 1),), "masks must have integer entries, got True"),
+        (((1, 1, 1),), ((1, 1),), "rows must be \\(mask, bound\\) pairs"),
+        (((1,), (1, 1)), ((1, 1),), "rows must be \\(mask, bound\\) pairs"),
+        (5, ((1, 1),), "inequalities must be a sequence of rows"),
+    ], ids=["mask-outside-ground", "negative-mask", "equality-mask-outside-ground",
+            "float-bound", "bool-bound", "bool-mask", "triple", "ragged", "not-a-sequence"])
+    def test_refuses_a_malformed_system_before_any_arithmetic(self, ineqs, eqs, match):
+        lp.reset_stats()
+        with pytest.raises(UsageError, match=match):
+            find_vertex(lp.ConstraintSystem(("a",), ineqs, eqs))
+        assert lp.stats == dict.fromkeys(lp.stats, 0)
+
+    def test_refuses_names_that_are_not_a_sequence(self):
+        with pytest.raises(UsageError, match="names must be a sequence of names, got 1"):
+            find_vertex(lp.ConstraintSystem(1, ((1, 1),), ((1, 1),)))
+
     def test_common_point_never_reported_infeasible(self):
         rng = random.Random(23)
         for _, f in tiny_instances():
@@ -400,6 +422,24 @@ def engine_pairs(monkeypatch, seed):
     return pairs
 
 
+def assert_reference_steps(monkeypatch, systems):
+    """Each system's vertex, pivot count and purification steps (calls to
+    _null_direction through the module global) equal lp_reference's."""
+    steps = dict.fromkeys((lp, lp_reference), 0)
+    for module in steps:
+        def counted(*args, module=module, null_direction=module._null_direction):
+            steps[module] += 1
+            return null_direction(*args)
+
+        monkeypatch.setattr(module, "_null_direction", counted)
+    for system in systems:
+        before = {module: (module.stats["pivots"], steps[module]) for module in steps}
+        assert find_vertex(system) == lp_reference.find_vertex(system), dump_system(system)
+        moved = [(module.stats["pivots"] - pivots, steps[module] - taken)
+                 for module, (pivots, taken) in before.items()]
+        assert moved[0] == moved[1], dump_system(system)
+
+
 class TestReferenceKernel:
     def test_integer_kernel_takes_the_fraction_kernels_steps(self, monkeypatch):
         # same vertex, same purification steps (calls to _null_direction
@@ -446,6 +486,64 @@ class TestReferenceKernel:
         )
         half = (Fraction(1, 2),) * 4
         assert find_vertex(system) == lp_reference.find_vertex(system) == half
+
+    def test_repeated_rows_take_the_reference_steps(self, monkeypatch):
+        # lp_reference keeps every copy of a repeated row, the kernel the first
+        # one; a built system repeats x(E) <= f(E) three times, -x(E) <= -f(E)
+        # twice and t >= 0 twice (through x(empty) <= 0), and the hand-built
+        # ones repeat inequalities and equalities next to, after and before
+        # their twins, and x(U) <= f(U), x(U) <= g(U) wherever f(U) = g(U)
+        systems = [intersection(u23(), u23())]
+        for _, f, g in intersection_pairs(25, 6161):
+            built = intersection(f, g)
+            names, ineqs, eqs = built.names, built.ineqs, built.eqs
+            systems += [
+                built,
+                lp.ConstraintSystem(names, ineqs + ineqs, eqs),
+                lp.ConstraintSystem(names, tuple(row for row in ineqs for _ in "ab"), eqs + eqs),
+                lp.ConstraintSystem(names, ineqs[::-1] + ineqs[::3], eqs[:1] * 3),
+                lp.ConstraintSystem(names, tuple(enumerate(f.values)) + tuple(enumerate(g.values)),
+                                    eqs[::-1]),
+            ]
+        assert_reference_steps(monkeypatch, systems)
+
+    def test_small_scope_vertex_systems_take_the_reference_steps(self, monkeypatch):
+        # the vertex systems of every w in 2 B_f, for every 40th small-scope table
+        engine = sys.modules["polybase.decompose"]
+        vertex = engine._integer_vertex
+        systems = {}
+
+        def recording(ground, f_values, g_values, empty):
+            systems.setdefault((tuple(f_values), tuple(g_values)), ground)
+            return vertex(ground, f_values, g_values, empty)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_integer_vertex", recording)
+            for f, _ in small_scope()[::40]:
+                points = enumerate_base_points(f).points
+                for w in {tuple(map(sum, zip(a, b)))
+                          for a, b in itertools.combinations_with_replacement(points, 2)}:
+                    decompose(f, w, 2)
+        assert len(systems) == 365
+        assert_reference_steps(monkeypatch, [build_intersection_system(ground, *tables)
+                                             for tables, ground in systems.items()])
+
+    def test_row_reductions_over_the_engine_systems_are_pinned(self, monkeypatch):
+        # a row is reduced when its slack first reaches 0, and once more in
+        # the scan in row order that gives Bland's rule its first working set
+        systems = [build_intersection_system(*t) for t in engine_pairs(monkeypatch, 9091)]
+        calls = 0
+        reduce_row = lp._reduce_row
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return reduce_row(*args)
+
+        monkeypatch.setattr(lp, "_reduce_row", counted)
+        for system in systems:
+            find_vertex(system)
+        assert (len(systems), calls) == (160, 4642)
 
 
 class TestAssertIntegral:
